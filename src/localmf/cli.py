@@ -52,12 +52,8 @@ def _fmt_cell(x) -> str:
         return ""
     if isinstance(x, str):
         return x
-    v = float(x)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.12g}"
+    v = _fmt_float(float(x))
+    return v if isinstance(v, str) else f"{v:.12g}"
 
 
 def _jsonify(obj):

@@ -161,18 +161,15 @@ class DyadicFamily:
     construction and safe to share across threads.
     """
 
-    def __init__(self, j_min, j_max, window, values, valid=None, dim=1):
+    def __init__(self, j_min, j_max, window, values, valid=None):
         j_min, j_max = int(j_min), int(j_max)
         if j_min < 0 or j_max < j_min:
             raise ScaleError(f"invalid scale range [{j_min}, {j_max}]")
-        if dim != 1:
-            raise DomainError("only dimension 1 is supported")
         if len(values) != j_max - j_min + 1:
             raise ScaleError(
                 f"expected {j_max - j_min + 1} value arrays, got {len(values)}")
         self.j_min, self.j_max = j_min, j_max
         self.window = window
-        self.dim = dim
         vals = []
         for i, j in enumerate(range(j_min, j_max + 1)):
             a = np.ascontiguousarray(values[i], dtype=float)
@@ -236,7 +233,7 @@ class DyadicFamily:
                                    f"[{self.window.lo}, {self.window.hi})")
         out = np.full(self.n_scales(), np.nan)
         for i, j in enumerate(self.scales):
-            k = min(int(math.floor(x * (1 << j))), (1 << j) - 1)
+            k = cube_at(x, j).k
             k_lo, k_hi = self.window.cube_range(j)
             if k_lo <= k < k_hi:
                 out[i] = self._values[i][k - k_lo]
@@ -287,14 +284,31 @@ class ExponentEstimate:
     residual: float
 
 
-def _loglog_fit(js: np.ndarray, log2e: np.ndarray) -> tuple[float, float]:
-    """Slope/RMS residual of log2(e) against -j; NaNs when underdetermined."""
-    if js.size < 2:
-        return math.nan, math.nan
-    coef = np.polyfit(-js.astype(float), log2e, 1)
-    fit = np.polyval(coef, -js.astype(float))
-    resid = float(np.sqrt(np.mean((log2e - fit) ** 2)))
-    return float(coef[0]), resid
+def _line_fit(x, Y):
+    """Least-squares lines y = slope x + intercept, one per row of Y.
+
+    Each row is fitted over its finite entries only (x is shared, along
+    the last axis). Returns (slopes, intercepts, RMS residuals), each of
+    Y's shape without its last axis; rows keeping fewer than 2 points get
+    NaN throughout.
+    """
+    x = np.asarray(x, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    m = np.isfinite(Y)
+    n = m.sum(axis=-1)
+    few = n < 2
+    nn = np.maximum(n, 1)
+    x_mean = (m * x).sum(axis=-1) / nn
+    y_mean = np.where(m, Y, 0.0).sum(axis=-1) / nn
+    dx = np.where(m, x - x_mean[..., None], 0.0)
+    dy = np.where(m, Y - y_mean[..., None], 0.0)
+    sxx = (dx * dx).sum(axis=-1)
+    slope = (dx * dy).sum(axis=-1) / np.where(few, 1.0, sxx)
+    intercept = y_mean - slope * x_mean
+    r = dy - slope[..., None] * dx
+    rms = np.sqrt((r * r).sum(axis=-1) / nn)
+    return (np.where(few, np.nan, slope), np.where(few, np.nan, intercept),
+            np.where(few, np.nan, rms))
 
 
 def _exponent(family, x, method, fit_range, tail_max):
@@ -319,13 +333,14 @@ def _exponent(family, x, method, fit_range, tail_max):
             f"no analysis cube of the fit range lies inside the window at x={x}")
 
     pos = es > 0
-    slope, resid = _loglog_fit(js[pos], np.log2(es[pos]))
     if not np.any(pos):
         # support convention: family vanishes along the chain
         return ExponentEstimate(math.inf, math.nan, (j1, j2), 0.0)
 
     with np.errstate(divide="ignore"):
-        chords = -np.log2(es) / js          # e == 0 -> +inf, skipped below
+        log2e = np.log2(es)                 # e == 0 -> -inf, skipped below
+    slope, _, resid = map(float, _line_fit(-js, log2e))
+    chords = -log2e / js
     if method == "regression":
         value = slope if not math.isnan(slope) else float(chords[pos][0])
     elif tail_max:
@@ -372,7 +387,6 @@ def write_family(path, family: DyadicFamily) -> None:
     with open(path, "w") as fh:
         fh.write(f"{_HEADER} j_min={family.j_min} j_max={family.j_max} "
                  f"lo={family.window.lo!r} hi={family.window.hi!r} "
-                 f"dim={family.dim} "
                  f"masked={int(family._valid is not None)}\n")
         fh.write(family_to_csv(family))
 

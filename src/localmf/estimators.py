@@ -3,10 +3,14 @@ windowed (local) analysis pipeline.
 
 Conventions
 -----------
-* S_j(w, p) sums e_lambda^p over the scale-j cubes contained in the window
-  w (invalid/flagged cubes are skipped). For p < 0 zero-valued cubes are
-  excluded from the sum and counted; for p = 0 the sum counts the nonzero
-  cubes, so tau(0) estimates minus the box dimension of the support.
+* S_j(w, p) sums e_lambda^p over the nonzero scale-j cubes contained in
+  the window w (invalid/flagged cubes are skipped). Zero-valued cubes add
+  nothing for p > 0; for p <= 0 they are excluded and counted, so for
+  p = 0 the sum counts the nonzero cubes and tau(0) estimates minus the
+  box dimension of the support.
+* Sums are taken in the log domain: log2 S_j(p) is computed from log2 e
+  with the largest term factored out, so no sum overflows or underflows
+  for any finite p. A scale enters a fit when it holds a nonzero cube.
 * tau(p) is the least-squares slope of log2 S_j against -j over the fit
   range (the liminf-faithful tail-min chord estimate is reported
   alongside); eta(p) = tau(p) - 1.
@@ -30,7 +34,7 @@ from .dyadic import (
     DyadicFamily,
     ExponentEstimate,
     Window,
-    _loglog_fit,
+    _line_fit,
     restrict,
 )
 from .errors import (
@@ -75,6 +79,36 @@ def _masked_values(family: DyadicFamily, j: int) -> np.ndarray:
     return v if m is None else v[m]
 
 
+def _log2_sums(per_scale, p_grid) -> tuple[np.ndarray, np.ndarray]:
+    """log2 S_j(p) for every p of the grid (rows) and every value array of
+    ``per_scale`` (columns), plus the count of zero cubes left out of each
+    sum (nonzero only for p <= 0).
+
+    A scale without a nonzero cube gets -inf. Each sum is formed as
+    top + log2 sum exp2(p log2 e - top), top being the largest exponent,
+    so every term is at most 1 and no sum can overflow; at p = 0 the
+    terms are exactly 1 and the sum is the count of nonzero cubes.
+    """
+    p_grid = np.asarray(p_grid, dtype=float)
+    log2_S = np.full((p_grid.size, len(per_scale)), -np.inf)
+    excluded = np.zeros(log2_S.shape, dtype=int)
+    for i, v in enumerate(per_scale):
+        log2e = v[v > 0]
+        excluded[p_grid <= 0, i] = v.size - log2e.size
+        if log2e.size == 0:
+            continue
+        np.log2(log2e, out=log2e)
+        lo, hi = log2e.min(), log2e.max()
+        work = np.empty_like(log2e)
+        for ip, p in enumerate(p_grid):
+            top = p * (hi if p > 0 else lo)
+            np.multiply(log2e, p, out=work)
+            work -= top
+            np.exp2(work, out=work)
+            log2_S[ip, i] = top + np.log2(work.sum())
+    return log2_S, excluded
+
+
 def structure_function(family: DyadicFamily, window: Window | None, p: float,
                        return_excluded: bool = False):
     """Per-scale sums S_j = sum over scale-j cubes in the window of e^p.
@@ -84,18 +118,10 @@ def structure_function(family: DyadicFamily, window: Window | None, p: float,
     of zero-valued cubes left out of the sum (nonzero only for p <= 0).
     """
     f = family if window is None else restrict(family, window)
-    S = np.empty(f.n_scales())
-    excluded = np.zeros(f.n_scales(), dtype=int)
-    for i, j in enumerate(f.scales):
-        v = _masked_values(f, j)
-        if p > 0:
-            S[i] = np.sum(v ** p)       # 0^p = 0
-        else:
-            pos = v[v > 0]
-            excluded[i] = v.size - pos.size
-            S[i] = float(pos.size) if p == 0 else np.sum(pos ** p)
+    log2_S, excluded = _log2_sums([_masked_values(f, j) for j in f.scales], [p])
+    S = np.exp2(log2_S[0])
     if return_excluded:
-        return S, excluded
+        return S, excluded[0]
     return S
 
 
@@ -139,7 +165,7 @@ def scaling_function(family: DyadicFamily, window: Window | None,
     """Least-squares scaling function of the family on a window.
 
     The fit uses the scales of ``fit_range`` (default [3, j_max - 1])
-    holding at least ``min_cubes`` cubes and a positive structure sum; p
+    holding at least ``min_cubes`` cubes, at least one of them nonzero; p
     values whose sums vanish at every usable scale get the +inf marker.
     """
     f = family if window is None else restrict(family, window)
@@ -158,34 +184,15 @@ def scaling_function(family: DyadicFamily, window: Window | None,
             f"window [{f.window.lo}, {f.window.hi}) keeps fewer than 2 usable "
             f"scales in ({j1}, {j2})")
 
-    n_p, n_j = p_grid.size, scales.size
-    tau = np.empty(n_p)
-    tail = np.empty(n_p)
-    residuals = np.zeros(n_p)
-    log2_S = np.full((n_p, n_j), np.nan)
-    excl = np.zeros((n_p, n_j), dtype=int)
-    per_scale = [_masked_values(f, j) for j in scales]
-    for ip, p in enumerate(p_grid):
-        S = np.empty(n_j)
-        for ij, v in enumerate(per_scale):
-            if p > 0:
-                S[ij] = np.sum(v ** p)
-            else:
-                pos = v[v > 0]
-                excl[ip, ij] = v.size - pos.size
-                S[ij] = float(pos.size) if p == 0 else np.sum(pos ** p)
-        ok = (S > 0) & np.isfinite(S)
-        if not np.any(ok):
-            tau[ip] = tail[ip] = math.inf
-            continue
-        js, ls = scales[ok].astype(float), np.log2(S[ok])
-        log2_S[ip, ok] = ls
-        tail[ip] = float(np.min(ls / -js))
-        if js.size < 2:
-            tau[ip] = tail[ip]
-            continue
-        slope, resid = _loglog_fit(js, ls)
-        tau[ip], residuals[ip] = slope, resid
+    log2_S, excl = _log2_sums([_masked_values(f, j) for j in scales], p_grid)
+    ok = np.isfinite(log2_S)
+    log2_S[~ok] = np.nan
+    js = scales.astype(float)
+    tail = np.where(ok, log2_S / -js, math.inf).min(axis=1)
+    slope, _, resid = _line_fit(-js, log2_S)
+    fitted = ok.sum(axis=1) >= 2
+    tau = np.where(fitted, slope, tail)
+    residuals = np.where(fitted, resid, 0.0)
     eta = tau - 1.0
     return ScalingFunction(p_grid, tau, tail, eta, (j1, j2), residuals,
                            f.window, scales, log2_S, excl)
@@ -217,8 +224,9 @@ def uniform_exponent(family: DyadicFamily, window: Window | None = None,
     pos = sups > 0
     if not np.any(pos):
         return ExponentEstimate(math.inf, math.nan, (j1, j2), 0.0)
-    slope, resid = _loglog_fit(js[pos], np.log2(sups[pos]))
-    chords = -np.log2(sups[pos]) / js[pos]
+    log2s = np.log2(sups[pos])
+    slope, _, resid = map(float, _line_fit(-js[pos], log2s))
+    chords = -log2s / js[pos]
     if method == "regression" and not math.isnan(slope):
         value = slope
     else:
@@ -470,12 +478,11 @@ def _linear_fit(p, tau, tol_lin):
     fin = np.isfinite(tau)
     if fin.sum() < 2:
         raise DomainError("mono-Hoelder detection needs tau finite on >= 2 points")
-    coef = np.polyfit(p[fin], tau[fin], 1)
-    resid = np.abs(tau[fin] - np.polyval(coef, p[fin]))
+    slope, intercept, _ = map(float, _line_fit(p, tau))
+    resid = np.abs(tau[fin] - (slope * p[fin] + intercept))
     norm = np.maximum(1.0, np.abs(p[fin]))
     residual = float(np.max(resid / norm))
-    return MonoHoelderResult(residual <= tol_lin, float(coef[0]),
-                             float(coef[1]), residual)
+    return MonoHoelderResult(residual <= tol_lin, slope, intercept, residual)
 
 
 def monohoelder_detect(obj, tol_lin: float = 0.02):
@@ -526,33 +533,19 @@ def besov_membership(family: DyadicFamily, s: float, p: float,
     if fit_range is None:
         fit_range = (max(3, f.j_min), f.j_max)
     j1, j2 = max(int(fit_range[0]), f.j_min), min(int(fit_range[1]), f.j_max)
-    js, log2_c = [], []
-    for j in range(j1, j2 + 1):
-        v = _masked_values(f, j)
-        if v.size == 0:
-            continue
-        if math.isinf(p):
-            top = v.max()
-            if top <= 0:
-                continue
-            log2_c.append(s * j + math.log2(top))
-        else:
-            pos = v[v > 0]
-            if pos.size == 0:
-                continue
-            S = float(np.sum(pos ** p))
-            if not math.isfinite(S):
-                continue
-            log2_c.append((s * p - 1.0) * j + math.log2(S))
-        js.append(j)
-    if not js:
+    js = np.arange(j1, j2 + 1, dtype=float)
+    per_scale = [_masked_values(f, j) for j in range(j1, j2 + 1)]
+    if math.isinf(p):
+        with np.errstate(divide="ignore"):
+            log2_c = s * js + np.log2([v.max(initial=0.0) for v in per_scale])
+    else:
+        log2_c = (s * p - 1.0) * js + _log2_sums(per_scale, [p])[0][0]
+    if not np.any(np.isfinite(log2_c)):
         # vacuous bound: the family vanishes on the window
         return BesovResult(True, 0.0, 0.0)
-    js = np.array(js, dtype=float)
-    log2_c = np.array(log2_c)
-    growth = 0.0
-    if js.size >= 2:
-        growth = float(np.polyfit(js, log2_c, 1)[0])
+    growth = float(_line_fit(js, log2_c)[0])
+    if math.isnan(growth):      # a single scale shows no growth
+        growth = 0.0
     cmax = float(np.max(log2_c))
     constant = 2.0 ** cmax if cmax < 1023 else math.inf
     return BesovResult(growth <= growth_tol, constant, growth)

@@ -20,6 +20,7 @@ from localmf import (
     upper_exponent,
     write_family,
 )
+from localmf.dyadic import _line_fit
 
 
 def power_law_family(alpha, j_max=12, c=1.0, window=Window(0.0, 1.0)):
@@ -198,6 +199,12 @@ class TestSerialization:
         assert G.window == F.window
         for j in F.scales:
             np.testing.assert_array_equal(G.values_at(j), F.values_at(j))
+        # headers written with the former dim=1 token still load
+        header, body = path.read_text().split("\n", 1)
+        path.write_text(header.replace(" masked=", " dim=1 masked=") + "\n" + body)
+        G = read_family(path)
+        for j in F.scales:
+            np.testing.assert_array_equal(G.values_at(j), F.values_at(j))
 
     def test_round_trip_with_mask(self, tmp_path):
         w = Window(0.0, 1.0)
@@ -210,6 +217,32 @@ class TestSerialization:
         G = read_family(path)
         assert not G.valid_at(3)[0]
         assert G.valid_at(3)[1]
+
+
+class TestLineFit:
+    def test_matches_polyfit_per_row(self):
+        rng = np.random.default_rng(5)
+        x = -np.arange(3.0, 15.0)
+        Y = rng.normal(size=(300, x.size)) + rng.normal(size=(300, 1)) * x
+        Y[rng.random(Y.shape) < 0.3] = np.nan
+        Y[rng.random(Y.shape) < 0.05] = -np.inf
+        Y[:3] = np.nan
+        Y[1, 4] = 2.0                            # one point only
+        Y[2, [0, 7]] = [1.0, -3.0]               # exactly two points
+        slope, intercept, rms = _line_fit(x, Y)
+        n_fitted = 0
+        for row, a, b, r in zip(Y, slope, intercept, rms):
+            m = np.isfinite(row)
+            if m.sum() < 2:
+                assert np.isnan(a) and np.isnan(b) and np.isnan(r)
+                continue
+            coef = np.polyfit(x[m], row[m], 1)
+            resid = row[m] - np.polyval(coef, x[m])
+            assert a == pytest.approx(coef[0], abs=1e-12)
+            assert b == pytest.approx(coef[1], abs=1e-12)
+            assert r == pytest.approx(np.sqrt(np.mean(resid ** 2)), abs=1e-12)
+            n_fitted += 1
+        assert n_fitted >= 290
 
 
 class TestValidationErrors:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,15 @@ class TestScalingFunction:
         assert np.all(big.tau_tailmin <= small.tau_tailmin + 1e-12)
         nested = scaling_function(F, Window(0.0, 0.25), qs, fit_range=(3, 11))
         assert np.all(small.tau_tailmin <= nested.tau_tailmin + 1e-12)
+
+    def test_large_negative_moment_keeps_every_scale(self):
+        # 0.1^13 ** -30 overflows a float: the sums must stay finite
+        F = binomial_family(0.1, 14)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sf = scaling_function(F, None, np.array([-30.0]))
+        assert np.all(np.isfinite(sf.log2_S))
+        assert sf.tau[0] == pytest.approx(binom_tau(0.1, -30.0), abs=1e-9)
 
     def test_homogeneous_window_independence(self):
         qs = np.arange(-2.0, 2.5, 0.5)
