@@ -59,53 +59,9 @@ class BinnedMeasure:
         return self.masses.size.bit_length() - 1
 
 
-def _cube_masses(measure: BinnedMeasure, j_max: int) -> list[np.ndarray]:
-    """mu(lambda) per scale 0..j_max, by successive pairwise sums."""
-    out = [None] * (j_max + 1)
-    cur = measure.masses
-    for j in range(measure.J, j_max, -1):
-        cur = cur.reshape(-1, 2).sum(axis=1)
-    out[j_max] = cur
-    for j in range(j_max - 1, -1, -1):
-        cur = cur.reshape(-1, 2).sum(axis=1)
-        out[j] = cur
-    return out
-
-
-def _require_scales(measure: BinnedMeasure, j_max: int) -> None:
-    if j_max < 4:
-        raise ScaleError(f"j_max must be >= 4, got {j_max}")
-    if j_max > measure.J:
-        raise ScaleError(f"j_max={j_max} exceeds the measure's bin scale {measure.J}")
-
-
-def measure_family(measure: BinnedMeasure, j_max: int) -> DyadicFamily:
-    """Family e_lambda = mu(3 lambda), the neighborhood mass (clipped at the
-    domain boundary)."""
-    _require_scales(measure, j_max)
-    mus = _cube_masses(measure, j_max)
-    values = []
-    for j in range(0, j_max + 1):
-        mu = mus[j]
-        e = mu.copy()
-        e[1:] += mu[:-1]
-        e[:-1] += mu[1:]
-        values.append(e)
-    return DyadicFamily(0, j_max, Window(0.0, 1.0), values)
-
-
-def plain_measure_family(measure: BinnedMeasure, j_max: int) -> DyadicFamily:
-    """Family e_lambda = mu(lambda), the dyadic (non-enlarged) cube mass."""
-    _require_scales(measure, j_max)
-    return DyadicFamily(0, j_max, Window(0.0, 1.0), _cube_masses(measure, j_max))
-
-
-# ---------------------------------------------------------------------------
-# oscillations
-
-
-def _minmax_pyramid(x: np.ndarray, j_top: int, J: int, op) -> list[np.ndarray]:
-    """Per-cube reduction of samples, scales j_top..J, by pairwise op."""
+def _pairwise_pyramid(x: np.ndarray, j_top: int, J: int, op) -> list[np.ndarray]:
+    """Per-cube reduction of the 2^J finest values at scales j_top..J, by
+    op over sibling pairs (np.add gives cube masses)."""
     out = [None] * (J + 1)
     cur = x
     out[J] = cur
@@ -120,6 +76,37 @@ def _neighbor3(a: np.ndarray, op, pad) -> np.ndarray:
     left = np.concatenate(([pad], a[:-1]))
     right = np.concatenate((a[1:], [pad]))
     return op(op(left, a), right)
+
+
+def _cube_masses(measure: BinnedMeasure, j_max: int) -> list[np.ndarray]:
+    """mu(lambda) per scale 0..j_max."""
+    return _pairwise_pyramid(measure.masses, 0, measure.J, np.add)[: j_max + 1]
+
+
+def _require_scales(measure: BinnedMeasure, j_max: int) -> None:
+    if j_max < 4:
+        raise ScaleError(f"j_max must be >= 4, got {j_max}")
+    if j_max > measure.J:
+        raise ScaleError(f"j_max={j_max} exceeds the measure's bin scale {measure.J}")
+
+
+def measure_family(measure: BinnedMeasure, j_max: int) -> DyadicFamily:
+    """Family e_lambda = mu(3 lambda), the neighborhood mass (clipped at the
+    domain boundary)."""
+    _require_scales(measure, j_max)
+    return DyadicFamily(0, j_max, Window(0.0, 1.0),
+                        [_neighbor3(mu, np.add, 0.0)
+                         for mu in _cube_masses(measure, j_max)])
+
+
+def plain_measure_family(measure: BinnedMeasure, j_max: int) -> DyadicFamily:
+    """Family e_lambda = mu(lambda), the dyadic (non-enlarged) cube mass."""
+    _require_scales(measure, j_max)
+    return DyadicFamily(0, j_max, Window(0.0, 1.0), _cube_masses(measure, j_max))
+
+
+# ---------------------------------------------------------------------------
+# oscillations
 
 
 def oscillation_family(signal, order: int = 1, j_max: int | None = None) -> DyadicFamily:
@@ -144,8 +131,8 @@ def oscillation_family(signal, order: int = 1, j_max: int | None = None) -> Dyad
         raise ScaleError(f"j_max={j_max} exceeds the sample scale {J}")
 
     if order == 1:
-        maxs = _minmax_pyramid(x, 0, J, np.maximum)
-        mins = _minmax_pyramid(x, 0, J, np.minimum)
+        maxs = _pairwise_pyramid(x, 0, J, np.maximum)
+        mins = _pairwise_pyramid(x, 0, J, np.minimum)
         values = []
         for j in range(0, j_max + 1):
             hi = _neighbor3(maxs[j][: 1 << j], np.maximum, -np.inf)
@@ -277,8 +264,11 @@ def read_measure(path) -> BinnedMeasure:
         header = fh.readline().strip().split(",")
         if len(header) != 2:
             raise SignalError(f"{path}: malformed measure header")
-        J, total = int(header[0]), float(header[1])
-        masses = np.loadtxt(fh, dtype=float, ndmin=1)
+        try:
+            J, total = int(header[0]), float(header[1])
+            masses = np.loadtxt(fh, dtype=float, ndmin=1)
+        except ValueError as exc:
+            raise SignalError(f"{path}: unreadable measure file: {exc}") from exc
     if masses.size != 1 << J:
         raise SignalError(f"{path}: expected {1 << J} mass lines, got {masses.size}")
     return BinnedMeasure(masses, total_mass=total)

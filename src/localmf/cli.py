@@ -70,6 +70,18 @@ def _jsonify(obj):
     return obj
 
 
+def _write_json(path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(_jsonify(obj), fh, indent=2)
+        fh.write("\n")
+
+
+def _table(header: str, rows) -> str:
+    """CSV text: the header line, then one line of formatted cells per row."""
+    lines = [header] + [",".join(_fmt_cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # option parsing
 
@@ -277,9 +289,7 @@ def run(cfg: PipelineConfig) -> dict:
     results["runtime_s"] = time.time() - t0 if not cfg.deterministic else None
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "results.json", "w") as fh:
-        json.dump(_jsonify(results), fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "results.json", results)
     for name, text in report_plots(results).items():
         (out / name).write_text(text)
     if "path" in extras:
@@ -319,35 +329,18 @@ def report_plots(results: dict) -> dict[str, str]:
     windows with local results contribute one row per base point and grid
     value. Column order is fixed.
     """
-    tau_rows = ["window_lo,window_hi,x,p,tau"]
-    spec_rows = ["window_lo,window_hi,x,H,L"]
+    tau_rows, spec_rows = [], []
     for entry in results.get("windows", []):
         lo, hi = entry["window"]
-        local = entry.get("local")
-        if not local:
-            for p, t in zip(entry["p_grid"], entry["tau"]):
-                tau_rows.append(",".join(
-                    [_fmt_cell(lo), _fmt_cell(hi), "", _fmt_cell(p), _fmt_cell(t)]))
-            leg = entry.get("legendre")
+        points = [(loc["x"], loc["tau"][-1], loc["legendre"])
+                  for loc in entry.get("local") or []]
+        for x, taus, leg in points or [(None, entry["tau"], entry.get("legendre"))]:
+            tau_rows += [(lo, hi, x, p, t) for p, t in zip(entry["p_grid"], taus)]
             if leg:
-                for H, L in zip(leg["H"], leg["L"]):
-                    spec_rows.append(",".join(
-                        [_fmt_cell(lo), _fmt_cell(hi), "", _fmt_cell(H),
-                         _fmt_cell(L)]))
-            continue
-        for loc in local:
-            x = loc["x"]
-            for p, t in zip(entry["p_grid"], loc["tau"][-1]):
-                tau_rows.append(",".join(
-                    [_fmt_cell(lo), _fmt_cell(hi), _fmt_cell(x), _fmt_cell(p),
-                     _fmt_cell(t)]))
-            for H, L in zip(loc["legendre"]["H"], loc["legendre"]["L"]):
-                spec_rows.append(",".join(
-                    [_fmt_cell(lo), _fmt_cell(hi), _fmt_cell(x), _fmt_cell(H),
-                     _fmt_cell(L)]))
+                spec_rows += [(lo, hi, x, H, L) for H, L in zip(leg["H"], leg["L"])]
     return {
-        "tau_long.csv": "\n".join(tau_rows) + "\n",
-        "spectrum_long.csv": "\n".join(spec_rows) + "\n",
+        "tau_long.csv": _table("window_lo,window_hi,x,p,tau", tau_rows),
+        "spectrum_long.csv": _table("window_lo,window_hi,x,H,L", spec_rows),
     }
 
 
@@ -370,9 +363,6 @@ def check_oracle(cfg: PipelineConfig) -> dict:
     if cfg.model is None:
         raise ConfigError("check-oracle needs a model spec (--spec)")
     kind = cfg.model.kind
-    if cfg.family == "auto":
-        cfg.family = _DEFAULT_FAMILY.get(kind, "plain-measure")
-
     if kind == "markov_jump":
         return _check_oracle_markov(cfg)
 
@@ -381,45 +371,42 @@ def check_oracle(cfg: PipelineConfig) -> dict:
     orc = synth.oracle(cfg.model)
     out = Path(cfg.out_dir)
     summary: dict = {"kind": kind, "mode": cfg.mode}
-    rows = ["x,p,tau_hat,tau_oracle"]
+    rows = []
 
     if cfg.mode == "local":
         lp = extras["local_profile"]
         mono = extras["monohoelder"]
         devs = []
-        alpha_rows = ["x,alpha_hat,alpha_oracle"]
+        alpha_rows = []
         H_fn_dev = []
         for ix, x in enumerate(lp.x_grid):
             tau_o = np.atleast_1d(orc.tau(float(x), lp.p_grid))
-            for p, th, to in zip(lp.p_grid, lp.tau_local[ix], tau_o):
-                rows.append(",".join(_fmt_cell(v) for v in (x, p, th, to)))
+            rows += [(x, p, th, to)
+                     for p, th, to in zip(lp.p_grid, lp.tau_local[ix], tau_o)]
             fin = np.isfinite(lp.tau_local[ix]) & np.isfinite(tau_o)
             devs.append(float(np.abs(lp.tau_local[ix][fin] - tau_o[fin]).max()))
             if orc.pointwise is not None:
                 a_o = float(orc.pointwise(float(x)))
-                alpha_rows.append(",".join(
-                    _fmt_cell(v) for v in (x, mono.alpha[ix], a_o)))
+                alpha_rows.append((x, mono.alpha[ix], a_o))
                 H_fn_dev.append(abs(mono.alpha[ix] - a_o))
         summary["max_abs_tau_deviation"] = max(devs)
         summary["per_x_tau_deviation"] = devs
         if H_fn_dev:
             summary["median_alpha_deviation"] = float(np.median(H_fn_dev))
-            (out / "alpha.csv").write_text("\n".join(alpha_rows) + "\n")
+            (out / "alpha.csv").write_text(
+                _table("x,alpha_hat,alpha_oracle", alpha_rows))
     else:
         entry = results["windows"][0]
         p_grid = np.asarray(entry["p_grid"], dtype=float)
-        tau_hat = np.array([v if isinstance(v, float) else math.inf
-                            for v in entry["tau"]])
+        tau_hat = np.array(entry["tau"])
         tau_o = np.atleast_1d(orc.tau_global(p_grid))
-        for p, th, to in zip(p_grid, tau_hat, tau_o):
-            rows.append(",".join(["", _fmt_cell(p), _fmt_cell(th), _fmt_cell(to)]))
+        rows += [(None, p, th, to) for p, th, to in zip(p_grid, tau_hat, tau_o)]
         fin = np.isfinite(tau_hat)
         summary["max_abs_tau_deviation"] = float(np.abs(tau_hat[fin] - tau_o[fin]).max())
 
-    (out / "oracle_vs_estimate.csv").write_text("\n".join(rows) + "\n")
-    with open(out / "summary.json", "w") as fh:
-        json.dump(_jsonify(summary), fh, indent=2)
-        fh.write("\n")
+    (out / "oracle_vs_estimate.csv").write_text(
+        _table("x,p,tau_hat,tau_oracle", rows))
+    _write_json(out / "summary.json", summary)
     return summary
 
 
@@ -432,17 +419,17 @@ def _check_oracle_markov(cfg: PipelineConfig) -> dict:
     fit = cfg.fit_range or (5, min(13, j_max - 1))
     rng = np.random.default_rng(cfg.seed)
     ts = rng.uniform(0.0, path.T, 100)
-    rows = ["t,h_hat,h_oracle"]
+    rows = []
     hits = 0
     for t in np.sort(ts):
         est = dyadic.lower_exponent(family, float(t / path.T),
                                     method="regression", fit_range=fit)
         h_o = float(orc.pointwise(float(t)))
-        rows.append(",".join(_fmt_cell(v) for v in (t, est.value, h_o)))
+        rows.append((t, est.value, h_o))
         hits += abs(est.value - h_o) <= 0.2
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "oracle_vs_estimate.csv").write_text("\n".join(rows) + "\n")
+    (out / "oracle_vs_estimate.csv").write_text(_table("t,h_hat,h_oracle", rows))
     synth.write_jumps(out / "jumps.csv", path)
     summary = {
         "kind": "markov_jump",
@@ -453,9 +440,7 @@ def _check_oracle_markov(cfg: PipelineConfig) -> dict:
         "drift_rate_max": path.drift_rate_max,
         "n_jumps": int(path.times.size),
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(_jsonify(summary), fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "summary.json", summary)
     return summary
 
 
@@ -488,9 +473,7 @@ def cmd_synth(cfg: PipelineConfig) -> int:
         meta["drift_rate_max"] = path.drift_rate_max
         print(f"truncation drift bound over [0, {path.T}]: "
               f"{path.drift_bound:.6g} (max rate {path.drift_rate_max:.6g})")
-    with open(out / "meta.json", "w") as fh:
-        json.dump(_jsonify(meta), fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "meta.json", meta)
     return 0
 
 

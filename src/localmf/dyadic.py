@@ -311,44 +311,72 @@ def _line_fit(x, Y):
             np.where(few, np.nan, rms))
 
 
+def _fit_scales(family, fit_range, top, min_scales):
+    """Scale range (j1, j2) of a log-log fit on the family.
+
+    ``fit_range`` defaults to [3, top]. It is clipped to the family's
+    scales and never includes scale 0, where the anchored chord log2 v /
+    (-j) is undefined. A range left with fewer than ``min_scales`` scales
+    raises ScaleError.
+    """
+    j1, j2 = (3, top) if fit_range is None else map(int, fit_range)
+    j1, j2 = max(j1, family.j_min, 1), min(j2, family.j_max)
+    if j2 - j1 + 1 < min_scales:
+        raise ScaleError(
+            f"fit range ({j1}, {j2}) must contain >= {min_scales} scales")
+    return j1, j2
+
+
+def _chords(js, log2v):
+    """Log-log summary of every row of log2v against the scales js.
+
+    Rows keep their finite entries only. Returns the least-squares slope
+    of log2 v against -j, its RMS residual (both NaN below 2 entries), and
+    the smallest and largest anchored chord log2 v / (-j) (+inf and -inf
+    for a row without a finite entry).
+    """
+    slope, _, resid = _line_fit(-js, log2v)
+    ok = np.isfinite(log2v)
+    chords = log2v / -js
+    return (slope, resid, np.where(ok, chords, math.inf).min(axis=-1),
+            np.where(ok, chords, -math.inf).max(axis=-1))
+
+
+def _estimate(js, v, method, tail_max, fit_range):
+    """Exponent estimate from the values v >= 0 at the scales js.
+
+    ``regression`` takes the log-log slope, or the single chord when only
+    one value is nonzero; ``tail-min`` takes the smallest chord, or the
+    largest with ``tail_max``. Zero values leave the fit; if every value
+    is zero the estimate is +inf.
+    """
+    if method not in ("tail-min", "regression"):
+        raise DomainError(f"unknown exponent method {method!r}")
+    if not np.any(v > 0):
+        # support convention: the family vanishes on every scale
+        return ExponentEstimate(math.inf, math.nan, fit_range, 0.0)
+    with np.errstate(divide="ignore"):
+        log2v = np.log2(v)                  # v == 0 -> -inf, skipped
+    slope, resid, lo, hi = map(float, _chords(js, log2v))
+    if method == "regression" and not math.isnan(slope):
+        value = slope
+    else:
+        value = hi if tail_max else lo
+    return ExponentEstimate(value, slope, fit_range,
+                            resid if not math.isnan(resid) else 0.0)
+
+
 def _exponent(family, x, method, fit_range, tail_max):
     if family.n_scales() < 4:
         raise ScaleError("pointwise exponents need a family with >= 4 scales")
-    if method not in ("tail-min", "regression"):
-        raise DomainError(f"unknown exponent method {method!r}")
-    if fit_range is None:
-        fit_range = (max(3, family.j_min), family.j_max)
-    j1, j2 = int(fit_range[0]), int(fit_range[1])
-    # scale 0 is excluded: the anchored chord log2(e)/(-j) is undefined there
-    j1, j2 = max(j1, family.j_min, 1), min(j2, family.j_max)
-    if j2 <= j1:
-        raise ScaleError(f"empty fit range ({j1}, {j2})")
-
+    j1, j2 = _fit_scales(family, fit_range, family.j_max, 2)
     vals = family.point_values(x)
     js = np.array(family.scales)
     sel = (js >= j1) & (js <= j2) & ~np.isnan(vals)
-    js, es = js[sel], vals[sel]
-    if js.size == 0:
+    if not np.any(sel):
         raise OutOfWindowError(
             f"no analysis cube of the fit range lies inside the window at x={x}")
-
-    pos = es > 0
-    if not np.any(pos):
-        # support convention: family vanishes along the chain
-        return ExponentEstimate(math.inf, math.nan, (j1, j2), 0.0)
-
-    with np.errstate(divide="ignore"):
-        log2e = np.log2(es)                 # e == 0 -> -inf, skipped below
-    slope, _, resid = map(float, _line_fit(-js, log2e))
-    chords = -log2e / js
-    if method == "regression":
-        value = slope if not math.isnan(slope) else float(chords[pos][0])
-    elif tail_max:
-        value = float(chords[pos].max())
-    else:
-        value = float(chords[pos].min())
-    residual = resid if not math.isnan(resid) else 0.0
-    return ExponentEstimate(value, slope, (j1, j2), residual)
+    return _estimate(js[sel], vals[sel], method, tail_max, (j1, j2))
 
 
 def lower_exponent(family: DyadicFamily, x: float, method: str = "tail-min",
@@ -419,14 +447,29 @@ def read_family(path) -> DyadicFamily:
         fh.readline()  # column header
         values = [np.zeros(window.n_cubes(j)) for j in range(j_min, j_max + 1)]
         valid = [np.ones(window.n_cubes(j), bool) for j in range(j_min, j_max + 1)]
+        seen = [np.zeros(window.n_cubes(j), bool) for j in range(j_min, j_max + 1)]
         for line in fh:
             parts = line.strip().split(",")
             if not parts or parts == [""]:
                 continue
-            j, k = int(parts[0]), int(parts[1])
+            try:
+                j, k, v = int(parts[0]), int(parts[1]), float(parts[2])
+                flag = bool(int(parts[3])) if masked else True
+            except (ValueError, IndexError) as exc:
+                raise WindowError(f"{path}: malformed row {line.strip()!r}") from exc
+            if not j_min <= j <= j_max:
+                raise WindowError(f"{path}: scale {j} outside [{j_min}, {j_max}]")
             i = k - window.cube_range(j)[0]
-            values[j - j_min][i] = float(parts[2])
-            if masked:
-                valid[j - j_min][i] = bool(int(parts[3]))
+            if not 0 <= i < seen[j - j_min].size or seen[j - j_min][i]:
+                raise WindowError(
+                    f"{path}: cube ({j}, {k}) lies outside the window or is "
+                    f"listed twice")
+            seen[j - j_min][i] = True
+            values[j - j_min][i] = v
+            valid[j - j_min][i] = flag
+    for j, s in zip(range(j_min, j_max + 1), seen):
+        if not s.all():
+            raise WindowError(f"{path}: {int((~s).sum())} cubes of scale {j} "
+                              f"have no row")
     return DyadicFamily(j_min, j_max, window, values,
                         valid=valid if masked else None)

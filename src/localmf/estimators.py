@@ -11,9 +11,18 @@ Conventions
 * Sums are taken in the log domain: log2 S_j(p) is computed from log2 e
   with the largest term factored out, so no sum overflows or underflows
   for any finite p. A scale enters a fit when it holds a nonzero cube.
+* A fit range defaults to [3, j_max - 1] for scaling functions and to
+  [3, j_max] for uniform exponents, is clipped to the family's scales and
+  never includes scale 0, where the anchored chord log2 S_j / (-j) is
+  undefined. A range left with fewer than 4 scales (scaling functions) or
+  2 (exponents) raises ScaleError. Besov membership needs no chord: its
+  range may include scale 0 and raises ScaleError only when it holds no
+  scale of the family.
 * tau(p) is the least-squares slope of log2 S_j against -j over the fit
   range (the liminf-faithful tail-min chord estimate is reported
-  alongside); eta(p) = tau(p) - 1.
+  alongside); eta(p) = tau(p) - 1. Scaling functions and pointwise and
+  uniform exponents share one range rule and one slope/chord routine
+  (``dyadic._fit_scales``, ``dyadic._chords``).
 * The Legendre spectrum is the discrete transform L(H) = min_p (H p -
   tau(p)) with endpoint and floor handling for the -infinity directions.
 * Local values tau(x, p) are taken at the smallest admissible radius; the
@@ -34,6 +43,9 @@ from .dyadic import (
     DyadicFamily,
     ExponentEstimate,
     Window,
+    _chords,
+    _estimate,
+    _fit_scales,
     _line_fit,
     restrict,
 )
@@ -125,6 +137,16 @@ def structure_function(family: DyadicFamily, window: Window | None, p: float,
     return S
 
 
+def _max_convexity(x, y) -> float:
+    """Largest discrete second difference of the finite samples y(x)."""
+    fin = np.isfinite(y)
+    x, y = x[fin], y[fin]
+    if x.size < 3:
+        return 0.0
+    second = np.diff(np.diff(y) / np.diff(x)) * 0.5 * (x[2:] - x[:-2])
+    return float(second.max())
+
+
 @dataclass
 class ScalingFunction:
     """Sampled scaling function tau(p) with per-p fit diagnostics.
@@ -151,12 +173,7 @@ class ScalingFunction:
     def max_convexity(self) -> float:
         """Largest discrete second difference of tau on the grid (a concave
         sample set keeps this <= fit tolerance)."""
-        fin = np.isfinite(self.tau)
-        p, t = self.p_grid[fin], self.tau[fin]
-        if p.size < 3:
-            return 0.0
-        second = np.diff(np.diff(t) / np.diff(p)) * 0.5 * (p[2:] - p[:-2])
-        return float(second.max()) if second.size else 0.0
+        return _max_convexity(self.p_grid, self.tau)
 
 
 def scaling_function(family: DyadicFamily, window: Window | None,
@@ -170,27 +187,19 @@ def scaling_function(family: DyadicFamily, window: Window | None,
     """
     f = family if window is None else restrict(family, window)
     p_grid = np.ascontiguousarray(p_grid, dtype=float)
-    if fit_range is None:
-        fit_range = (max(3, f.j_min), f.j_max - 1)
-    j1, j2 = int(fit_range[0]), int(fit_range[1])
-    j1, j2 = max(j1, f.j_min), min(j2, f.j_max)
-    if j2 - j1 + 1 < 4:
-        raise ScaleError(f"fit range ({j1}, {j2}) must contain >= 4 scales")
-
-    scales = np.array([j for j in range(j1, j2 + 1)
-                       if _masked_values(f, j).size >= max(1, min_cubes)])
+    j1, j2 = _fit_scales(f, fit_range, f.j_max - 1, 4)
+    per_scale = {j: _masked_values(f, j) for j in range(j1, j2 + 1)}
+    scales = np.array([j for j, v in per_scale.items()
+                       if v.size >= max(1, min_cubes)])
     if scales.size < 2:
         raise EmptyWindowError(
             f"window [{f.window.lo}, {f.window.hi}) keeps fewer than 2 usable "
             f"scales in ({j1}, {j2})")
 
-    log2_S, excl = _log2_sums([_masked_values(f, j) for j in scales], p_grid)
-    ok = np.isfinite(log2_S)
-    log2_S[~ok] = np.nan
-    js = scales.astype(float)
-    tail = np.where(ok, log2_S / -js, math.inf).min(axis=1)
-    slope, _, resid = _line_fit(-js, log2_S)
-    fitted = ok.sum(axis=1) >= 2
+    log2_S, excl = _log2_sums([per_scale[j] for j in scales], p_grid)
+    log2_S[~np.isfinite(log2_S)] = np.nan
+    slope, resid, tail, _ = _chords(scales.astype(float), log2_S)
+    fitted = ~np.isnan(slope)
     tau = np.where(fitted, slope, tail)
     residuals = np.where(fitted, resid, 0.0)
     eta = tau - 1.0
@@ -203,36 +212,18 @@ def uniform_exponent(family: DyadicFamily, window: Window | None = None,
                      fit_range: tuple[int, int] | None = None) -> ExponentEstimate:
     """Slope surrogate of log2 (sup_lambda e_lambda) against -j: the uniform
     regularity exponent of the family on the window."""
-    if method not in ("tail-min", "regression"):
-        raise DomainError(f"unknown method {method!r}")
     f = family if window is None else restrict(family, window)
-    if fit_range is None:
-        fit_range = (max(3, f.j_min), f.j_max)
-    j1, j2 = max(int(fit_range[0]), f.j_min), min(int(fit_range[1]), f.j_max)
-    if j2 <= j1:
-        raise ScaleError(f"empty fit range ({j1}, {j2})")
+    j1, j2 = _fit_scales(f, fit_range, f.j_max, 2)
     js, sups = [], []
     for j in range(j1, j2 + 1):
         v = _masked_values(f, j)
         if v.size:
             js.append(j)
             sups.append(v.max())
-    js = np.array(js, dtype=float)
-    sups = np.array(sups)
-    if js.size == 0:
+    if not js:
         raise EmptyWindowError("window keeps no cube in the fit range")
-    pos = sups > 0
-    if not np.any(pos):
-        return ExponentEstimate(math.inf, math.nan, (j1, j2), 0.0)
-    log2s = np.log2(sups[pos])
-    slope, _, resid = map(float, _line_fit(-js[pos], log2s))
-    chords = -log2s / js[pos]
-    if method == "regression" and not math.isnan(slope):
-        value = slope
-    else:
-        value = float(chords.min())
-    return ExponentEstimate(value, slope, (j1, j2),
-                            resid if not math.isnan(resid) else 0.0)
+    return _estimate(np.array(js, dtype=float), np.array(sups), method,
+                     False, (j1, j2))
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +276,7 @@ class LegendreSpectrum:
         return float(self.H_grid[i]), float(self.L[i])
 
     def max_convexity(self) -> float:
-        fin = np.isfinite(self.L)
-        H, L = self.H_grid[fin], self.L[fin]
-        if H.size < 3:
-            return 0.0
-        second = np.diff(np.diff(L) / np.diff(H)) * 0.5 * (H[2:] - H[:-2])
-        return float(second.max()) if second.size else 0.0
+        return _max_convexity(self.H_grid, self.L)
 
 
 def legendre(sf: ScalingFunction, H_grid, floor: float = LEGENDRE_FLOOR,
@@ -525,7 +511,9 @@ def besov_membership(family: DyadicFamily, s: float, p: float,
     The per-scale best constants c_j are computed over the scale range;
     membership requires their log2 growth rate to stay below ``growth_tol``
     (a bounded sequence at the achievable resolution), and the reported
-    constant is max c_j.
+    constant is max c_j. The scale range (default [3, j_max]) is clipped to
+    the family and may include scale 0; a range holding no scale raises
+    ScaleError.
     """
     if p == 0:
         raise DomainError("Besov membership is undefined for p = 0")
@@ -533,6 +521,8 @@ def besov_membership(family: DyadicFamily, s: float, p: float,
     if fit_range is None:
         fit_range = (max(3, f.j_min), f.j_max)
     j1, j2 = max(int(fit_range[0]), f.j_min), min(int(fit_range[1]), f.j_max)
+    if j2 < j1:
+        raise ScaleError(f"scale range ({j1}, {j2}) holds no scale of the family")
     js = np.arange(j1, j2 + 1, dtype=float)
     per_scale = [_masked_values(f, j) for j in range(j1, j2 + 1)]
     if math.isinf(p):

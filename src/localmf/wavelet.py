@@ -297,7 +297,10 @@ def read_signal(path) -> np.ndarray:
             if data.size != n:
                 raise SignalError(f"{path}: truncated binary signal")
             return data.astype(float)
-    return np.loadtxt(path, dtype=float, ndmin=1)
+    try:
+        return np.loadtxt(path, dtype=float, ndmin=1)
+    except ValueError as exc:
+        raise SignalError(f"{path}: unreadable signal: {exc}") from exc
 
 
 def pyramid_to_csv(pyramid: WaveletPyramid) -> str:
@@ -312,20 +315,27 @@ def pyramid_to_csv(pyramid: WaveletPyramid) -> str:
 
 
 def pyramid_from_csv(text: str, filter_id: str = DEFAULT_FILTER) -> WaveletPyramid:
+    """Inverse of :func:`pyramid_to_csv`: every coefficient, the
+    approximation included, must appear exactly once."""
     rows = [ln for ln in text.strip().splitlines()[1:] if ln]
     by_scale: dict[int, dict[int, float]] = {}
     for ln in rows:
-        j_s, k_s, c_s = ln.split(",")
-        by_scale.setdefault(int(j_s), {})[int(k_s)] = float(c_s)
-    approx = by_scale.pop(-1, {0: 0.0})
-    if not by_scale:
+        try:
+            j_s, k_s, c_s = ln.split(",")
+            j, k, c = int(j_s), int(k_s), float(c_s)
+        except ValueError as exc:
+            raise SignalError(f"malformed pyramid row {ln!r}") from exc
+        coeffs = by_scale.setdefault(j, {})
+        if k in coeffs:
+            raise SignalError(f"pyramid coefficient ({j}, {k}) listed twice")
+        coeffs[k] = c
+    J = max(by_scale, default=-1) + 1
+    if J == 0:
         raise SignalError("pyramid CSV holds no detail coefficients")
-    J = max(by_scale) + 1
-    details = []
-    for j in range(J):
-        d = np.zeros(1 << j)
-        for k, c in by_scale.get(j, {}).items():
-            d[k] = c
-        details.append(d)
-    a = np.array([approx.get(i, 0.0) for i in range(len(approx))])
-    return WaveletPyramid(1 << J, filter_id, tuple(details), a)
+    offsets = {j: list(range(1 << max(j, 0))) for j in range(-1, J)}  # -1: approx
+    if {j: sorted(coeffs) for j, coeffs in by_scale.items()} != offsets:
+        raise SignalError(f"pyramid CSV must list every coefficient of scales "
+                          f"-1..{J - 1} exactly once")
+    details = [np.array([by_scale[j][k] for k in range(1 << j)]) for j in range(J)]
+    return WaveletPyramid(1 << J, filter_id, tuple(details),
+                          np.array([by_scale[-1][0]]))

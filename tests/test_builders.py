@@ -8,6 +8,7 @@ from localmf import (
     DigitPotential,
     DomainError,
     ScaleError,
+    SignalError,
     birkhoff_family,
     lower_exponent,
     measure_family,
@@ -210,6 +211,15 @@ class TestMeasureIO:
         path = tmp_path / "bad.txt"
         path.write_text("3,1.0\n0.5\n0.5\n")  # wrong count
         with pytest.raises(Exception):
+            read_measure(path)
+
+    @pytest.mark.parametrize("text", ["x,1.0\n0.5\n0.5\n",
+                                      "1,1.0\n0.5\nabc\n"],
+                             ids=["header", "row"])
+    def test_unparsable_text_is_signal_error(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(SignalError):
             read_measure(path)
 
     def test_total_mass_validated(self):

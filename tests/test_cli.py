@@ -48,6 +48,15 @@ class TestValidation:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: runtime:") and "\n" not in err
 
+    def test_unparsable_measure_exits_3(self, tmp_path, capsys):
+        measure = tmp_path / "measure.txt"
+        measure.write_text("4,1.0\n" + "0.0625\n" * 15 + "abc\n")
+        rc = main(["analyze", "--input", str(measure), "--out",
+                   str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: runtime:") and "\n" not in err
+
 
 class TestCheckOracle:
     def test_binomial_exactness(self, tmp_path, capsys):

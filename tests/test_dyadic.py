@@ -12,6 +12,7 @@ from localmf import (
     EmptyWindowError,
     OutOfWindowError,
     Window,
+    WindowError,
     cube_at,
     lower_exponent,
     neighborhood,
@@ -217,6 +218,26 @@ class TestSerialization:
         G = read_family(path)
         assert not G.valid_at(3)[0]
         assert G.valid_at(3)[1]
+
+
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows + ["2,-1,77.0"],
+        lambda rows: rows + ["0,0,1.0"],
+        lambda rows: rows + ["7,0,1.0"],
+        lambda rows: rows + [rows[5]],
+        lambda rows: rows[:5] + rows[6:],
+        lambda rows: rows + ["2,x,1.0"],
+    ], ids=["negative-offset", "below-j_min", "above-j_max", "twice",
+            "missing", "unparsable"])
+    def test_rejects_rows_not_stored_once(self, tmp_path, edit):
+        F = power_law_family(0.5, j_max=6)
+        F = DyadicFamily(1, 6, F.window, [F.values_at(j) for j in range(1, 7)])
+        path = tmp_path / "fam.txt"
+        write_family(path, F)
+        header, columns, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, columns] + edit(rows)) + "\n")
+        with pytest.raises(WindowError):
+            read_family(path)
 
 
 class TestLineFit:

@@ -9,6 +9,7 @@ from localmf import (
     DyadicFamily,
     ModelSpec,
     RadiusError,
+    ScaleError,
     Window,
     besov_membership,
     discrete_legendre,
@@ -127,6 +128,19 @@ class TestScalingFunction:
         assert np.all(np.isfinite(sf.log2_S))
         assert sf.tau[0] == pytest.approx(binom_tau(0.1, -30.0), abs=1e-9)
 
+    def test_scale_zero_leaves_the_fit(self):
+        # the chord log2 S_0 / -0 is undefined: (0, 10) must fit (1, 10)
+        F = binomial_family(0.3, 12)
+        qs = np.array([-1.0, 0.0, 1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sf = scaling_function(F, None, qs, fit_range=(0, 10))
+        ref = scaling_function(F, None, qs, fit_range=(1, 10))
+        assert sf.fit_range == ref.fit_range == (1, 10)
+        np.testing.assert_array_equal(sf.tau, ref.tau)
+        np.testing.assert_array_equal(sf.tau_tailmin, ref.tau_tailmin)
+        np.testing.assert_array_equal(sf.residuals, ref.residuals)
+
     def test_homogeneous_window_independence(self):
         qs = np.arange(-2.0, 2.5, 0.5)
         sf_full = scaling_function(BINOM, None, qs)
@@ -154,6 +168,16 @@ class TestUniformExponent:
                 uniform_exponent(L, w, method="regression",
                                  fit_range=(8, 15)).value)
         assert abs(np.mean(estimates) - 0.3) <= 0.1
+
+
+    @pytest.mark.parametrize("method", ["tail-min", "regression"])
+    def test_scale_zero_leaves_the_fit(self, method):
+        F = binomial_family(0.3, 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = uniform_exponent(F, method=method, fit_range=(0, 10))
+        assert est == uniform_exponent(F, method=method, fit_range=(1, 10))
+        assert est.value == pytest.approx(-math.log2(0.7), abs=1e-9)
 
 
 class TestLegendre:
@@ -350,6 +374,16 @@ class TestBesov:
         res = besov_membership(F, 5.0, 2.0)
         assert res.member
         assert res.constant == 0.0
+
+
+    def test_empty_scale_range_raises(self):
+        F = binomial_family(0.3, 12)
+        for fit_range in [(10, 5), (20, 30)]:
+            with pytest.raises(ScaleError):
+                besov_membership(F, 0.3, 2.0, fit_range=fit_range)
+        # one scale still gives a bound, without growth
+        res = besov_membership(F, 0.3, 2.0, fit_range=(12, 12))
+        assert res.member and res.growth_rate == 0.0 and res.constant > 0
 
 
 class TestSmallSurfaces:

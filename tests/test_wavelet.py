@@ -290,6 +290,28 @@ class TestSignalIO:
             np.testing.assert_array_equal(Q.details[j], P.details[j])
 
 
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows + ["2,-1,5.0"],
+        lambda rows: rows + ["2,4,5.0"],
+        lambda rows: rows + ["-2,0,5.0"],
+        lambda rows: rows + [rows[9]],
+        lambda rows: rows[:9] + rows[10:],
+        lambda rows: rows[1:],
+        lambda rows: rows + ["2,1"],
+    ], ids=["negative-offset", "offset-past-2^j", "no-such-scale", "twice",
+            "missing", "no-approximation", "unparsable"])
+    def test_pyramid_csv_rejects_rows_not_stored_once(self, edit):
+        header, *rows = pyramid_to_csv(random_pyramid(6, 2)).splitlines()
+        with pytest.raises(SignalError):
+            pyramid_from_csv("\n".join([header] + edit(rows)) + "\n")
+
+    def test_unparsable_text_signal(self, tmp_path):
+        path = tmp_path / "sig.txt"
+        path.write_text("0.5\nabc\n" * 8)
+        with pytest.raises(SignalError):
+            read_signal(path)
+
+
 class TestScaleRequirements:
     def test_leaders_need_four_analysis_scales(self):
         from localmf import ScaleError
