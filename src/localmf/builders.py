@@ -3,6 +3,7 @@ Birkhoff sums of a two-valued digit potential."""
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -266,6 +267,14 @@ def read_measure(path) -> BinnedMeasure:
             raise SignalError(f"{path}: malformed measure header")
         try:
             J, total = int(header[0]), float(header[1])
+        except ValueError as exc:
+            raise SignalError(f"{path}: unreadable measure header: {exc}") from exc
+        size = os.fstat(fh.fileno()).st_size
+        if J < 0 or 2 << J > size:
+            # each of the 2^J mass lines takes at least 2 bytes
+            raise SignalError(f"{path}: header scale {J} is negative or needs "
+                              f"more mass lines than {size} bytes can hold")
+        try:
             masses = np.loadtxt(fh, dtype=float, ndmin=1)
         except ValueError as exc:
             raise SignalError(f"{path}: unreadable measure file: {exc}") from exc

@@ -86,18 +86,36 @@ def _table(header: str, rows) -> str:
 # option parsing
 
 
+def _floats(parts, what: str) -> list[float]:
+    try:
+        return [float(t) for t in parts]
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
 def _parse_grid(text: str) -> np.ndarray:
     """'a:b:step' inclusive grid, or a comma list of values."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"grid {text!r} must be a:b:step")
-        a, b, step = (float(t) for t in parts)
+        a, b, step = _floats(parts, f"grid {text!r}")
         if step <= 0 or b < a:
             raise ConfigError(f"grid {text!r} must have b >= a and step > 0")
         n = int(round((b - a) / step))
         return a + step * np.arange(n + 1)
-    return np.array([float(t) for t in text.split(",") if t])
+    return np.array(_floats([t for t in text.split(",") if t], f"grid {text!r}"))
+
+
+def _parse_x_grid(text: str) -> np.ndarray | int:
+    """A grid (see :func:`_parse_grid`), or 'auto:j' for one base point per
+    scale-j cube, returned as the scale j."""
+    if not text.startswith("auto:"):
+        return _parse_grid(text)
+    j = text[len("auto:"):]
+    if not j.isdecimal():
+        raise ConfigError(f"x grid {text!r} must be auto:j with an integer j >= 0")
+    return int(j)
 
 
 def _parse_windows(text: str) -> list[Window]:
@@ -105,15 +123,20 @@ def _parse_windows(text: str) -> list[Window]:
     for chunk in text.split(";"):
         if not chunk:
             continue
-        lo, hi = (float(t) for t in chunk.split(","))
-        out.append(Window(lo, hi))
+        bounds = _floats(chunk.split(","), f"window {chunk!r}")
+        if len(bounds) != 2:
+            raise ConfigError(f"window {chunk!r} must be lo,hi")
+        out.append(Window(*bounds))
     if not out:
         raise ConfigError("no windows given")
     return out
 
 
 def _parse_fit(text: str) -> tuple[int, int]:
-    j1, j2 = (int(t) for t in text.split(":"))
+    try:
+        j1, j2 = (int(t) for t in text.split(":"))
+    except ValueError as exc:
+        raise ConfigError(f"fit range {text!r} must be j1:j2") from exc
     return j1, j2
 
 
@@ -133,7 +156,7 @@ class PipelineConfig:
     p_grid: np.ndarray = field(default_factory=lambda: np.arange(-5.0, 5.5, 0.5))
     H_grid: np.ndarray | None = None
     windows: list[Window] | None = None
-    x_grid: np.ndarray | None = None
+    x_grid: np.ndarray | int | None = None    # int j: one point per scale-j cube
     radii: np.ndarray | None = None
     fit_range: tuple[int, int] | None = None
     min_cubes: int = 8
@@ -243,6 +266,18 @@ def _auto_H_grid(sf: estimators.ScalingFunction) -> np.ndarray:
     return np.round(np.arange(max(0.0, lo - pad), hi + pad + 1e-9, 0.01), 10)
 
 
+def _base_points(cfg: PipelineConfig, family: dyadic.DyadicFamily) -> np.ndarray:
+    """The configured x grid; a scale j gives the centre of every scale-j
+    cube, (k + 0.5) / 2^j, for j up to the family's finest scale."""
+    if not isinstance(cfg.x_grid, int):
+        return cfg.x_grid
+    if cfg.x_grid > family.j_max:
+        raise ConfigError(f"x grid auto:{cfg.x_grid} is finer than the "
+                          f"family's finest scale {family.j_max}")
+    n = 1 << cfg.x_grid
+    return (np.arange(n) + 0.5) / n
+
+
 def run(cfg: PipelineConfig) -> dict:
     """Execute a validated pipeline; returns the results dictionary and
     writes results.json plus the plot CSVs into cfg.out_dir."""
@@ -255,9 +290,9 @@ def run(cfg: PipelineConfig) -> dict:
         results["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     results["config"] = _config_echo(cfg)
 
-    for iw, w in enumerate(windows):
-        sf = estimators.scaling_function(family, w, cfg.p_grid,
-                                         fit_range=cfg.fit_range)
+    sfs = estimators._scaling_functions(family, windows, cfg.p_grid,
+                                        [cfg.fit_range] * len(windows))
+    for iw, sf in enumerate(sfs):
         H_grid = cfg.H_grid if cfg.H_grid is not None else _auto_H_grid(sf)
         spec_w = estimators.legendre(sf, H_grid)
         entry = estimators.scaling_to_dict(sf, spec_w)
@@ -265,8 +300,9 @@ def run(cfg: PipelineConfig) -> dict:
             policy = FitPolicy(j1=cfg.fit_range[0] if cfg.fit_range else 3,
                                j2=cfg.fit_range[1] if cfg.fit_range else None,
                                min_cubes=cfg.min_cubes)
-            lp = estimators.local_profile(family, cfg.x_grid, cfg.radii,
-                                          cfg.p_grid, policy, H_grid=H_grid)
+            lp = estimators.local_profile(family, _base_points(cfg, family),
+                                          cfg.radii, cfg.p_grid, policy,
+                                          H_grid=H_grid)
             mono = estimators.monohoelder_detect(lp)
             entry["local"] = [
                 {
@@ -315,7 +351,9 @@ def _config_echo(cfg: PipelineConfig) -> dict:
         echo["model"] = {"kind": cfg.model.kind, "seed": cfg.model.seed}
     if cfg.fit_range:
         echo["fit"] = list(cfg.fit_range)
-    if cfg.x_grid is not None:
+    if isinstance(cfg.x_grid, int):
+        echo["x_grid"] = f"auto:{cfg.x_grid}"
+    elif cfg.x_grid is not None:
         echo["x_grid"] = cfg.x_grid.tolist()
     if cfg.radii is not None:
         echo["radii"] = cfg.radii.tolist()
@@ -571,14 +609,14 @@ def _assemble_config(args: argparse.Namespace) -> PipelineConfig:
             cfg.windows = [Window(float(lo), float(hi)) for lo, hi in windows]
     x_grid = pick(args.x_grid, "x_grid")
     if x_grid is not None:
-        cfg.x_grid = (_parse_grid(x_grid) if isinstance(x_grid, str)
+        cfg.x_grid = (_parse_x_grid(x_grid) if isinstance(x_grid, str)
                       else np.asarray(x_grid, dtype=float))
     radii = pick(args.radii, "radii")
     if radii is not None:
         if isinstance(radii, str) and ":" in radii:
             cfg.radii = _parse_grid(radii)[::-1]  # grids ascend; radii descend
         elif isinstance(radii, str):
-            cfg.radii = np.array([float(t) for t in radii.split(",") if t])
+            cfg.radii = _parse_grid(radii)
         else:
             cfg.radii = np.asarray(radii, dtype=float)
     fit = pick(args.fit, "fit")

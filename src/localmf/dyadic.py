@@ -247,14 +247,21 @@ class DyadicFamily:
                 f"window=[{self.window.lo}, {self.window.hi}))")
 
 
-def restrict(family: DyadicFamily, w: Window) -> DyadicFamily:
-    """Family keeping exactly the cubes contained in w; scale range unchanged."""
+def _clip_window(family: DyadicFamily, w: Window) -> Window:
+    """The part of w inside the family's window; it must hold a cube of the
+    finest scale."""
     inter = family.window.intersect(w)
     if inter is None:
         raise WindowError(f"window [{w.lo}, {w.hi}) does not overlap the family")
     if inter.n_cubes(family.j_max) == 0:
         raise EmptyWindowError(
             f"no cube of scale {family.j_max} fits inside [{inter.lo}, {inter.hi})")
+    return inter
+
+
+def restrict(family: DyadicFamily, w: Window) -> DyadicFamily:
+    """Family keeping exactly the cubes contained in w; scale range unchanged."""
+    inter = _clip_window(family, w)
     values, valid = [], []
     for j in family.scales:
         old_lo, _ = family.window.cube_range(j)

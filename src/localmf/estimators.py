@@ -11,6 +11,12 @@ Conventions
 * Sums are taken in the log domain: log2 S_j(p) is computed from log2 e
   with the largest term factored out, so no sum overflows or underflows
   for any finite p. A scale enters a fit when it holds a nonzero cube.
+* One kernel (``_window_sums``) takes every partition sum, for a list of
+  windows at once. At each scale it cuts the cubes at every window edge
+  into shared segments, sums each segment once per p, and combines each
+  window's segment sums in the log domain with the largest one factored
+  out. Each cube's term is thus computed once per (scale, p) however many
+  windows overlap it, and a window's cost is its number of segments.
 * A fit range defaults to [3, j_max - 1] for scaling functions and to
   [3, j_max] for uniform exponents, is clipped to the family's scales and
   never includes scale 0, where the anchored chord log2 S_j / (-j) is
@@ -28,8 +34,10 @@ Conventions
 * Local values tau(x, p) are taken at the smallest admissible radius; the
   full per-radius sequence is retained so convergence can be judged.
 
-Sums use numpy's pairwise summation over contiguous arrays, so results are
-order-stable across repeated runs.
+Each segment is summed by numpy's pairwise summation over a contiguous
+array, and segment sums combine in a fixed order, so results are
+order-stable across repeated runs; a window made of a single segment (such
+as a lone window) gets exactly that pairwise sum.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from .dyadic import (
     ExponentEstimate,
     Window,
     _chords,
+    _clip_window,
     _estimate,
     _fit_scales,
     _line_fit,
@@ -91,34 +100,105 @@ def _masked_values(family: DyadicFamily, j: int) -> np.ndarray:
     return v if m is None else v[m]
 
 
-def _log2_sums(per_scale, p_grid) -> tuple[np.ndarray, np.ndarray]:
-    """log2 S_j(p) for every p of the grid (rows) and every value array of
-    ``per_scale`` (columns), plus the count of zero cubes left out of each
-    sum (nonzero only for p <= 0).
+_WORK = 1 << 17     # float64 entries of one work array (1 MB)
 
-    A scale without a nonzero cube gets -inf. Each sum is formed as
-    top + log2 sum exp2(p log2 e - top), top being the largest exponent,
-    so every term is at most 1 and no sum can overflow; at p = 0 the
-    terms are exactly 1 and the sum is the count of nonzero cubes.
+
+def _segment_log2_sums(log2e, p_grid) -> np.ndarray:
+    """log2 sum_i exp2(p log2e_i) for every p of the grid.
+
+    Each sum is formed as top + log2 sum exp2(p log2e - top), top being
+    the largest exponent, so every term is at most 1 and no sum can
+    overflow; at p = 0 the terms are exactly 1 and the sum is the count of
+    cubes. The p grid is taken in chunks that keep the work array within
+    ``_WORK`` entries (one row when a row alone is larger).
+    """
+    lo, hi = log2e.min(), log2e.max()
+    top = np.where(p_grid > 0, p_grid * hi, p_grid * lo)
+    out = np.empty(p_grid.size)
+    step = max(1, _WORK // log2e.size)
+    work = np.empty((min(step, p_grid.size), log2e.size))
+    for a in range(0, p_grid.size, step):
+        w = work[:min(step, p_grid.size - a)]
+        np.multiply.outer(p_grid[a:a + step], log2e, out=w)
+        w -= top[a:a + step, None]
+        np.exp2(w, out=w)
+        out[a:a + step] = top[a:a + step] + np.log2(w.sum(axis=1))
+    return out
+
+
+def _log2_runs(seg_S, runs) -> np.ndarray:
+    """log2 of the sum of the segment sums 2^seg_S[:, a:b] over each run
+    [a, b) of ``runs`` (n_runs x 2), one row per run.
+
+    The largest segment sum of a run is factored out, so no term exceeds
+    1; a run without a finite segment sum gets -inf. The last column of
+    seg_S must be -inf: it pads runs shorter than the longest one.
+    """
+    n_p, pad = seg_S.shape[0], seg_S.shape[1] - 1
+    width = max(1, int((runs[:, 1] - runs[:, 0]).max()))
+    out = np.empty((runs.shape[0], n_p))
+    step = max(1, _WORK // (n_p * width))
+    for a in range(0, runs.shape[0], step):
+        r = runs[a:a + step]
+        idx = r[:, :1] + np.arange(width)
+        idx[idx >= r[:, 1:]] = pad
+        L = seg_S[:, idx]                       # n_p x runs x width
+        top = L.max(axis=-1)
+        fin = np.isfinite(top)
+        top[~fin] = 0.0
+        total = np.exp2(L - top[..., None]).sum(axis=-1)
+        log2 = np.full(total.shape, -np.inf)
+        np.log2(total, out=log2, where=fin)
+        out[a:a + step] = (top + log2).T
+    return out
+
+
+def _window_sums(family: DyadicFamily, windows, scales, p_grid):
+    """Partition sums of the family on every window of a list at once.
+
+    ``windows`` must lie inside the family's window. Returns log2 S_j(w, p)
+    (n_windows x n_p x n_scales; -inf where the window holds no nonzero
+    valid cube), the count of zero cubes left out of each sum (same shape,
+    nonzero only for p <= 0) and the count of valid cubes of each window at
+    each scale (n_windows x n_scales).
+
+    At each scale the cubes are cut at the edges of every window into
+    segments. Each segment a window covers is summed once per p by
+    :func:`_segment_log2_sums`, and every window combines the sums of its
+    segments by :func:`_log2_runs`. A window made of one segment gets that
+    segment's sum unchanged.
     """
     p_grid = np.asarray(p_grid, dtype=float)
-    log2_S = np.full((p_grid.size, len(per_scale)), -np.inf)
-    excluded = np.zeros(log2_S.shape, dtype=int)
-    for i, v in enumerate(per_scale):
-        log2e = v[v > 0]
-        excluded[p_grid <= 0, i] = v.size - log2e.size
-        if log2e.size == 0:
-            continue
-        np.log2(log2e, out=log2e)
-        lo, hi = log2e.min(), log2e.max()
-        work = np.empty_like(log2e)
-        for ip, p in enumerate(p_grid):
-            top = p * (hi if p > 0 else lo)
-            np.multiply(log2e, p, out=work)
-            work -= top
-            np.exp2(work, out=work)
-            log2_S[ip, i] = top + np.log2(work.sum())
-    return log2_S, excluded
+    n_w = len(windows)
+    log2_S = np.full((n_w, p_grid.size, len(scales)), -np.inf)
+    n_valid = np.zeros((n_w, len(scales)), dtype=int)
+    n_pos = np.zeros_like(n_valid)
+    for i, j in enumerate(scales):
+        v, valid = family.values_at(j), family.valid_at(j)
+        ends = np.array([w.cube_range(j) for w in windows]) - family.k_lo(j)
+        edges, runs = np.unique(ends, return_inverse=True)
+        runs = runs.reshape(n_w, 2)
+        # depth > 0 marks the segments some window covers
+        depth = np.zeros(edges.size, dtype=int)
+        np.add.at(depth, runs[:, 0], 1)
+        np.add.at(depth, runs[:, 1], -1)
+        seg_S = np.full((p_grid.size, edges.size), -np.inf)
+        seg_valid = np.zeros(edges.size, dtype=int)   # counts of segment s at s + 1
+        seg_pos = np.zeros_like(seg_valid)
+        for s in np.flatnonzero(np.cumsum(depth)[:-1] > 0):
+            a, b = edges[s], edges[s + 1]
+            sv = v[a:b] if valid is None else v[a:b][valid[a:b]]
+            log2e = sv[sv > 0]
+            seg_valid[s + 1], seg_pos[s + 1] = sv.size, log2e.size
+            if log2e.size:
+                np.log2(log2e, out=log2e)
+                seg_S[:, s] = _segment_log2_sums(log2e, p_grid)
+        for counts, out in ((seg_valid, n_valid), (seg_pos, n_pos)):
+            c = np.cumsum(counts)
+            out[:, i] = c[runs[:, 1]] - c[runs[:, 0]]
+        log2_S[:, :, i] = _log2_runs(seg_S, runs)
+    excluded = np.where((p_grid <= 0)[:, None], (n_valid - n_pos)[:, None, :], 0)
+    return log2_S, excluded, n_valid
 
 
 def structure_function(family: DyadicFamily, window: Window | None, p: float,
@@ -129,11 +209,11 @@ def structure_function(family: DyadicFamily, window: Window | None, p: float,
     the window). With ``return_excluded`` also returns the per-scale count
     of zero-valued cubes left out of the sum (nonzero only for p <= 0).
     """
-    f = family if window is None else restrict(family, window)
-    log2_S, excluded = _log2_sums([_masked_values(f, j) for j in f.scales], [p])
-    S = np.exp2(log2_S[0])
+    w = family.window if window is None else _clip_window(family, window)
+    log2_S, excluded, _ = _window_sums(family, [w], family.scales, [p])
+    S = np.exp2(log2_S[0, 0])
     if return_excluded:
-        return S, excluded[0]
+        return S, excluded[0, 0]
     return S
 
 
@@ -185,26 +265,41 @@ def scaling_function(family: DyadicFamily, window: Window | None,
     holding at least ``min_cubes`` cubes, at least one of them nonzero; p
     values whose sums vanish at every usable scale get the +inf marker.
     """
-    f = family if window is None else restrict(family, window)
-    p_grid = np.ascontiguousarray(p_grid, dtype=float)
-    j1, j2 = _fit_scales(f, fit_range, f.j_max - 1, 4)
-    per_scale = {j: _masked_values(f, j) for j in range(j1, j2 + 1)}
-    scales = np.array([j for j, v in per_scale.items()
-                       if v.size >= max(1, min_cubes)])
-    if scales.size < 2:
-        raise EmptyWindowError(
-            f"window [{f.window.lo}, {f.window.hi}) keeps fewer than 2 usable "
-            f"scales in ({j1}, {j2})")
+    return _scaling_functions(family, [window], p_grid, [fit_range],
+                              min_cubes)[0]
 
-    log2_S, excl = _log2_sums([per_scale[j] for j in scales], p_grid)
-    log2_S[~np.isfinite(log2_S)] = np.nan
-    slope, resid, tail, _ = _chords(scales.astype(float), log2_S)
-    fitted = ~np.isnan(slope)
-    tau = np.where(fitted, slope, tail)
-    residuals = np.where(fitted, resid, 0.0)
-    eta = tau - 1.0
-    return ScalingFunction(p_grid, tau, tail, eta, (j1, j2), residuals,
-                           f.window, scales, log2_S, excl)
+
+def _scaling_functions(family: DyadicFamily, windows, p_grid, fit_ranges,
+                       min_cubes: int = 1) -> list[ScalingFunction]:
+    """:func:`scaling_function` on every window of a list (None: the
+    family's window), ``windows[i]`` fitted over ``fit_ranges[i]``, with
+    the partition sums of all windows taken by one kernel call."""
+    if not windows:
+        return []
+    p_grid = np.ascontiguousarray(p_grid, dtype=float)
+    clipped = [family.window if w is None else _clip_window(family, w)
+               for w in windows]
+    ranges = [_fit_scales(family, fr, family.j_max - 1, 4) for fr in fit_ranges]
+    scales = np.arange(min(r[0] for r in ranges), max(r[1] for r in ranges) + 1)
+    log2_S, excluded, n_valid = _window_sums(family, clipped, scales, p_grid)
+    out = []
+    for w, (j1, j2), S, excl, nv in zip(clipped, ranges, log2_S, excluded,
+                                        n_valid):
+        use = (scales >= j1) & (scales <= j2) & (nv >= max(1, min_cubes))
+        if use.sum() < 2:
+            raise EmptyWindowError(
+                f"window [{w.lo}, {w.hi}) keeps fewer than 2 usable "
+                f"scales in ({j1}, {j2})")
+        S = np.ascontiguousarray(S[:, use])
+        S[~np.isfinite(S)] = np.nan
+        slope, resid, tail, _ = _chords(scales[use].astype(float), S)
+        fitted = ~np.isnan(slope)
+        tau = np.where(fitted, slope, tail)
+        residuals = np.where(fitted, resid, 0.0)
+        out.append(ScalingFunction(p_grid, tau, tail, tau - 1.0, (j1, j2),
+                                   residuals, w, scales[use], S,
+                                   np.ascontiguousarray(excl[:, use])))
+    return out
 
 
 def uniform_exponent(family: DyadicFamily, window: Window | None = None,
@@ -372,9 +467,8 @@ def local_profile(family: DyadicFamily, x_grid, radii, p_grid,
     j2 = policy.j2 if policy.j2 is not None else family.j_max - 1
     p_grid = np.ascontiguousarray(p_grid, dtype=float)
 
-    profiles = []
-    tau_local = np.empty((x_grid.size, p_grid.size))
-    for ix, x in enumerate(x_grid):
+    windows, fit_ranges = [], []
+    for x in x_grid:
         # anchor the fit range at the smallest radius so the per-radius
         # sequence is fitted over one common scale set (otherwise radius
         # monotonicity is confounded by fit-range changes)
@@ -382,14 +476,14 @@ def local_profile(family: DyadicFamily, x_grid, radii, p_grid,
         j1_eff = policy.j1
         while j1_eff < j2 and w_min.n_cubes(j1_eff) < policy.min_cubes:
             j1_eff += 1
-        per_x = []
         for r in radii:
-            w = Window.ball(float(x), float(r))
-            sf = scaling_function(family, w, p_grid,
-                                  fit_range=(j1_eff, j2),
-                                  min_cubes=policy.min_cubes)
-            per_x.append(sf)
-        profiles.append(per_x)
+            windows.append(Window.ball(float(x), float(r)))
+            fit_ranges.append((j1_eff, j2))
+    sfs = _scaling_functions(family, windows, p_grid, fit_ranges,
+                             policy.min_cubes)
+    profiles = [sfs[i:i + radii.size] for i in range(0, len(sfs), radii.size)]
+    tau_local = np.empty((x_grid.size, p_grid.size))
+    for ix, per_x in enumerate(profiles):
         tau_local[ix] = per_x[-1].tau
 
     spectra = None
@@ -517,19 +611,22 @@ def besov_membership(family: DyadicFamily, s: float, p: float,
     """
     if p == 0:
         raise DomainError("Besov membership is undefined for p = 0")
-    f = family if window is None else restrict(family, window)
+    w = family.window if window is None else _clip_window(family, window)
     if fit_range is None:
-        fit_range = (max(3, f.j_min), f.j_max)
-    j1, j2 = max(int(fit_range[0]), f.j_min), min(int(fit_range[1]), f.j_max)
+        fit_range = (max(3, family.j_min), family.j_max)
+    j1 = max(int(fit_range[0]), family.j_min)
+    j2 = min(int(fit_range[1]), family.j_max)
     if j2 < j1:
         raise ScaleError(f"scale range ({j1}, {j2}) holds no scale of the family")
     js = np.arange(j1, j2 + 1, dtype=float)
-    per_scale = [_masked_values(f, j) for j in range(j1, j2 + 1)]
     if math.isinf(p):
+        f = family if window is None else restrict(family, window)
+        sups = [_masked_values(f, j).max(initial=0.0) for j in range(j1, j2 + 1)]
         with np.errstate(divide="ignore"):
-            log2_c = s * js + np.log2([v.max(initial=0.0) for v in per_scale])
+            log2_c = s * js + np.log2(sups)
     else:
-        log2_c = (s * p - 1.0) * js + _log2_sums(per_scale, [p])[0][0]
+        log2_S = _window_sums(family, [w], range(j1, j2 + 1), [p])[0]
+        log2_c = (s * p - 1.0) * js + log2_S[0, 0]
     if not np.any(np.isfinite(log2_c)):
         # vacuous bound: the family vanishes on the window
         return BesovResult(True, 0.0, 0.0)

@@ -222,6 +222,14 @@ class TestMeasureIO:
         with pytest.raises(SignalError):
             read_measure(path)
 
+    @pytest.mark.parametrize("text", ["-1,1.0\n1.0\n", "40,1.0\n1.0\n"],
+                             ids=["negative", "oversized"])
+    def test_header_scale_checked(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(SignalError, match="header scale"):
+            read_measure(path)
+
     def test_total_mass_validated(self):
         with pytest.raises(DomainError):
             BinnedMeasure(np.full(16, 1.0), total_mass=2.0)

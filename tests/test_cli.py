@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from localmf import ModelSpec, read_measure, synthesize
 from localmf.cli import main
@@ -51,6 +52,31 @@ class TestValidation:
     def test_unparsable_measure_exits_3(self, tmp_path, capsys):
         measure = tmp_path / "measure.txt"
         measure.write_text("4,1.0\n" + "0.0625\n" * 15 + "abc\n")
+        rc = main(["analyze", "--input", str(measure), "--out",
+                   str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: runtime:") and "\n" not in err
+
+
+    @pytest.mark.parametrize("option", [
+        ["--fit", "3"], ["--fit", "3:x"], ["--windows", "0.5"],
+        ["--windows", "0,0.5,1"], ["--p-grid", "abc"], ["--p-grid", "1:x:0.5"],
+        ["--radii", "0.25,x"], ["--x-grid", "auto:-1"], ["--x-grid", "auto:1.5"],
+        ["--x-grid", "auto:"],
+    ], ids=lambda o: " ".join(o))
+    def test_malformed_option_text_exits_2(self, tmp_path, capsys, option):
+        measure = tmp_path / "measure.txt"
+        measure.write_text("2,1.0\n" + "0.25\n" * 4)
+        rc = main(["local", "--input", str(measure), "--out",
+                   str(tmp_path / "out")] + option)
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: validation:") and "\n" not in err
+
+    def test_negative_header_scale_exits_3(self, tmp_path, capsys):
+        measure = tmp_path / "measure.txt"
+        measure.write_text("-1,1.0\n1.0\n")
         rc = main(["analyze", "--input", str(measure), "--out",
                    str(tmp_path / "out")])
         assert rc == 3
@@ -221,6 +247,35 @@ class TestReport:
         results = json.loads((out / "results.json").read_text())
         assert [w["window"] for w in results["windows"]] == [[0.0, 0.5],
                                                              [0.5, 1.0]]
+
+
+class TestAutoXGrid:
+    def run_local(self, tmp_path, name, x_grid):
+        spec = write_spec(tmp_path, "bern.json", {
+            "kind": "localized_bernoulli",
+            "params": {"p": [[0.0, 0.2], [1.0, 0.45]], "J": 12}})
+        out = tmp_path / name
+        rc = main(["local", "--spec", spec, "--family", "plain-measure",
+                   "--p-grid=-2:2:0.5", "--x-grid", x_grid,
+                   "--radii", "0.25,0.125,0.0625", "--fit", "3:11",
+                   "--deterministic", "--out", str(out)])
+        return rc, out
+
+    def test_one_point_per_cube_and_byte_identical_rerun(self, tmp_path):
+        outs = []
+        for name in ("a", "b"):
+            rc, out = self.run_local(tmp_path, name, "auto:5")
+            assert rc == 0
+            outs.append(out)
+        local = json.loads((outs[0] / "results.json").read_text())["windows"][0]["local"]
+        assert [loc["x"] for loc in local] == [(k + 0.5) / 32 for k in range(32)]
+        for fname in ("results.json", "tau_long.csv", "spectrum_long.csv"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_scale_finer_than_family_exits_3(self, tmp_path, capsys):
+        rc, _ = self.run_local(tmp_path, "a", "auto:13")
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: runtime:")
 
 
 class TestConfigFile:

@@ -427,3 +427,146 @@ class TestBoundaryBasePoints:
         # homogeneous cascade: clipped windows still see the global tau
         sf = scaling_function(F, None, qs)
         assert np.abs(lp.tau_local - sf.tau[None, :]).max() <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# the shared-segment sum kernel against direct sums
+
+
+P_EXTREME = np.array([-30.0, -1.0, 0.0, 1.0, 30.0])
+
+
+def rough_family(J=9, masked=False, seed=0):
+    """Values in [0.5, 2] with about a third of the cubes zero, and with
+    masked=True about a fifth of the cubes flagged invalid."""
+    rng = np.random.default_rng(seed)
+    values, valid = [], []
+    for j in range(J + 1):
+        v = rng.uniform(0.5, 2.0, 1 << j)
+        v[rng.random(1 << j) < 0.3] = 0.0
+        values.append(v)
+        valid.append(rng.random(1 << j) >= 0.2)
+    return DyadicFamily(0, J, Window(0.0, 1.0), values,
+                        valid=valid if masked else None)
+
+
+def leader_family():
+    _, P = gen_mbm(ModelSpec("mbm", {"H": 0.6, "J": 10}, seed=4))
+    return leaders(P)
+
+
+def direct_sums(family, windows, p_grid):
+    """log2 sum of v^p over each window's valid nonzero cubes, taken as it
+    reads, with the zero and valid cube counts."""
+    n_w, n_s = len(windows), family.n_scales()
+    log2_S = np.full((n_w, p_grid.size, n_s), -np.inf)
+    excluded = np.zeros(log2_S.shape, dtype=int)
+    n_valid = np.zeros((n_w, n_s), dtype=int)
+    for iw, w in enumerate(windows):
+        for i, j in enumerate(family.scales):
+            k_lo, k_hi = w.cube_range(j)
+            sl = slice(k_lo - family.k_lo(j), k_hi - family.k_lo(j))
+            v = family.values_at(j)[sl]
+            m = family.valid_at(j)
+            v = v if m is None else v[m[sl]]
+            n_valid[iw, i] = v.size
+            excluded[iw, p_grid <= 0, i] = int(np.sum(v == 0))
+            if np.any(v > 0):
+                for ip, p in enumerate(p_grid):
+                    log2_S[iw, ip, i] = math.log2(np.sum(v[v > 0] ** p))
+    return log2_S, excluded, n_valid
+
+
+def sample_windows(J):
+    cube = 2.0 ** -J
+    return [
+        Window.ball(0.02, 0.25), Window.ball(0.9, 0.25),        # clipped at 0, 1
+        Window(0.0, 0.25), Window(0.25, 0.5), Window(0.0, 0.5),  # shared edges
+        Window(0.25, 1.0), Window(0.1, 0.37), Window(0.0, 1.0),
+        Window(5 * cube, 6 * cube), Window(1.0 - cube, 1.0),     # single cubes
+    ]
+
+
+class TestWindowSums:
+    @pytest.mark.parametrize("make", [
+        lambda: rough_family(), lambda: rough_family(masked=True),
+        leader_family,
+        lambda: rough_family(masked=True).restrict(Window(0.125, 0.875)),
+    ], ids=["zeros", "zeros-masked", "leaders", "restricted"])
+    def test_matches_direct_sums(self, make):
+        from localmf.dyadic import _clip_window
+        from localmf.estimators import _window_sums
+        F = make()
+        windows = [w for w in sample_windows(F.j_max)
+                   if F.window.intersect(w) is not None
+                   and F.window.intersect(w).n_cubes(F.j_max)]
+        windows = [_clip_window(F, w) for w in windows]
+        ref, ref_excl, ref_valid = direct_sums(F, windows, P_EXTREME)
+        assert np.all(np.isfinite(ref) | np.isneginf(ref))
+        log2_S, excl, n_valid = _window_sums(F, windows, F.scales, P_EXTREME)
+        np.testing.assert_array_equal(np.isneginf(log2_S), np.isneginf(ref))
+        fin = np.isfinite(ref)
+        assert np.all(np.abs(log2_S[fin] - ref[fin])
+                      <= 1e-12 * np.maximum(1.0, np.abs(ref[fin])))
+        np.testing.assert_array_equal(excl, ref_excl)
+        np.testing.assert_array_equal(n_valid, ref_valid)
+        if make is not leader_family:
+            assert ref_excl.any()
+
+    @pytest.mark.parametrize("family", ["bernoulli", "cantor"])
+    def test_local_profile_equals_per_window_scaling_function(self, family):
+        if family == "cantor":
+            F = plain_measure_family(gen_cantor_pair(12), 12)
+        else:
+            spec = ModelSpec("localized_bernoulli",
+                             {"p": [[0.0, 0.2], [1.0, 0.45]], "J": 12})
+            F = plain_measure_family(synthesize(spec)["measure"], 12)
+        xs = [0.0, 0.03, 0.25, 0.5, 0.6, 0.97]
+        radii = np.array([0.25, 0.125, 0.0625])
+        qs = np.arange(-3.0, 3.5, 0.5)
+        lp = local_profile(F, xs, radii, qs, FitPolicy(3, 11, 8))
+        for ix, x in enumerate(xs):
+            for ir, r in enumerate(radii):
+                got = lp.profiles[ix][ir]
+                want = scaling_function(F, Window.ball(x, r), qs,
+                                        fit_range=got.fit_range, min_cubes=8)
+                assert got.fit_range[1] == 11 and got.window == want.window
+                np.testing.assert_array_equal(got.scales, want.scales)
+                np.testing.assert_array_equal(got.excluded_counts,
+                                              want.excluded_counts)
+                for name in ("log2_S", "tau", "tau_tailmin", "residuals"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
+                    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+        if family == "cantor":
+            assert any(sf.excluded_counts.any() for per_x in lp.profiles
+                       for sf in per_x)
+
+    def test_extreme_dynamic_range_raises_no_warning(self):
+        from localmf.estimators import _window_sums
+        rng = np.random.default_rng(2)
+        J = 10
+        values = []
+        for j in range(J + 1):
+            v = 10.0 ** rng.uniform(-300.0, 300.0, 1 << j)
+            v[rng.random(1 << j) < 0.2] = 0.0
+            values.append(v)
+        F = DyadicFamily(0, J, Window(0.0, 1.0), values)
+        windows = sample_windows(J)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log2_S, _, _ = _window_sums(F, windows, F.scales, P_EXTREME)
+            sfs = [scaling_function(F, w, P_EXTREME, fit_range=(3, 9))
+                   for w in windows[:8]]
+            lp = local_profile(F, [0.1, 0.5, 0.9], np.array([0.25, 0.125]),
+                               P_EXTREME, FitPolicy(3, 9, 8))
+        for iw, w in enumerate(windows):
+            for i, j in enumerate(F.scales):
+                k_lo, k_hi = w.cube_range(j)
+                v = F.values_at(j)[k_lo:k_hi]
+                v = v[v > 0]
+                ref = (np.logaddexp2.reduce(np.outer(P_EXTREME, np.log2(v)), axis=1)
+                       if v.size else np.full(P_EXTREME.size, -np.inf))
+                np.testing.assert_allclose(log2_S[iw, :, i], ref, rtol=1e-12)
+        assert all(np.all(np.isfinite(sf.tau)) for sf in sfs)
+        assert np.all(np.isfinite(lp.tau_local))
