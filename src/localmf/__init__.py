@@ -39,6 +39,7 @@ from .errors import (
     ModelError,
     OutOfWindowError,
     RadiusError,
+    RangeError,
     ScaleError,
     SignalError,
     WindowError,

@@ -86,11 +86,16 @@ def _table(header: str, rows) -> str:
 # option parsing
 
 
-def _floats(parts, what: str) -> list[float]:
+def _config_value(convert, value, what: str):
+    """``convert(value)``, with a malformed value raised as a ConfigError."""
     try:
-        return [float(t) for t in parts]
-    except ValueError as exc:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _floats(parts, what: str) -> list[float]:
+    return _config_value(lambda ps: [float(t) for t in ps], parts, what)
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -133,11 +138,24 @@ def _parse_windows(text: str) -> list[Window]:
 
 
 def _parse_fit(text: str) -> tuple[int, int]:
-    try:
-        j1, j2 = (int(t) for t in text.split(":"))
-    except ValueError as exc:
-        raise ConfigError(f"fit range {text!r} must be j1:j2") from exc
+    return _config_value(_int_pair, text.split(":"),
+                         f"fit range {text!r} must be j1:j2")
+
+
+def _int_pair(values) -> tuple[int, int]:
+    j1, j2 = (int(v) for v in values)
     return j1, j2
+
+
+def _window_list(pairs) -> list[Window]:
+    return [Window(float(lo), float(hi)) for lo, hi in pairs]
+
+
+def _float_list(values) -> np.ndarray:
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError("expected a list of numbers")
+    return grid
 
 
 @dataclass
@@ -593,41 +611,33 @@ def _assemble_config(args: argparse.Namespace) -> PipelineConfig:
             cfg.p_value = float(family.split(":", 1)[1])
         except (IndexError, ValueError):
             raise ConfigError("p-leaders family must be given as 'p-leaders:p'")
-    p_grid = pick(args.p_grid, "p_grid")
-    if p_grid is not None:
-        cfg.p_grid = (_parse_grid(p_grid) if isinstance(p_grid, str)
-                      else np.asarray(p_grid, dtype=float))
-    h_grid = pick(args.h_grid, "H_grid")
-    if h_grid is not None:
-        cfg.H_grid = (_parse_grid(h_grid) if isinstance(h_grid, str)
-                      else np.asarray(h_grid, dtype=float))
-    windows = pick(args.windows, "windows")
-    if windows is not None:
-        if isinstance(windows, str):
-            cfg.windows = _parse_windows(windows)
-        else:
-            cfg.windows = [Window(float(lo), float(hi)) for lo, hi in windows]
-    x_grid = pick(args.x_grid, "x_grid")
-    if x_grid is not None:
-        cfg.x_grid = (_parse_x_grid(x_grid) if isinstance(x_grid, str)
-                      else np.asarray(x_grid, dtype=float))
+    def value(flag, key, from_json, parse=None, default=None):
+        """Flag or config entry ``key`` (``default`` when absent or null):
+        text through the option parser ``parse`` when there is one,
+        anything else through ``from_json``."""
+        v = pick(flag, key)
+        if v is None:
+            return default
+        if parse is not None and isinstance(v, str):
+            return parse(v)
+        return _config_value(from_json, v, f"config entry {key!r}")
+
+    cfg.p_grid = value(args.p_grid, "p_grid", _float_list, _parse_grid,
+                       cfg.p_grid)
+    cfg.H_grid = value(args.h_grid, "H_grid", _float_list, _parse_grid)
+    cfg.windows = value(args.windows, "windows", _window_list, _parse_windows)
+    cfg.x_grid = value(args.x_grid, "x_grid", _float_list, _parse_x_grid)
+    cfg.radii = value(args.radii, "radii", _float_list, _parse_grid)
     radii = pick(args.radii, "radii")
-    if radii is not None:
-        if isinstance(radii, str) and ":" in radii:
-            cfg.radii = _parse_grid(radii)[::-1]  # grids ascend; radii descend
-        elif isinstance(radii, str):
-            cfg.radii = _parse_grid(radii)
-        else:
-            cfg.radii = np.asarray(radii, dtype=float)
-    fit = pick(args.fit, "fit")
-    if fit is not None:
-        cfg.fit_range = _parse_fit(fit) if isinstance(fit, str) else tuple(fit)
-    cfg.frac_int = float(pick(args.frac_int, "frac_int", 0.0))
-    cfg.j_max = pick(args.j_max, "j_max")
-    cfg.min_cubes = int(pick(args.min_cubes, "min_cubes", 8))
-    cfg.osc_order = int(pick(args.osc_order, "osc_order", 1))
+    if isinstance(radii, str) and ":" in radii:
+        cfg.radii = cfg.radii[::-1]  # grids ascend; radii descend
+    cfg.fit_range = value(args.fit, "fit", _int_pair, _parse_fit)
+    cfg.frac_int = value(args.frac_int, "frac_int", float, default=0.0)
+    cfg.j_max = value(args.j_max, "j_max", int)
+    cfg.min_cubes = value(args.min_cubes, "min_cubes", int, default=8)
+    cfg.osc_order = value(args.osc_order, "osc_order", int, default=1)
     cfg.filter_id = pick(args.filter_id, "filter", wavelet.DEFAULT_FILTER)
-    cfg.seed = int(pick(args.seed, "seed", 0))
+    cfg.seed = value(args.seed, "seed", int, default=0)
     cfg.out_dir = pick(args.out_dir, "out", ".")
     cfg.deterministic = bool(pick(args.deterministic, "deterministic", False))
     cfg.mode = pick(args.mode, "mode",

@@ -29,6 +29,10 @@ class FilterError(AnalysisError):
     """Unknown wavelet filter or unsupported boundary rule."""
 
 
+class RangeError(AnalysisError):
+    """A result lies beyond the range of double-precision floats."""
+
+
 class SignalError(AnalysisError):
     """Signal has the wrong length or contains invalid values."""
 

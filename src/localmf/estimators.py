@@ -63,6 +63,7 @@ from .errors import (
     DomainError,
     EmptyWindowError,
     RadiusError,
+    RangeError,
     ScaleError,
 )
 
@@ -210,10 +211,18 @@ def structure_function(family: DyadicFamily, window: Window | None, p: float,
     Returns an array aligned with ``family.scales`` (after restriction to
     the window). With ``return_excluded`` also returns the per-scale count
     of zero-valued cubes left out of the sum (nonzero only for p <= 0).
+    Sums of 2^1024 or more raise :class:`RangeError`; their logarithms
+    stay available through :func:`scaling_function` (``log2_S``).
     """
     w = family.window if window is None else _clip_window(family, window)
     log2_S, excluded, _ = _window_sums(family, [w], family.scales, [p])
-    S = np.exp2(log2_S[0, 0])
+    log2_S = log2_S[0, 0]
+    too_big = log2_S >= 1024.0
+    if np.any(too_big):
+        j = family.scales[np.argmax(too_big)]
+        raise RangeError(f"structure sum at scale {j} is 2^{log2_S[too_big][0]:.6g}, "
+                         f"beyond double precision (p = {p})")
+    S = np.exp2(log2_S)
     if return_excluded:
         return S, excluded[0, 0]
     return S

@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -228,12 +229,14 @@ class MarkovPath:
     drift_bound: float           # integral over [0, T] of the neglected mass rate
     drift_rate_max: float        # sup over visited states of the rate
 
+    @cached_property
+    def _cum(self) -> np.ndarray:
+        return np.concatenate([[0.0], np.cumsum(self.sizes)])
+
     def value_at(self, t) -> np.ndarray:
         """Path value M_t (right-continuous) at arbitrary times."""
         t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.times, t, side="right")
-        cum = np.concatenate([[0.0], np.cumsum(self.sizes)])
-        return cum[idx]
+        return self._cum[np.searchsorted(self.times, t, side="right")]
 
 
 def neglected_mass_rate(gamma: float, eps: float) -> float:
@@ -242,7 +245,8 @@ def neglected_mass_rate(gamma: float, eps: float) -> float:
     return gamma * eps ** (1.0 - gamma) / (1.0 - gamma)
 
 
-_CHUNK = 1 << 14
+_CHUNK = 1 << 14          # variates drawn per epoch
+_SAME_GAMMA = 8           # single jumps sharing gamma before runs start
 
 
 def gen_markov_jump(spec: ModelSpec) -> MarkovPath:
@@ -253,6 +257,23 @@ def gen_markov_jump(spec: ModelSpec) -> MarkovPath:
     truncated power law on [eps, 1]; the state (hence the rate) only
     changes at jumps, so exponential clocks are exact. Dropped sub-
     threshold jumps contribute the reported drift bound.
+
+    Jump i consumes the i-th exponential and uniform variate of the
+    pre-drawn epochs, whatever the grouping below. The loop advances one
+    run at a time: the consecutive jumps that share the clock of the state
+    they start from. A run computes gamma, the rate and the drift rate
+    once, takes its waiting times and sizes as arrays, and accumulates
+    time, state and drift with sequential cumulative sums seeded by the
+    running values (bit-identical to adding one jump at a time). It ends
+    at the first time >= T, after the first jump whose new state has
+    another gamma (that crossing jump still belongs to the run), or at the
+    end of the epoch. Runs are single jumps at first. Once
+    ``_SAME_GAMMA`` single jumps in a row kept gamma, runs take
+    ``2 * _SAME_GAMMA`` jumps and double after every full run, up to the
+    epoch; they fall back to single jumps when gamma changes. A strictly
+    varying gamma thus pays no array overhead. Sizes
+    taken by runs may differ from one-jump sizes in the last bit (array
+    and scalar ``pow`` round differently); times and drift do not.
     """
     params = spec.params
     T = float(params.get("T", 1.0))
@@ -271,12 +292,14 @@ def gen_markov_jump(spec: ModelSpec) -> MarkovPath:
         raise DomainError("gamma(.) must be nondecreasing (hypothesis on the "
                           "jump kernel)")
 
-    times, sizes = [], []
+    runs_t, runs_s = [], []      # arrays of jumps taken by runs
+    times, sizes = [], []        # single jumps since the last run
     t, y = 0.0, 0.0
     drift_int, drift_max = 0.0, 0.0
     epoch = 0
     exp_buf = uni_buf = None
     pos = _CHUNK
+    g_prev, same, run = None, 0, 1
     while True:
         if pos >= _CHUNK:
             rng = _substream(spec.seed, 1000 + epoch)
@@ -288,22 +311,55 @@ def gen_markov_jump(spec: ModelSpec) -> MarkovPath:
         eg = eps ** -g
         lam = eg - 1.0
         rate = neglected_mass_rate(g, eps)
-        dt = exp_buf[pos] / lam
-        if t + dt >= T:
-            drift_int += rate * (T - t)
-            drift_max = max(drift_max, rate)
-            break
-        drift_int += rate * dt
         drift_max = max(drift_max, rate)
-        t += dt
-        u = (eg - uni_buf[pos] * lam) ** (-1.0 / g)
-        y += u
-        times.append(t)
-        sizes.append(u)
-        pos += 1
+        if run == 1:
+            dt = exp_buf[pos] / lam
+            if t + dt >= T:
+                drift_int += rate * (T - t)
+                break
+            drift_int += rate * dt
+            t += dt
+            u = (eg - uni_buf[pos] * lam) ** (-1.0 / g)
+            y += u
+            times.append(t)
+            sizes.append(u)
+            pos += 1
+            same = same + 1 if g == g_prev else 0
+            g_prev = g
+            if same >= _SAME_GAMMA:
+                run = 2 * _SAME_GAMMA
+            continue
 
-    times = np.asarray(times)
-    sizes = np.asarray(sizes)
+        if times:
+            runs_t.append(np.asarray(times))
+            runs_s.append(np.asarray(sizes))
+            times, sizes = [], []
+        n = min(run, _CHUNK - pos)
+        dts = exp_buf[pos:pos + n] / lam
+        ts = np.cumsum(np.concatenate(([t], dts)))[1:]
+        m = int(np.searchsorted(ts, T))          # jumps before the first ts >= T
+        us = (eg - uni_buf[pos:pos + m] * lam) ** (-1.0 / g)
+        ys = np.cumsum(np.concatenate(([y], us)))[1:]
+        changed = np.flatnonzero(gamma_fn(ys) != g)
+        if changed.size:
+            m = int(changed[0]) + 1              # the crossing jump is taken
+        if m:
+            runs_t.append(ts[:m])
+            runs_s.append(us[:m])
+            drift_int = float(np.cumsum(np.concatenate(([drift_int],
+                                                        rate * dts[:m])))[-1])
+            t, y = float(ts[m - 1]), float(ys[m - 1])
+            pos += m
+        if changed.size:
+            g_prev, same, run = g, 0, 1
+        elif m < n:
+            drift_int += rate * (T - t)
+            break
+        elif n == run:
+            run = min(2 * run, _CHUNK)
+
+    times = np.concatenate(runs_t + [np.asarray(times)])
+    sizes = np.concatenate(runs_s + [np.asarray(sizes)])
     grid_t = np.arange(N) * (T / N)
     cum = np.concatenate([[0.0], np.cumsum(sizes)])
     grid_M = cum[np.searchsorted(times, grid_t, side="right")]
@@ -314,8 +370,8 @@ def write_jumps(path, markov: MarkovPath) -> None:
     """Jump list CSV with rows `t,size`."""
     with open(path, "w") as fh:
         fh.write("t,size\n")
-        for t, s in zip(markov.times, markov.sizes):
-            fh.write(f"{float(t)!r},{float(s)!r}\n")
+        fh.writelines(f"{t!r},{s!r}\n" for t, s in
+                      zip(markov.times.tolist(), markov.sizes.tolist()))
 
 
 # ---------------------------------------------------------------------------

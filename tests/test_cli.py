@@ -74,6 +74,23 @@ class TestValidation:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: validation:") and "\n" not in err
 
+    @pytest.mark.parametrize("entry", [
+        {"windows": [[0.5]]}, {"windows": [0.5]}, {"min_cubes": "abc"},
+        {"p_grid": ["a"]}, {"p_grid": 2}, {"radii": ["x"]},
+        {"x_grid": [["a"]]}, {"fit": [3]}, {"j_max": "x"},
+        {"frac_int": "x"}, {"seed": [1]},
+    ], ids=lambda e: json.dumps(e))
+    def test_malformed_config_value_exits_2(self, tmp_path, capsys, entry):
+        measure = tmp_path / "measure.txt"
+        measure.write_text("4,1.0\n" + "0.0625\n" * 16)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"x_grid": [0.5], "radii": [0.25], **entry}))
+        rc = main(["local", "--input", str(measure), "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: validation:") and "\n" not in err
+
     def test_negative_header_scale_exits_3(self, tmp_path, capsys):
         measure = tmp_path / "measure.txt"
         measure.write_text("-1,1.0\n1.0\n")

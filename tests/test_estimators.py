@@ -9,6 +9,7 @@ from localmf import (
     DyadicFamily,
     ModelSpec,
     RadiusError,
+    RangeError,
     ScaleError,
     Window,
     besov_membership,
@@ -81,6 +82,20 @@ class TestStructureFunction:
         S, excl = structure_function(F, None, -1.0, return_excluded=True)
         np.testing.assert_array_equal(excl, [0, 1, 1])
         assert S[2] == pytest.approx(1.0 + 0.5 + 0.25)
+
+    def test_sum_beyond_double_range_raises(self):
+        F = DyadicFamily(0, 3, Window(0.0, 1.0),
+                         [np.full(1 << j, 1e300) for j in range(4)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match="scale 0"):
+                structure_function(F, None, 2.0)
+            # 2^1023 at every scale: the largest power of two a double holds
+            G = DyadicFamily(0, 3, Window(0.0, 1.0),
+                             [np.full(1 << j, 2.0 ** ((1023 - j) / 2))
+                              for j in range(4)])
+            np.testing.assert_array_equal(structure_function(G, None, 2.0),
+                                          np.full(4, 2.0 ** 1023))
 
 
 class TestScalingFunction:

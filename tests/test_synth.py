@@ -16,7 +16,7 @@ from localmf import (
     oracle,
     synthesize,
 )
-from localmf.synth import neglected_mass_rate, write_jumps
+from localmf.synth import _CHUNK, _as_function, _substream, neglected_mass_rate, write_jumps
 
 
 class TestModelSpec:
@@ -250,6 +250,84 @@ class TestMarkovJump:
         assert len(lines) == path.times.size + 1
         t0, s0 = (float(v) for v in lines[1].split(","))
         assert t0 == path.times[0] and s0 == path.sizes[0]
+        assert lines[1:] == [f"{float(t)!r},{float(s)!r}"
+                             for t, s in zip(path.times, path.sizes)]
+
+    def test_value_at_matches_grid(self):
+        _, path = self.make()
+        np.testing.assert_array_equal(path.value_at(path.grid_t), path.grid_M)
+        assert path.value_at(0.0) == 0.0
+        assert path.value_at(path.T) == np.cumsum(path.sizes)[-1]
+
+
+def scalar_markov(spec):
+    """Reference simulation: one jump per step with float arithmetic.
+
+    Jump i uses the i-th exponential and uniform variate of the pre-drawn
+    epochs and the gamma of the state it starts from."""
+    params = spec.params
+    T = float(params.get("T", 1.0))
+    eps = float(params.get("eps_trunc", 2.0 ** -20))
+    gamma_fn = _as_function(params["gamma"])
+    times, sizes = [], []
+    t, y = 0.0, 0.0
+    drift_int, drift_max = 0.0, 0.0
+    epoch, pos = 0, _CHUNK
+    while True:
+        if pos >= _CHUNK:
+            rng = _substream(spec.seed, 1000 + epoch)
+            exp_buf = rng.exponential(size=_CHUNK)
+            uni_buf = rng.random(size=_CHUNK)
+            epoch += 1
+            pos = 0
+        g = float(gamma_fn(y))
+        eg = eps ** -g
+        lam = eg - 1.0
+        rate = neglected_mass_rate(g, eps)
+        dt = exp_buf[pos] / lam
+        if t + dt >= T:
+            drift_int += rate * (T - t)
+            drift_max = max(drift_max, rate)
+            break
+        drift_int += rate * dt
+        drift_max = max(drift_max, rate)
+        t += dt
+        u = (eg - uni_buf[pos] * lam) ** (-1.0 / g)
+        y += u
+        times.append(t)
+        sizes.append(u)
+        pos += 1
+    return np.asarray(times), np.asarray(sizes), drift_int, drift_max
+
+
+_STEPS = [[0.0, 0.3], [0.2, 0.3], [0.2001, 0.6], [0.5, 0.6], [0.5001, 0.8],
+          [100.0, 0.8]]
+
+
+class TestMarkovRuns:
+    """The run-at-a-time generator against the one-jump reference."""
+
+    @pytest.mark.parametrize("gamma,T,eps,seed,min_jumps", [
+        ([[0.0, 0.5], [1.6, 0.9]], 2.0, 2.0 ** -16, 7, _CHUNK),
+        (lambda y: np.minimum(0.5 + y / 4.0, 0.9), 2.0, 2.0 ** -16, 11, _CHUNK),
+        (0.6, 10.0, 2.0 ** -20, 1, 2 * _CHUNK),
+        (0.6, 0.03, 2.0 ** -20, 1, 100),       # T falls inside a run
+        (lambda y: 0.5 + 0.4 * np.tanh(y), 0.7, 2.0 ** -20, 7, _CHUNK),
+        (_STEPS, 2.0, 2.0 ** -16, 5, 1000),    # runs end at crossing jumps
+    ], ids=["table", "criterion-6", "constant", "short-T", "tanh", "steps"])
+    def test_matches_one_jump_reference(self, gamma, T, eps, seed, min_jumps):
+        spec = ModelSpec("markov_jump", {"gamma": gamma, "T": T, "N": 1 << 10,
+                                         "eps_trunc": eps}, seed=seed)
+        path = gen_markov_jump(spec)
+        times, sizes, drift_bound, drift_rate_max = scalar_markov(spec)
+        assert path.times.size == times.size >= min_jumps
+        np.testing.assert_array_equal(path.times, times)
+        assert path.drift_bound == drift_bound
+        assert path.drift_rate_max == drift_rate_max
+        assert np.all(np.abs(path.sizes - sizes) <= np.spacing(sizes))
+        cum = np.concatenate([[0.0], np.cumsum(sizes)])
+        grid_M = cum[np.searchsorted(times, path.grid_t, side="right")]
+        np.testing.assert_allclose(path.grid_M, grid_M, rtol=1e-12, atol=0.0)
 
 
 class TestOracles:
