@@ -116,7 +116,12 @@ def oscillation_family(signal, order: int = 1, j_max: int | None = None) -> Dyad
     ``order=1`` uses max - min over the samples of 3 lambda; ``order=2``
     uses the sup of |f(x+2h) - 2 f(x+h) + f(x)| over sampled x, h with both
     endpoints in 3 lambda. Sampling is not refined below the input grid, so
-    values converge at the rate of the modulus of continuity.
+    values converge at the rate of the modulus of continuity. With m =
+    2^(J-j) of the n = 2^J samples per scale-j cube, 3 lambda of cube k is
+    samples [(k-1)m, (k+2)m) clipped to [0, n), and its order-2 value is the
+    max over lags 1 <= h <= (3m - 1)/2 of |x[i+2h] - 2 x[i+h] + x[i]| over
+    max((k-1)m, 0) <= i < min((k+2)m, n) - 2h (0 where nothing fits); the
+    clipped boundary cubes follow the same rule.
     """
     x = np.ascontiguousarray(signal, dtype=float)
     if x.ndim != 1:
@@ -141,46 +146,30 @@ def oscillation_family(signal, order: int = 1, j_max: int | None = None) -> Dyad
             values.append(hi - lo)
         return DyadicFamily(0, j_max, Window(0.0, 1.0), values)
 
-    return _second_order_oscillation(x, J, j_max)
-
-
-def _sliding_max(d: np.ndarray, size: int) -> np.ndarray:
-    """out[i] = max(d[i:i+size]) for i in [0, len(d) - size] (van Herk)."""
-    n = d.size
-    padded = -(-n // size) * size
-    dp = np.concatenate([d, np.full(padded - n, -np.inf)]).reshape(-1, size)
-    pref = np.maximum.accumulate(dp, axis=1).ravel()
-    suff = np.maximum.accumulate(dp[:, ::-1], axis=1)[:, ::-1].ravel()
-    i = np.arange(n - size + 1)
-    return np.maximum(suff[i], pref[i + size - 1])
-
-
-def _second_order_oscillation(x: np.ndarray, J: int, j_max: int) -> DyadicFamily:
+    # Order 2, one lag at a time: d_h = |x[i+2h] - 2 x[i+h] + x[i]| sits at
+    # pad[n:2n-2h] and, as lags run downward, -inf fills the rest. So
+    # pad[n-m:2n+m] is d_h padded with m entries in front and m + 2h behind,
+    # 2^j + 2 rows of m, and cube k takes the first 3m - 2h entries from row
+    # k on: q whole rows and r entries of the next. The padding stands in
+    # for the samples that clipped cubes lack.
     n = x.size
-    values = []
-    for j in range(0, j_max + 1):
-        m = 1 << (J - j)                       # samples per cube
-        nk = 1 << j
-        starts = (np.arange(nk) - 1) * m       # 3-lambda sample ranges
-        stops = starts + 3 * m
-        interior = (starts >= 0) & (stops <= n)
-        begins = np.clip(starts, 0, n)
-        ends = np.clip(stops, 0, n)
-        best = np.zeros(nk)
-        for h in range(1, (3 * m - 1) // 2 + 1):
-            if n - 2 * h < 1:
+    best = [np.zeros(1 << j) for j in range(j_max + 1)]
+    pad = np.full(3 * n, -np.inf)
+    for h in range((n - 1) // 2, 0, -1):
+        np.abs(x[2 * h:] - 2.0 * x[h:n - h] + x[:n - 2 * h], out=pad[n:2 * n - 2 * h])
+        for j in range(j_max + 1):
+            m = 1 << (J - j)
+            if 2 * h > 3 * m - 1:
                 break
-            d = np.abs(x[2 * h:] - 2.0 * x[h:n - h] + x[:n - 2 * h])
-            size = 3 * m - 2 * h               # valid x-positions per window
-            if 1 <= size <= d.size and interior.any():
-                sm = _sliding_max(d, size)
-                best[interior] = np.maximum(best[interior], sm[starts[interior]])
-            for i in np.nonzero(~interior)[0]:  # clipped cubes, at most two
-                b, e = begins[i], min(ends[i] - 2 * h, d.size)
-                if e - b >= 1:
-                    best[i] = max(best[i], float(d[b:e].max()))
-        values.append(best)
-    return DyadicFamily(0, j_max, Window(0.0, 1.0), values)
+            rows = pad[n - m:2 * n + m].reshape(-1, m)
+            q, r = divmod(3 * m - 2 * h, m)
+            row_max = rows.max(axis=1)
+            nk = 1 << j
+            for s in range(q):
+                np.maximum(best[j], row_max[s:s + nk], out=best[j])
+            if r:
+                np.maximum(best[j], rows[q:q + nk, :r].max(axis=1), out=best[j])
+    return DyadicFamily(0, j_max, Window(0.0, 1.0), best)
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,15 @@ class PipelineConfig:
         if self.frac_int != 0.0 and base not in ("leaders", "p-leaders"):
             raise ConfigError("fractional integration applies to wavelet "
                               "families only")
+        if self.osc_order not in (1, 2):
+            raise ConfigError(f"oscillation order must be 1 or 2, got "
+                              f"{self.osc_order}")
+        if self.osc_order != 1 and base != "oscillation":
+            raise ConfigError("an oscillation order applies to oscillation "
+                              "families only")
+        if self.filter_id not in wavelet.FILTERS:
+            raise ConfigError(f"unknown wavelet filter {self.filter_id!r}; "
+                              f"available: {sorted(wavelet.FILTERS)}")
         if base == "birkhoff" and not self.potential:
             raise ConfigError("birkhoff families need a 'potential' config "
                               "entry with digit values a, b")
@@ -636,7 +645,8 @@ def _assemble_config(args: argparse.Namespace) -> PipelineConfig:
     cfg.j_max = value(args.j_max, "j_max", int)
     cfg.min_cubes = value(args.min_cubes, "min_cubes", int, default=8)
     cfg.osc_order = value(args.osc_order, "osc_order", int, default=1)
-    cfg.filter_id = pick(args.filter_id, "filter", wavelet.DEFAULT_FILTER)
+    cfg.filter_id = value(args.filter_id, "filter", str,
+                          default=wavelet.DEFAULT_FILTER)
     cfg.seed = value(args.seed, "seed", int, default=0)
     cfg.out_dir = pick(args.out_dir, "out", ".")
     cfg.deterministic = bool(pick(args.deterministic, "deterministic", False))

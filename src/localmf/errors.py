@@ -26,7 +26,7 @@ class ScaleError(AnalysisError):
 
 
 class FilterError(AnalysisError):
-    """Unknown wavelet filter or unsupported boundary rule."""
+    """Unknown wavelet filter."""
 
 
 class RangeError(AnalysisError):

@@ -18,7 +18,7 @@ that the uniform regularity exponent of the data is positive first.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,7 +102,6 @@ class WaveletPyramid:
     details: tuple[np.ndarray, ...]
     approx: np.ndarray
     j_analysis_min: int = COARSE_DROP
-    boundary: str = field(default="periodic")
 
     def __post_init__(self):
         for j, d in enumerate(self.details):
@@ -125,9 +124,6 @@ class WaveletPyramid:
     def analysis_scales(self) -> range:
         return range(self.j_analysis_min, self.J)
 
-    def coefficients(self, j: int) -> np.ndarray:
-        return self.details[j]
-
 
 def _check_signal(x) -> tuple[np.ndarray, int]:
     x = np.ascontiguousarray(x, dtype=float)
@@ -141,16 +137,13 @@ def _check_signal(x) -> tuple[np.ndarray, int]:
     return x, n.bit_length() - 1
 
 
-def dwt(signal, filter_id: str = DEFAULT_FILTER,
-        boundary: str = "periodic") -> WaveletPyramid:
+def dwt(signal, filter_id: str = DEFAULT_FILTER) -> WaveletPyramid:
     """Full periodized orthonormal decomposition of a 2^J-sample signal.
 
     Detail scales run j = 0 .. J-1 (2^j coefficients at scale j); the
     coarsest ``COARSE_DROP`` scales are excluded from leader/analysis
     families but retained for perfect reconstruction.
     """
-    if boundary != "periodic":
-        raise FilterError(f"unsupported boundary rule {boundary!r}")
     x, J = _check_signal(signal)
     h, g = _filter_pair(filter_id)
     details: list[np.ndarray] = [None] * J  # type: ignore[list-item]

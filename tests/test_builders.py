@@ -138,6 +138,27 @@ class TestOscillation:
                         best = max(best, abs(f[i + 2 * h] - 2 * f[i + h] + f[i]))
                 assert F.value(j, k) == pytest.approx(best, abs=1e-12)
 
+    @pytest.mark.parametrize("J", [6, 7])
+    @pytest.mark.parametrize("kind", ["walk", "noise", "square"])
+    def test_second_order_exact_at_every_scale(self, J, kind):
+        # on i^2 every second difference of lag h is 2 h^2, so each cube
+        # shows whether its largest admissible lag was reached
+        f = {"walk": np.cumsum(np.random.default_rng(J).standard_normal(1 << J)),
+             "noise": np.random.default_rng(J).standard_normal(1 << J),
+             "square": np.arange(1 << J, dtype=float) ** 2}[kind]
+        F = oscillation_family(f, 2, J)
+        n = f.size
+        for j in range(J + 1):
+            m = 1 << (J - j)
+            for k in range(1 << j):
+                a = max(0, (k - 1) * m)
+                b = min(n, (k + 2) * m)
+                best = 0.0
+                for h in range(1, (3 * m - 1) // 2 + 1):
+                    for i in range(a, b - 2 * h):
+                        best = max(best, abs(f[i + 2 * h] - 2.0 * f[i + h] + f[i]))
+                assert F.value(j, k) == best, (j, k)
+
     def test_second_order_annihilates_affine(self):
         x = np.arange(1 << 8) / 256.0
         F = oscillation_family(2.0 * x + 1.0, 2, 5)

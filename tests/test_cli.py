@@ -91,6 +91,21 @@ class TestValidation:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: validation:") and "\n" not in err
 
+    @pytest.mark.parametrize("option", [
+        ["--family", "oscillation", "--osc-order", "0"],
+        ["--family", "oscillation", "--osc-order", "3"],
+        ["--family", "leaders", "--osc-order", "2"],
+        ["--family", "leaders", "--filter", "db9"],
+    ], ids=lambda o: " ".join(o))
+    def test_unknown_order_or_filter_exits_2(self, tmp_path, capsys, option):
+        sig = tmp_path / "sig.txt"
+        sig.write_text("\n".join(str(float(i)) for i in range(64)) + "\n")
+        rc = main(["analyze", "--input", str(sig), "--out",
+                   str(tmp_path / "out")] + option)
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: validation:") and "\n" not in err
+
     def test_negative_header_scale_exits_3(self, tmp_path, capsys):
         measure = tmp_path / "measure.txt"
         measure.write_text("-1,1.0\n1.0\n")
@@ -198,6 +213,25 @@ class TestDeterminism:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
         results = json.loads((outs[0] / "results.json").read_text())
         assert "timestamp" not in results
+
+    def test_second_order_oscillation_reruns(self, tmp_path):
+        walk = np.cumsum(np.random.default_rng(3).standard_normal(1 << 10))
+        sig = tmp_path / "walk.txt"
+        sig.write_text("\n".join(repr(float(v)) for v in walk) + "\n")
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            rc = main(["analyze", "--input", str(sig), "--family", "oscillation",
+                       "--osc-order", "2", "--j-max", "7",
+                       "--deterministic", "--out", str(out)])
+            assert rc == 0
+            outs.append(out)
+        for fname in ("results.json", "tau_long.csv", "spectrum_long.csv"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+        window = json.loads((outs[0] / "results.json").read_text())["windows"][0]
+        tau = np.array(window["tau"], dtype=float)
+        p = np.array(window["p_grid"], dtype=float)
+        assert np.all(np.isfinite(tau[p > 0]))
 
     def test_infinities_serialized_as_strings(self, tmp_path):
         # localized Legendre spectra carry -inf entries

@@ -69,10 +69,6 @@ class TestFilters:
         with pytest.raises(FilterError):
             dwt(np.zeros(64), "sym7")
 
-    def test_unsupported_boundary(self):
-        with pytest.raises(FilterError):
-            dwt(np.zeros(64), "db3", boundary="zero")
-
 
 class TestTransform:
     def test_length_validation(self):
