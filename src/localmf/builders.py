@@ -10,6 +10,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._textio import format_rows, parse_rows
 from .dyadic import DyadicFamily, Window
 from .errors import DomainError, ScaleError, SignalError
 
@@ -245,8 +246,7 @@ def birkhoff_family(pot: DigitPotential, j_max: int) -> DyadicFamily:
 def write_measure(path, measure: BinnedMeasure) -> None:
     with open(path, "w") as fh:
         fh.write(f"{measure.J},{float(measure.total_mass)!r}\n")
-        for v in measure.masses:
-            fh.write(f"{float(v)!r}\n")
+        fh.writelines(format_rows(measure.masses))
 
 
 def read_measure(path) -> BinnedMeasure:
@@ -263,10 +263,7 @@ def read_measure(path) -> BinnedMeasure:
             # each of the 2^J mass lines takes at least 2 bytes
             raise SignalError(f"{path}: header scale {J} is negative or needs "
                               f"more mass lines than {size} bytes can hold")
-        try:
-            masses = np.loadtxt(fh, dtype=float, ndmin=1)
-        except ValueError as exc:
-            raise SignalError(f"{path}: unreadable measure file: {exc}") from exc
+        masses = parse_rows(fh, [("mass", "f8")], SignalError, path)["mass"]
     if masses.size != 1 << J:
         raise SignalError(f"{path}: expected {1 << J} mass lines, got {masses.size}")
     return BinnedMeasure(masses, total_mass=total)

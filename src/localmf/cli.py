@@ -208,6 +208,10 @@ class PipelineConfig:
         if self.filter_id not in wavelet.FILTERS:
             raise ConfigError(f"unknown wavelet filter {self.filter_id!r}; "
                               f"available: {sorted(wavelet.FILTERS)}")
+        if (self.filter_id != wavelet.DEFAULT_FILTER
+                and base not in ("leaders", "p-leaders")):
+            raise ConfigError("a wavelet filter applies to wavelet families "
+                              "only")
         if base == "birkhoff" and not self.potential:
             raise ConfigError("birkhoff families need a 'potential' config "
                               "entry with digit values a, b")

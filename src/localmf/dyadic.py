@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._textio import MAX_SCALE, format_rows, parse_rows, place_cubes
 from .errors import (
     DomainError,
     EmptyWindowError,
@@ -428,18 +429,16 @@ def write_family(path, family: DyadicFamily) -> None:
 
 def family_to_csv(family: DyadicFamily) -> str:
     """CSV body `j,k,value` (plus a `valid` column when a mask is present)."""
-    masked = family._valid is not None
-    lines = ["j,k,value,valid" if masked else "j,k,value"]
-    for j in family.scales:
-        k0 = family.k_lo(j)
-        vals = family.values_at(j)
-        mask = family.valid_at(j)
-        for i, v in enumerate(vals):
-            if masked:
-                lines.append(f"{j},{k0 + i},{float(v)!r},{int(mask[i])}")
-            else:
-                lines.append(f"{j},{k0 + i},{float(v)!r}")
-    return "\n".join(lines) + "\n"
+    sizes = [family.n_cubes(j) for j in family.scales]
+    columns = [np.repeat(family.scales, sizes),
+               np.concatenate([np.arange(n) + family.k_lo(j)
+                               for j, n in zip(family.scales, sizes)]),
+               np.concatenate(family._values)]
+    header = "j,k,value"
+    if family._valid is not None:
+        columns.append(np.concatenate(family._valid).astype(int))
+        header += ",valid"
+    return header + "\n" + "".join(format_rows(*columns))
 
 
 def read_family(path) -> DyadicFamily:
@@ -447,36 +446,20 @@ def read_family(path) -> DyadicFamily:
         header = fh.readline().strip()
         if not header.startswith(_HEADER):
             raise WindowError(f"{path}: not a dyadic-family file")
-        meta = dict(tok.split("=") for tok in header.split()[1:])
-        j_min, j_max = int(meta["j_min"]), int(meta["j_max"])
-        window = Window(float(meta["lo"]), float(meta["hi"]))
-        masked = bool(int(meta.get("masked", "0")))
+        try:
+            meta = dict(tok.split("=") for tok in header.split()[1:])
+            j_min, j_max = int(meta["j_min"]), int(meta["j_max"])
+            window = Window(float(meta["lo"]), float(meta["hi"]))
+            masked = bool(int(meta.get("masked", "0")))
+        except (KeyError, ValueError) as exc:
+            raise WindowError(f"{path}: malformed header: {exc!r}") from exc
+        if not 0 <= j_min <= j_max <= MAX_SCALE:
+            raise WindowError(f"{path}: header scales must lie in [0, {MAX_SCALE}]")
         fh.readline()  # column header
-        values = [np.zeros(window.n_cubes(j)) for j in range(j_min, j_max + 1)]
-        valid = [np.ones(window.n_cubes(j), bool) for j in range(j_min, j_max + 1)]
-        seen = [np.zeros(window.n_cubes(j), bool) for j in range(j_min, j_max + 1)]
-        for line in fh:
-            parts = line.strip().split(",")
-            if not parts or parts == [""]:
-                continue
-            try:
-                j, k, v = int(parts[0]), int(parts[1]), float(parts[2])
-                flag = bool(int(parts[3])) if masked else True
-            except (ValueError, IndexError) as exc:
-                raise WindowError(f"{path}: malformed row {line.strip()!r}") from exc
-            if not j_min <= j <= j_max:
-                raise WindowError(f"{path}: scale {j} outside [{j_min}, {j_max}]")
-            i = k - window.cube_range(j)[0]
-            if not 0 <= i < seen[j - j_min].size or seen[j - j_min][i]:
-                raise WindowError(
-                    f"{path}: cube ({j}, {k}) lies outside the window or is "
-                    f"listed twice")
-            seen[j - j_min][i] = True
-            values[j - j_min][i] = v
-            valid[j - j_min][i] = flag
-    for j, s in zip(range(j_min, j_max + 1), seen):
-        if not s.all():
-            raise WindowError(f"{path}: {int((~s).sum())} cubes of scale {j} "
-                              f"have no row")
-    return DyadicFamily(j_min, j_max, window, values,
-                        valid=valid if masked else None)
+        fields = [("j", "i8"), ("k", "i8"), ("value", "f8"), ("valid", "i8")]
+        rows = parse_rows(fh, fields if masked else fields[:3], WindowError, path)
+    scales = [(j, *window.cube_range(j)) for j in range(j_min, j_max + 1)]
+    cubes = place_cubes(rows["j"], rows["k"], scales, WindowError, path)
+    return DyadicFamily(j_min, j_max, window, [rows["value"][c] for c in cubes],
+                        valid=[rows["valid"][c] != 0 for c in cubes]
+                        if masked else None)

@@ -41,6 +41,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._textio import format_rows
 from .builders import BinnedMeasure
 from .errors import DomainError, ModelError, ScaleError
 from .estimators import discrete_legendre
@@ -370,8 +371,7 @@ def write_jumps(path, markov: MarkovPath) -> None:
     """Jump list CSV with rows `t,size`."""
     with open(path, "w") as fh:
         fh.write("t,size\n")
-        fh.writelines(f"{t!r},{s!r}\n" for t, s in
-                      zip(markov.times.tolist(), markov.sizes.tolist()))
+        fh.writelines(format_rows(markov.times, markov.sizes))
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,12 @@ that the uniform regularity exponent of the data is positive first.
 
 from __future__ import annotations
 
-import struct
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._textio import MAX_SCALE, format_rows, parse_rows, place_cubes
 from .dyadic import DyadicFamily, Window
 from .errors import DomainError, FilterError, ScaleError, SignalError
 
@@ -273,62 +274,47 @@ def write_signal(path, signal, binary: bool = False) -> None:
     if binary:
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
-            fh.write(struct.pack("<Q", x.size))
+            fh.write(x.size.to_bytes(8, "little"))
             fh.write(x.astype("<f8").tobytes())
     else:
         with open(path, "w") as fh:
-            for v in x:
-                fh.write(f"{float(v)!r}\n")
+            fh.writelines(format_rows(x))
 
 
 def read_signal(path) -> np.ndarray:
+    """Either form of :func:`write_signal`; a binary header must fit the file."""
     with open(path, "rb") as fh:
-        head = fh.read(8)
-        if head == _MAGIC:
-            (n,) = struct.unpack("<Q", fh.read(8))
-            data = np.frombuffer(fh.read(8 * n), dtype="<f8")
-            if data.size != n:
-                raise SignalError(f"{path}: truncated binary signal")
-            return data.astype(float)
-    try:
-        return np.loadtxt(path, dtype=float, ndmin=1)
-    except ValueError as exc:
-        raise SignalError(f"{path}: unreadable signal: {exc}") from exc
+        if fh.read(8) == _MAGIC:
+            size = os.fstat(fh.fileno()).st_size
+            if 16 + 8 * int.from_bytes(fh.read(8), "little") != size:
+                raise SignalError(f"{path}: binary signal header does not "
+                                  f"match the file's {size} bytes")
+            return np.frombuffer(fh.read(), dtype="<f8").astype(float)
+    with open(path) as fh:
+        x = parse_rows(fh, [("x", "f8")], SignalError, path)["x"]
+    if x.size == 0:
+        raise SignalError(f"{path}: text signal holds no samples")
+    return x
 
 
 def pyramid_to_csv(pyramid: WaveletPyramid) -> str:
     """Rows `j,k,c`; the scale-0 approximation is written with j = -1."""
-    lines = ["j,k,c"]
-    for i, a in enumerate(pyramid.approx):
-        lines.append(f"-1,{i},{float(a)!r}")
-    for j, d in enumerate(pyramid.details):
-        for k, c in enumerate(d):
-            lines.append(f"{j},{k},{float(c)!r}")
-    return "\n".join(lines) + "\n"
+    coeffs = (pyramid.approx, *pyramid.details)
+    j = np.repeat(np.arange(-1, len(pyramid.details)), [c.size for c in coeffs])
+    k = np.concatenate([np.arange(c.size) for c in coeffs])
+    return "j,k,c\n" + "".join(format_rows(j, k, np.concatenate(coeffs, dtype=float)))
 
 
 def pyramid_from_csv(text: str, filter_id: str = DEFAULT_FILTER) -> WaveletPyramid:
     """Inverse of :func:`pyramid_to_csv`: every coefficient, the
     approximation included, must appear exactly once."""
-    rows = [ln for ln in text.strip().splitlines()[1:] if ln]
-    by_scale: dict[int, dict[int, float]] = {}
-    for ln in rows:
-        try:
-            j_s, k_s, c_s = ln.split(",")
-            j, k, c = int(j_s), int(k_s), float(c_s)
-        except ValueError as exc:
-            raise SignalError(f"malformed pyramid row {ln!r}") from exc
-        coeffs = by_scale.setdefault(j, {})
-        if k in coeffs:
-            raise SignalError(f"pyramid coefficient ({j}, {k}) listed twice")
-        coeffs[k] = c
-    J = max(by_scale, default=-1) + 1
-    if J == 0:
-        raise SignalError("pyramid CSV holds no detail coefficients")
-    offsets = {j: list(range(1 << max(j, 0))) for j in range(-1, J)}  # -1: approx
-    if {j: sorted(coeffs) for j, coeffs in by_scale.items()} != offsets:
-        raise SignalError(f"pyramid CSV must list every coefficient of scales "
-                          f"-1..{J - 1} exactly once")
-    details = [np.array([by_scale[j][k] for k in range(1 << j)]) for j in range(J)]
-    return WaveletPyramid(1 << J, filter_id, tuple(details),
-                          np.array([by_scale[-1][0]]))
+    fields = [("j", "i8"), ("k", "i8"), ("c", "f8")]
+    rows = parse_rows(text.lstrip().splitlines()[1:], fields, SignalError, "pyramid CSV")
+    J = int(rows["j"].max(initial=-1)) + 1
+    if not 0 < J <= MAX_SCALE + 1:
+        raise SignalError(f"pyramid CSV must hold detail scales 0..J-1 with "
+                          f"1 <= J <= {MAX_SCALE + 1}, not 0..{J - 1}")
+    scales = [(-1, 0, 1)] + [(j, 0, 1 << j) for j in range(J)]
+    cubes = place_cubes(rows["j"], rows["k"], scales, SignalError, "pyramid CSV")
+    approx, *details = (rows["c"][c] for c in cubes)
+    return WaveletPyramid(1 << J, filter_id, tuple(details), approx)

@@ -96,6 +96,7 @@ class TestValidation:
         ["--family", "oscillation", "--osc-order", "3"],
         ["--family", "leaders", "--osc-order", "2"],
         ["--family", "leaders", "--filter", "db9"],
+        ["--family", "oscillation", "--filter", "db2"],
     ], ids=lambda o: " ".join(o))
     def test_unknown_order_or_filter_exits_2(self, tmp_path, capsys, option):
         sig = tmp_path / "sig.txt"
@@ -105,6 +106,15 @@ class TestValidation:
         assert rc == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: validation:") and "\n" not in err
+
+    def test_bad_binary_signal_header_exits_3(self, tmp_path, capsys):
+        sig = tmp_path / "sig.bin"
+        sig.write_bytes(b"LMFSIG01abc")
+        rc = main(["analyze", "--family", "leaders", "--input", str(sig),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: runtime:") and "\n" not in err
 
     def test_negative_header_scale_exits_3(self, tmp_path, capsys):
         measure = tmp_path / "measure.txt"

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -286,12 +287,29 @@ class TestValidationErrors:
         with pytest.raises(WindowError):
             Window.ball(0.5, 0.0)
 
-    def test_read_family_rejects_foreign_file(self, tmp_path):
+    @pytest.mark.parametrize("header", [
+        "not a family",
+        "#dyadic-family j_min=0 j_max",
+        "#dyadic-family j_min=0 lo=0.0 hi=1.0 masked=0",
+        "#dyadic-family j_min=a j_max=3 lo=0.0 hi=1.0 masked=0",
+    ], ids=["not-a-family", "token-without-value", "no-j_max", "j_min-not-int"])
+    def test_read_family_rejects_foreign_file(self, tmp_path, header):
         from localmf import WindowError
         path = tmp_path / "junk.txt"
-        path.write_text("not a family\n")
+        path.write_text(header + "\n")
         with pytest.raises(WindowError):
             read_family(path)
+
+    @pytest.mark.parametrize("j_max", [40, 10 ** 9])
+    def test_read_family_large_header_scale_rejected_quickly(self, tmp_path,
+                                                             j_max):
+        path = tmp_path / "fam.txt"
+        path.write_text(f"#dyadic-family j_min=0 j_max={j_max} lo=0.0 hi=1.0 "
+                        f"masked=0\nj,k,value\n0,0,1.0\n")
+        t0 = time.perf_counter()
+        with pytest.raises(WindowError):
+            read_family(path)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_no_overlap_restrict(self):
         from localmf import WindowError

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -306,6 +307,26 @@ class TestSignalIO:
         path.write_text("0.5\nabc\n" * 8)
         with pytest.raises(SignalError):
             read_signal(path)
+
+    @pytest.mark.parametrize("tail", [
+        b"abc",
+        (1 << 62).to_bytes(8, "little") + bytes(64),
+        (4).to_bytes(8, "little") + bytes(40),
+    ], ids=["short-header", "length-2^62", "trailing-bytes"])
+    def test_binary_header_must_match_file(self, tmp_path, tail):
+        path = tmp_path / "sig.bin"
+        path.write_bytes(b"LMFSIG01" + tail)
+        t0 = time.perf_counter()
+        with pytest.raises(SignalError):
+            read_signal(path)
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("j", [40, 10 ** 9])
+    def test_pyramid_csv_large_scale_rejected_quickly(self, j):
+        t0 = time.perf_counter()
+        with pytest.raises(SignalError):
+            pyramid_from_csv(f"j,k,c\n-1,0,1.0\n{j},0,1.0\n")
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestScaleRequirements:
