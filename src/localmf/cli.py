@@ -212,6 +212,17 @@ class PipelineConfig:
                 and base not in ("leaders", "p-leaders")):
             raise ConfigError("a wavelet filter applies to wavelet families "
                               "only")
+        if self.model is not None and self.model.kind in ("mbm", "fbm"):
+            name = self.model.params.get("filter", wavelet.DEFAULT_FILTER)
+            if not isinstance(name, str) or name not in wavelet.FILTERS:
+                raise ConfigError(f"unknown wavelet filter {name!r} in "
+                                  f"the model spec; available: "
+                                  f"{sorted(wavelet.FILTERS)}")
+        if (self.command == "check-oracle" and self.model is not None
+                and self.model.kind == "markov_jump"
+                and (base != "oscillation" or self.osc_order != 1)):
+            raise ConfigError("check-oracle on a markov_jump model analyzes "
+                              "order-1 oscillations only")
         if base == "birkhoff" and not self.potential:
             raise ConfigError("birkhoff families need a 'potential' config "
                               "entry with digit values a, b")
@@ -229,8 +240,8 @@ class PipelineConfig:
 
 
 def _family_from_config(cfg: PipelineConfig) -> tuple[dyadic.DyadicFamily, dict]:
-    """Build the analysis family; returns (family, extras) where extras may
-    carry synthesized artifacts (path, pyramid, measure)."""
+    """Build the analysis family; returns (family, extras) where extras
+    carries the synthesized Markov path, if any, under 'path'."""
     base = cfg.family.split(":")[0]
     extras: dict = {}
 
@@ -243,14 +254,13 @@ def _family_from_config(cfg: PipelineConfig) -> tuple[dyadic.DyadicFamily, dict]
             if "theta" in cfg.potential else None)
         return builders.birkhoff_family(pot, cfg.j_max or 14), extras
 
-    measure = signal = pyramid = None
+    measure = signal = None
     if cfg.model is not None:
         made = synth.synthesize(cfg.model)
-        extras.update(made)
         measure = made.get("measure")
-        pyramid = made.get("pyramid")
         signal = made.get("signal")
         if "path" in made:
+            extras["path"] = made["path"]
             signal = made["path"].grid_M
     elif base in ("measure", "plain-measure"):
         measure = builders.read_measure(cfg.input_path)
@@ -268,18 +278,18 @@ def _family_from_config(cfg: PipelineConfig) -> tuple[dyadic.DyadicFamily, dict]
     if base == "oscillation":
         if signal is None:
             raise ConfigError("oscillation families need a signal input")
-        n = np.asarray(signal).size
-        j_max = cfg.j_max or max(4, n.bit_length() - 1 - 3)
+        # j_max >= 7 (where the signal allows) leaves the default fit
+        # [3, j_max - 1] the 4 scales it needs
+        J = np.asarray(signal).size.bit_length() - 1
+        j_max = cfg.j_max or min(J, max(7, J - 3))
         return builders.oscillation_family(signal, cfg.osc_order, j_max), extras
 
     # wavelet families
-    if pyramid is None:
-        if signal is None:
-            raise ConfigError(f"family {cfg.family!r} needs a signal input")
-        pyramid = wavelet.dwt(signal, cfg.filter_id)
+    if signal is None:
+        raise ConfigError(f"family {cfg.family!r} needs a signal input")
+    pyramid = wavelet.dwt(signal, cfg.filter_id)
     if cfg.frac_int:
         pyramid = wavelet.frac_integrate(pyramid, cfg.frac_int)
-    extras["pyramid"] = pyramid
     if base == "leaders":
         return wavelet.leaders(pyramid), extras
     return wavelet.p_leaders(pyramid, cfg.p_value), extras
@@ -530,9 +540,6 @@ def cmd_synth(cfg: PipelineConfig) -> int:
     if "signal" in made:
         wavelet.write_signal(out / "signal.bin", made["signal"], binary=True)
         meta["outputs"].append("signal.bin")
-    if "pyramid" in made:
-        (out / "pyramid.csv").write_text(wavelet.pyramid_to_csv(made["pyramid"]))
-        meta["outputs"].append("pyramid.csv")
     if "path" in made:
         path = made["path"]
         wavelet.write_signal(out / "path.txt", path.grid_M)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._textio import MAX_SCALE, format_rows, parse_rows, place_cubes
+from ._textio import format_rows, parse_rows
 from .dyadic import DyadicFamily, Window
 from .errors import DomainError, FilterError, ScaleError, SignalError
 
@@ -36,8 +36,6 @@ __all__ = [
     "frac_integrate",
     "read_signal",
     "write_signal",
-    "pyramid_to_csv",
-    "pyramid_from_csv",
 ]
 
 
@@ -262,7 +260,7 @@ def frac_integrate(pyramid: WaveletPyramid, s: float) -> WaveletPyramid:
 
 
 # ---------------------------------------------------------------------------
-# signal and pyramid files
+# signal files
 
 _MAGIC = b"LMFSIG01"
 
@@ -296,25 +294,3 @@ def read_signal(path) -> np.ndarray:
         raise SignalError(f"{path}: text signal holds no samples")
     return x
 
-
-def pyramid_to_csv(pyramid: WaveletPyramid) -> str:
-    """Rows `j,k,c`; the scale-0 approximation is written with j = -1."""
-    coeffs = (pyramid.approx, *pyramid.details)
-    j = np.repeat(np.arange(-1, len(pyramid.details)), [c.size for c in coeffs])
-    k = np.concatenate([np.arange(c.size) for c in coeffs])
-    return "j,k,c\n" + "".join(format_rows(j, k, np.concatenate(coeffs, dtype=float)))
-
-
-def pyramid_from_csv(text: str, filter_id: str = DEFAULT_FILTER) -> WaveletPyramid:
-    """Inverse of :func:`pyramid_to_csv`: every coefficient, the
-    approximation included, must appear exactly once."""
-    fields = [("j", "i8"), ("k", "i8"), ("c", "f8")]
-    rows = parse_rows(text.lstrip().splitlines()[1:], fields, SignalError, "pyramid CSV")
-    J = int(rows["j"].max(initial=-1)) + 1
-    if not 0 < J <= MAX_SCALE + 1:
-        raise SignalError(f"pyramid CSV must hold detail scales 0..J-1 with "
-                          f"1 <= J <= {MAX_SCALE + 1}, not 0..{J - 1}")
-    scales = [(-1, 0, 1)] + [(j, 0, 1 << j) for j in range(J)]
-    cubes = place_cubes(rows["j"], rows["k"], scales, SignalError, "pyramid CSV")
-    approx, *details = (rows["c"][c] for c in cubes)
-    return WaveletPyramid(1 << J, filter_id, tuple(details), approx)

@@ -107,6 +107,31 @@ class TestValidation:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: validation:") and "\n" not in err
 
+    @pytest.mark.parametrize("command", [["analyze", "--family", "leaders"],
+                                         ["synth"]], ids=lambda c: c[0])
+    def test_unknown_spec_filter_exits_2(self, tmp_path, capsys, command):
+        spec = write_spec(tmp_path, "mbm.json",
+                          {"kind": "mbm",
+                           "params": {"H": 0.5, "J": 10, "filter": "db9"}})
+        rc = main(command + ["--spec", spec, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: validation:") and "\n" not in err
+
+    @pytest.mark.parametrize("option", [["--family", "leaders"],
+                                        ["--osc-order", "2"]],
+                             ids=lambda o: " ".join(o))
+    def test_markov_oracle_family_settings_exit_2(self, tmp_path, capsys,
+                                                  option):
+        spec = write_spec(tmp_path, "markov.json",
+                          {"kind": "markov_jump",
+                           "params": {"gamma": 0.5, "T": 1.0, "N": 1024}})
+        rc = main(["check-oracle", "--spec", spec,
+                   "--out", str(tmp_path / "out")] + option)
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: validation:") and "\n" not in err
+
     def test_bad_binary_signal_header_exits_3(self, tmp_path, capsys):
         sig = tmp_path / "sig.bin"
         sig.write_bytes(b"LMFSIG01abc")
@@ -204,7 +229,9 @@ class TestSynthCommand:
         rc = main(["synth", "--spec", spec, "--out", str(out)])
         assert rc == 0
         assert (out / "signal.bin").exists()
-        assert (out / "pyramid.csv").read_text().startswith("j,k,c")
+        assert not (out / "pyramid.csv").exists()
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["outputs"] == ["signal.bin"]
 
 
 class TestDeterminism:
@@ -371,6 +398,23 @@ class TestWaveletFamilies:
         slope = (tau[-1] - tau[0]) / 2.0
         assert abs(slope - 1.0) <= 0.2
 
+    @pytest.mark.parametrize("filter_id", ["db3", "haar"])
+    def test_spec_analyzed_as_its_signal_file(self, tmp_path, filter_id):
+        spec = write_spec(tmp_path, "mbm.json",
+                          {"kind": "mbm", "seed": 1,
+                           "params": {"H": [[0.0, 0.4], [1.0, 0.7]], "J": 10}})
+        args = ["--family", "leaders", "--filter", filter_id,
+                "--p-grid=-2:2:0.5", "--deterministic"]
+        assert main(["analyze", "--spec", spec, "--out",
+                     str(tmp_path / "spec")] + args) == 0
+        assert main(["synth", "--spec", spec, "--out",
+                     str(tmp_path / "synth")]) == 0
+        assert main(["analyze", "--input", str(tmp_path / "synth" / "signal.bin"),
+                     "--out", str(tmp_path / "file")] + args) == 0
+        for fname in ("tau_long.csv", "spectrum_long.csv"):
+            assert ((tmp_path / "spec" / fname).read_bytes()
+                    == (tmp_path / "file" / fname).read_bytes())
+
     def test_family_model_mismatch_is_validation_error(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "binom.json",
                           {"kind": "binomial", "params": {"p": 0.4, "J": 10}})
@@ -378,6 +422,35 @@ class TestWaveletFamilies:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: validation:")
+
+
+class TestOscillationScales:
+    def analyze(self, tmp_path, n, *option):
+        walk = np.cumsum(np.random.default_rng(n).standard_normal(n))
+        sig = tmp_path / f"walk{n}.txt"
+        sig.write_text("\n".join(repr(float(v)) for v in walk) + "\n")
+        out = tmp_path / f"out{n}{''.join(option)}"
+        rc = main(["analyze", "--input", str(sig), "--family", "oscillation",
+                   "--deterministic", "--out", str(out), *option])
+        return rc, out
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_default_scales_fit_short_signals(self, tmp_path, n):
+        rc, _ = self.analyze(tmp_path, n)
+        assert rc == 0
+
+    def test_too_short_signal_exits_3(self, tmp_path, capsys):
+        rc, _ = self.analyze(tmp_path, 64)
+        assert rc == 3
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: runtime:") and "\n" not in err
+
+    def test_default_j_max_is_J_minus_3_from_1024_samples(self, tmp_path):
+        _, default = self.analyze(tmp_path, 1024)
+        _, explicit = self.analyze(tmp_path, 1024, "--j-max", "7")
+        for fname in ("tau_long.csv", "spectrum_long.csv"):
+            assert ((default / fname).read_bytes()
+                    == (explicit / fname).read_bytes())
 
 
 class TestLocalValidation:

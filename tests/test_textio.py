@@ -11,7 +11,6 @@ from localmf import (
     BinnedMeasure,
     DyadicFamily,
     SignalError,
-    WaveletPyramid,
     Window,
     WindowError,
     read_family,
@@ -21,7 +20,6 @@ from localmf import (
     write_measure,
     write_signal,
 )
-from localmf.wavelet import pyramid_from_csv, pyramid_to_csv
 
 # more rows than one formatting chunk of 2^16 rows, so a chunk seam is checked
 N = (1 << 16) + 5
@@ -54,16 +52,6 @@ def ref_family(family):
     return "\n".join(lines) + "\n"
 
 
-def ref_pyramid(pyramid):
-    lines = ["j,k,c"]
-    for i, a in enumerate(pyramid.approx):
-        lines.append(f"-1,{i},{float(a)!r}")
-    for j, d in enumerate(pyramid.details):
-        for k, c in enumerate(d):
-            lines.append(f"{j},{k},{float(c)!r}")
-    return "\n".join(lines) + "\n"
-
-
 def masked_family():
     values = [rng.random(1 << j) for j in range(17)]
     valid = [rng.random(1 << j) < 0.9 for j in range(17)]
@@ -73,12 +61,6 @@ def masked_family():
 def windowed_family():
     w = Window(0.3, 0.7)          # no cube of scales 0 and 1 fits inside
     return DyadicFamily(0, 8, w, [rng.random(w.n_cubes(j)) for j in range(9)])
-
-
-def pyramid(J=17):
-    return WaveletPyramid(1 << J, "db3",
-                          tuple(rng.standard_normal(1 << j) for j in range(J)),
-                          np.array([-0.0]))
 
 
 def signal():
@@ -93,9 +75,6 @@ CASES = {
     "signal": (signal, write_signal, ref_signal),
     "masked-family": (masked_family, write_family, ref_family),
     "windowed-family": (windowed_family, write_family, ref_family),
-    "pyramid": (pyramid,
-                lambda path, P: path.write_text(pyramid_to_csv(P)),
-                ref_pyramid),
 }
 
 
@@ -130,15 +109,6 @@ def test_shuffled_family_reads_back_equal(tmp_path):
                 np.testing.assert_array_equal(G.valid_at(j), F.valid_at(j))
 
 
-def test_shuffled_pyramid_reads_back_equal():
-    P = pyramid(12)
-    Q = pyramid_from_csv(shuffled(pyramid_to_csv(P), 1))
-    assert Q.J == P.J
-    np.testing.assert_array_equal(Q.approx, P.approx)
-    for j in range(P.J):
-        np.testing.assert_array_equal(Q.details[j], P.details[j])
-
-
 # Edits that keep the row count, so only the per-cube checks can catch them.
 SAME_COUNT_EDITS = {
     "unknown-scale": lambda rows: ["-2,0,1.0"] + rows[1:],
@@ -160,13 +130,6 @@ def test_family_rows_checked_cube_by_cube(tmp_path, edit):
                               + SAME_COUNT_EDITS[edit](rows)) + "\n")
     with pytest.raises(WindowError):
         read_family(path)
-
-
-@pytest.mark.parametrize("edit", sorted(SAME_COUNT_EDITS))
-def test_pyramid_rows_checked_cube_by_cube(edit):
-    header, *rows = pyramid_to_csv(pyramid(6)).splitlines()
-    with pytest.raises(SignalError):
-        pyramid_from_csv("\n".join([header] + SAME_COUNT_EDITS[edit](rows)) + "\n")
 
 
 @pytest.mark.parametrize("text", ["2,1.0\n", "2,1.0\n\n\n"])

@@ -19,7 +19,7 @@ from localmf import (
     read_signal,
     write_signal,
 )
-from localmf.wavelet import _filter_pair, pyramid_from_csv, pyramid_to_csv
+from localmf.wavelet import _filter_pair
 
 
 def pyramid_from_details(details, n=None, j_analysis_min=3):
@@ -279,29 +279,6 @@ class TestSignalIO:
         write_signal(path, x, binary=True)
         np.testing.assert_array_equal(read_signal(path), x)
 
-    def test_pyramid_csv_round_trip(self):
-        P = random_pyramid(6, 2)
-        Q = pyramid_from_csv(pyramid_to_csv(P))
-        assert Q.J == P.J
-        for j in range(P.J):
-            np.testing.assert_array_equal(Q.details[j], P.details[j])
-
-
-    @pytest.mark.parametrize("edit", [
-        lambda rows: rows + ["2,-1,5.0"],
-        lambda rows: rows + ["2,4,5.0"],
-        lambda rows: rows + ["-2,0,5.0"],
-        lambda rows: rows + [rows[9]],
-        lambda rows: rows[:9] + rows[10:],
-        lambda rows: rows[1:],
-        lambda rows: rows + ["2,1"],
-    ], ids=["negative-offset", "offset-past-2^j", "no-such-scale", "twice",
-            "missing", "no-approximation", "unparsable"])
-    def test_pyramid_csv_rejects_rows_not_stored_once(self, edit):
-        header, *rows = pyramid_to_csv(random_pyramid(6, 2)).splitlines()
-        with pytest.raises(SignalError):
-            pyramid_from_csv("\n".join([header] + edit(rows)) + "\n")
-
     def test_unparsable_text_signal(self, tmp_path):
         path = tmp_path / "sig.txt"
         path.write_text("0.5\nabc\n" * 8)
@@ -319,13 +296,6 @@ class TestSignalIO:
         t0 = time.perf_counter()
         with pytest.raises(SignalError):
             read_signal(path)
-        assert time.perf_counter() - t0 < 1.0
-
-    @pytest.mark.parametrize("j", [40, 10 ** 9])
-    def test_pyramid_csv_large_scale_rejected_quickly(self, j):
-        t0 = time.perf_counter()
-        with pytest.raises(SignalError):
-            pyramid_from_csv(f"j,k,c\n-1,0,1.0\n{j},0,1.0\n")
         assert time.perf_counter() - t0 < 1.0
 
 
