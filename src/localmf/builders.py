@@ -12,7 +12,7 @@ import numpy as np
 
 from ._textio import format_rows, parse_rows
 from .dyadic import DyadicFamily, Window
-from .errors import DomainError, ScaleError, SignalError
+from .errors import DomainError, RangeError, ScaleError, SignalError
 
 __all__ = [
     "BinnedMeasure",
@@ -214,7 +214,10 @@ def birkhoff_family(pot: DigitPotential, j_max: int) -> DyadicFamily:
     cylinder (n_a a + n_b b, with n_a/n_b the digit counts of the cylinder
     word); the sup over the cube of the gamma/theta modulation is
     approximated on a two-point grid (left endpoint and midpoint), which is
-    exact when gamma and theta are constant.
+    exact when gamma and theta are constant. An exponent whose exp is not
+    a normal double (beyond about +-708) raises :class:`RangeError`: it
+    would overflow, or underflow to a zero the family reads as outside
+    the support.
     """
     if j_max < 4:
         raise ScaleError(f"j_max must be >= 4, got {j_max}")
@@ -224,6 +227,7 @@ def birkhoff_family(pot: DigitPotential, j_max: int) -> DyadicFamily:
     probe = pot.gamma(np.linspace(0.0, 1.0, 257))
     if probe.min() <= 0:
         raise DomainError("gamma must be strictly positive on [0, 1]")
+    lo, hi = np.log(np.finfo(float).tiny), np.log(np.finfo(float).max)
     values = []
     for j in range(0, j_max + 1):
         k = np.arange(1 << j, dtype=np.int64)
@@ -235,6 +239,11 @@ def birkhoff_family(pot: DigitPotential, j_max: int) -> DyadicFamily:
             xs = (k + frac) * width
             expo = -pot.gamma(xs) * s - j * pot.theta(xs)
             best = expo if best is None else np.maximum(best, expo)
+        if not lo <= best.min() <= best.max() <= hi:
+            raise RangeError(
+                f"Birkhoff exponent at scale {j} spans [{best.min():.6g}, "
+                f"{best.max():.6g}]; exp of it leaves the normal doubles "
+                f"[{lo:.6g}, {hi:.6g}]")
         values.append(np.exp(best))
     return DyadicFamily(0, j_max, Window(0.0, 1.0), values)
 

@@ -158,6 +158,10 @@ def _float_list(values) -> np.ndarray:
     return grid
 
 
+def _default_p_grid() -> np.ndarray:
+    return np.arange(-5.0, 5.5, 0.5)
+
+
 @dataclass
 class PipelineConfig:
     """Validated batch-run description (one input source, one family kind)."""
@@ -171,7 +175,7 @@ class PipelineConfig:
     frac_int: float = 0.0
     filter_id: str = wavelet.DEFAULT_FILTER
     j_max: int | None = None
-    p_grid: np.ndarray = field(default_factory=lambda: np.arange(-5.0, 5.5, 0.5))
+    p_grid: np.ndarray = field(default_factory=_default_p_grid)
     H_grid: np.ndarray | None = None
     windows: list[Window] | None = None
     x_grid: np.ndarray | int | None = None    # int j: one point per scale-j cube
@@ -219,10 +223,23 @@ class PipelineConfig:
                                   f"the model spec; available: "
                                   f"{sorted(wavelet.FILTERS)}")
         if (self.command == "check-oracle" and self.model is not None
-                and self.model.kind == "markov_jump"
-                and (base != "oscillation" or self.osc_order != 1)):
-            raise ConfigError("check-oracle on a markov_jump model analyzes "
-                              "order-1 oscillations only")
+                and self.model.kind == "markov_jump"):
+            if base != "oscillation" or self.osc_order != 1:
+                raise ConfigError("check-oracle on a markov_jump model "
+                                  "analyzes order-1 oscillations only")
+            ignored = [flag for flag, given in (
+                ("--mode local", self.mode == "local"),
+                ("--x-grid", self.x_grid is not None),
+                ("--radii", self.radii is not None),
+                ("--windows", self.windows is not None),
+                ("--p-grid", not np.array_equal(self.p_grid, _default_p_grid())),
+                ("--h-grid", self.H_grid is not None),
+                ("--min-cubes", self.min_cubes != PipelineConfig.min_cubes))
+                if given]
+            if ignored:
+                raise ConfigError("check-oracle on a markov_jump model "
+                                  "estimates pointwise exponents and takes no "
+                                  + ", ".join(ignored))
         if base == "birkhoff" and not self.potential:
             raise ConfigError("birkhoff families need a 'potential' config "
                               "entry with digit values a, b")

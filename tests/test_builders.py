@@ -7,6 +7,7 @@ from localmf import (
     BinnedMeasure,
     DigitPotential,
     DomainError,
+    RangeError,
     ScaleError,
     SignalError,
     birkhoff_family,
@@ -201,6 +202,15 @@ class TestBirkhoff:
         with pytest.raises(DomainError):
             birkhoff_family(
                 DigitPotential(0.2, 0.9, gamma_fn=lambda x: x - 0.5), 6)
+
+    @pytest.mark.parametrize("a, b", [(60.0, 80.0), (-60.0, -80.0)],
+                             ids=["underflow", "overflow"])
+    def test_exponent_beyond_doubles_is_range_error(self, a, b):
+        # exp(-80 j) is below the normal doubles from scale 9 on: stored,
+        # its zeros would read as outside the support (tau(0) = -0.47
+        # instead of -1 at j_max = 14); exp(80 j) overflows
+        with pytest.raises(RangeError, match="at scale 9 "):
+            birkhoff_family(DigitPotential(a, b), 14)
 
     def test_varying_gamma_values(self):
         # with S_j constant per cylinder, e is the two-point sup of the

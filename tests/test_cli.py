@@ -118,9 +118,12 @@ class TestValidation:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: validation:") and "\n" not in err
 
-    @pytest.mark.parametrize("option", [["--family", "leaders"],
-                                        ["--osc-order", "2"]],
-                             ids=lambda o: " ".join(o))
+    @pytest.mark.parametrize("option", [
+        ["--family", "leaders"], ["--osc-order", "2"],
+        ["--mode", "local", "--x-grid", "0.5", "--radii", "0.25"],
+        ["--x-grid", "0.5"], ["--radii", "0.25"], ["--windows", "0,0.5"],
+        ["--p-grid=-1:1:1"], ["--h-grid", "0:1:0.5"], ["--min-cubes", "4"],
+    ], ids=lambda o: " ".join(o))
     def test_markov_oracle_family_settings_exit_2(self, tmp_path, capsys,
                                                   option):
         spec = write_spec(tmp_path, "markov.json",

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localmf import (
     CoverageError,
@@ -27,7 +29,7 @@ from localmf import (
     synthesize,
     uniform_exponent,
 )
-from localmf.estimators import FitPolicy
+from localmf.estimators import _BLOCK, FitPolicy, _segment_log2_sums
 
 
 def power_family(alpha, j_max=12, window=Window(0.0, 1.0)):
@@ -492,6 +494,21 @@ def direct_sums(family, windows, p_grid):
     return log2_S, excluded, n_valid
 
 
+def block_family():
+    """A masked rough family large enough that its top scale, cut at the
+    edges of sample_windows, keeps segments of several kernel blocks."""
+    return rough_family(J=_BLOCK.bit_length() + 3, masked=True)
+
+
+def largest_top_segment(family, windows):
+    """Positive valid cubes of the largest top-scale segment between the
+    window edges."""
+    j = family.j_max
+    edges = np.unique([w.cube_range(j) for w in windows]) - family.k_lo(j)
+    keep = (family.values_at(j) > 0) & family.valid_at(j)
+    return max(int(keep[a:b].sum()) for a, b in zip(edges[:-1], edges[1:]))
+
+
 def sample_windows(J):
     cube = 2.0 ** -J
     return [
@@ -507,7 +524,8 @@ class TestWindowSums:
         lambda: rough_family(), lambda: rough_family(masked=True),
         leader_family,
         lambda: rough_family(masked=True).restrict(Window(0.125, 0.875)),
-    ], ids=["zeros", "zeros-masked", "leaders", "restricted"])
+        block_family,
+    ], ids=["zeros", "zeros-masked", "leaders", "restricted", "blocks"])
     def test_matches_direct_sums(self, make):
         from localmf.dyadic import _clip_window
         from localmf.estimators import _window_sums
@@ -516,6 +534,10 @@ class TestWindowSums:
                    if F.window.intersect(w) is not None
                    and F.window.intersect(w).n_cubes(F.j_max)]
         windows = [_clip_window(F, w) for w in windows]
+        if make is block_family:
+            # two full blocks and a ragged one in a single segment
+            n = largest_top_segment(F, windows)
+            assert n > 2 * _BLOCK and n % _BLOCK
         ref, ref_excl, ref_valid = direct_sums(F, windows, P_EXTREME)
         assert np.all(np.isfinite(ref) | np.isneginf(ref))
         log2_S, excl, n_valid = _window_sums(F, windows, F.scales, P_EXTREME)
@@ -585,3 +607,21 @@ class TestWindowSums:
                 np.testing.assert_allclose(log2_S[iw, :, i], ref, rtol=1e-12)
         assert all(np.all(np.isfinite(sf.tau)) for sf in sfs)
         assert np.all(np.isfinite(lp.tau_local))
+
+    @given(st.one_of(st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1]),
+                     st.integers(2 * _BLOCK + 1, 3 * _BLOCK - 1)),
+           st.floats(-300.0, 300.0), st.floats(-300.0, 300.0),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_segment_sums_across_block_boundaries(self, n, e1, e2, seed):
+        # values 10^e spread over [10^min(e1, e2), 10^max(e1, e2)]
+        rng = np.random.default_rng(seed)
+        log2e = rng.uniform(min(e1, e2), max(e1, e2), n) * math.log2(10.0)
+        ps = np.union1d(P_EXTREME, [0.0])
+        d, t = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _segment_log2_sums(log2e, ps, d, t)
+        ref = np.logaddexp2.reduce(np.outer(ps, log2e), axis=1)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+        assert got[ps == 0] == np.log2(float(n))
