@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -94,22 +94,14 @@ def _config_value(convert, value, what: str):
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _floats(parts, what: str) -> list[float]:
-    return _config_value(lambda ps: [float(t) for t in ps], parts, what)
-
-
 def _parse_grid(text: str) -> np.ndarray:
     """'a:b:step' inclusive grid, or a comma list of values."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"grid {text!r} must be a:b:step")
-        a, b, step = _floats(parts, f"grid {text!r}")
-        if step <= 0 or b < a:
-            raise ConfigError(f"grid {text!r} must have b >= a and step > 0")
-        n = int(round((b - a) / step))
-        return a + step * np.arange(n + 1)
-    return np.array(_floats([t for t in text.split(",") if t], f"grid {text!r}"))
+    if ":" not in text:
+        return np.array([float(t) for t in text.split(",") if t])
+    a, b, step = (float(t) for t in text.split(":"))
+    if step <= 0 or b < a:
+        raise ConfigError(f"grid {text!r} must have b >= a and step > 0")
+    return a + step * np.arange(int(round((b - a) / step)) + 1)
 
 
 def _parse_x_grid(text: str) -> np.ndarray | int:
@@ -123,23 +115,18 @@ def _parse_x_grid(text: str) -> np.ndarray | int:
     return int(j)
 
 
+def _parse_radii(text: str) -> np.ndarray:
+    """A grid of radii; an 'a:b:step' grid is listed from b down to a."""
+    grid = _parse_grid(text)
+    return grid[::-1] if ":" in text else grid
+
+
 def _parse_windows(text: str) -> list[Window]:
-    out = []
-    for chunk in text.split(";"):
-        if not chunk:
-            continue
-        bounds = _floats(chunk.split(","), f"window {chunk!r}")
-        if len(bounds) != 2:
-            raise ConfigError(f"window {chunk!r} must be lo,hi")
-        out.append(Window(*bounds))
-    if not out:
+    """'lo,hi;lo,hi;...'."""
+    windows = _window_list(chunk.split(",") for chunk in text.split(";") if chunk)
+    if not windows:
         raise ConfigError("no windows given")
-    return out
-
-
-def _parse_fit(text: str) -> tuple[int, int]:
-    return _config_value(_int_pair, text.split(":"),
-                         f"fit range {text!r} must be j1:j2")
+    return windows
 
 
 def _int_pair(values) -> tuple[int, int]:
@@ -158,35 +145,83 @@ def _float_list(values) -> np.ndarray:
     return grid
 
 
-def _default_p_grid() -> np.ndarray:
-    return np.arange(-5.0, 5.5, 0.5)
+def _checked(test, expected: str):
+    """A converter that returns any value passing ``test`` unchanged."""
+    def check(value):
+        if not test(value):
+            raise ValueError(f"expected {expected}, got {value!r}")
+        return value
+    return check
+
+
+_text = _checked(lambda v: isinstance(v, str), "a string")
+_switch = _checked(lambda v: isinstance(v, bool), "true or false")
+_mode = _checked(lambda v: v in ("global", "local"), "global or local")
+
+
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object in file ``path``; anything else is a ConfigError."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} {path!r} must hold a JSON object")
+    return obj
+
+
+def _read_spec(path) -> ModelSpec:
+    return ModelSpec.from_json(json.dumps(_read_json(_text(path), "spec")))
+
+
+def _option(flag: str, default=None, parse=_text, convert=None, *,
+            key=None, factory=None):
+    """A PipelineConfig field set by ``flag`` or by the config entry ``key``
+    (the flag's name with underscores): text through ``parse``, any other
+    JSON value through ``convert`` (``parse`` when not given)."""
+    meta = {"flag": flag, "key": key or flag[2:].replace("-", "_"),
+            "parse": parse, "convert": convert or parse}
+    if factory is not None:
+        return field(default_factory=factory, metadata=meta)
+    return field(default=default, metadata=meta)
 
 
 @dataclass
 class PipelineConfig:
-    """Validated batch-run description (one input source, one family kind)."""
+    """Validated batch-run description (one input source, one family kind).
+
+    Every field declared with :func:`_option` is one CLI option."""
 
     command: str
-    input_path: str | None = None
-    model: ModelSpec | None = None
-    family: str = "plain-measure"
+    input_path: str | None = _option("--input")
+    model: ModelSpec | None = _option("--spec", parse=_read_spec)
+    family: str = _option("--family", "plain-measure")
     p_value: float | None = None          # for p-leaders
-    osc_order: int = 1
-    frac_int: float = 0.0
-    filter_id: str = wavelet.DEFAULT_FILTER
-    j_max: int | None = None
-    p_grid: np.ndarray = field(default_factory=_default_p_grid)
-    H_grid: np.ndarray | None = None
-    windows: list[Window] | None = None
-    x_grid: np.ndarray | int | None = None    # int j: one point per scale-j cube
-    radii: np.ndarray | None = None
-    fit_range: tuple[int, int] | None = None
-    min_cubes: int = 8
+    osc_order: int = _option("--osc-order", 1, int)
+    frac_int: float = _option("--frac-int", 0.0, float)
+    filter_id: str = _option("--filter", wavelet.DEFAULT_FILTER)
+    j_max: int | None = _option("--j-max", parse=int)
+    p_grid: np.ndarray = _option("--p-grid", parse=_parse_grid,
+                                 convert=_float_list,
+                                 factory=lambda: np.arange(-5.0, 5.5, 0.5))
+    H_grid: np.ndarray | None = _option("--h-grid", parse=_parse_grid,
+                                        convert=_float_list, key="H_grid")
+    windows: list[Window] | None = _option("--windows", parse=_parse_windows,
+                                           convert=_window_list)
+    # an int j: one point per scale-j cube
+    x_grid: np.ndarray | int | None = _option("--x-grid", parse=_parse_x_grid,
+                                              convert=_float_list)
+    radii: np.ndarray | None = _option("--radii", parse=_parse_radii,
+                                       convert=_float_list)
+    fit_range: tuple[int, int] | None = _option(
+        "--fit", parse=lambda text: _int_pair(text.split(":")), convert=_int_pair)
+    min_cubes: int = _option("--min-cubes", 8, int)
     potential: dict | None = None
-    seed: int = 0
-    out_dir: str = "."
-    deterministic: bool = False
-    mode: str = "global"
+    seed: int = _option("--seed", 0, int)
+    out_dir: str = _option("--out", ".")
+    deterministic: bool = _option("--deterministic", False, _switch)
+    mode: str = _option("--mode", "global", _mode)
 
     def validate(self):
         if (self.input_path is None) == (self.model is None):
@@ -227,22 +262,23 @@ class PipelineConfig:
             if base != "oscillation" or self.osc_order != 1:
                 raise ConfigError("check-oracle on a markov_jump model "
                                   "analyzes order-1 oscillations only")
-            ignored = [flag for flag, given in (
-                ("--mode local", self.mode == "local"),
-                ("--x-grid", self.x_grid is not None),
-                ("--radii", self.radii is not None),
-                ("--windows", self.windows is not None),
-                ("--p-grid", not np.array_equal(self.p_grid, _default_p_grid())),
-                ("--h-grid", self.H_grid is not None),
-                ("--min-cubes", self.min_cubes != PipelineConfig.min_cubes))
-                if given]
+            defaults = PipelineConfig(self.command)
+            ignored = [f.metadata["flag"] for f in _options()
+                       if f.name in ("mode", "x_grid", "radii", "windows",
+                                     "p_grid", "H_grid", "min_cubes")
+                       and not np.array_equal(getattr(self, f.name),
+                                              getattr(defaults, f.name))]
             if ignored:
                 raise ConfigError("check-oracle on a markov_jump model "
                                   "estimates pointwise exponents and takes no "
                                   + ", ".join(ignored))
-        if base == "birkhoff" and not self.potential:
-            raise ConfigError("birkhoff families need a 'potential' config "
-                              "entry with digit values a, b")
+        if base == "birkhoff":
+            if not isinstance(self.potential, dict):
+                raise ConfigError("birkhoff families need a 'potential' "
+                                  "config entry with digit values a, b")
+            for digit in "ab":
+                _config_value(float, self.potential.get(digit),
+                              f"potential entry {digit!r}")
         if (self.model is not None and base != "birkhoff"
                 and self.command not in ("synth", "report")):
             makes_measure = self.model.kind in (
@@ -387,12 +423,17 @@ def run(cfg: PipelineConfig) -> dict:
     for name, text in report_plots(results).items():
         (out / name).write_text(text)
     if "path" in extras:
-        path = extras["path"]
-        synth.write_jumps(out / "jumps.csv", path)
-        print(f"truncation drift bound over [0, {path.T}]: "
-              f"{path.drift_bound:.6g} (max rate {path.drift_rate_max:.6g})")
+        _write_jumps(out, extras["path"])
     results["_extras"] = extras
     return results
+
+
+def _write_jumps(out: Path, path: synth.MarkovPath, echo: bool = True) -> None:
+    """Write a Markov path's jumps.csv; with ``echo``, print its drift bound."""
+    synth.write_jumps(out / "jumps.csv", path)
+    if echo:
+        print(f"truncation drift bound over [0, {path.T}]: "
+              f"{path.drift_bound:.6g} (max rate {path.drift_rate_max:.6g})")
 
 
 def _config_echo(cfg: PipelineConfig) -> dict:
@@ -526,7 +567,7 @@ def _check_oracle_markov(cfg: PipelineConfig) -> dict:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "oracle_vs_estimate.csv").write_text(_table("t,h_hat,h_oracle", rows))
-    synth.write_jumps(out / "jumps.csv", path)
+    _write_jumps(out, path, echo=False)
     summary = {
         "kind": "markov_jump",
         "mode": "pointwise",
@@ -560,12 +601,10 @@ def cmd_synth(cfg: PipelineConfig) -> int:
     if "path" in made:
         path = made["path"]
         wavelet.write_signal(out / "path.txt", path.grid_M)
-        synth.write_jumps(out / "jumps.csv", path)
+        _write_jumps(out, path)
         meta["outputs"].extend(["path.txt", "jumps.csv"])
         meta["drift_bound"] = path.drift_bound
         meta["drift_rate_max"] = path.drift_rate_max
-        print(f"truncation drift bound over [0, {path.T}]: "
-              f"{path.drift_bound:.6g} (max rate {path.drift_rate_max:.6g})")
     _write_json(out / "meta.json", meta)
     return 0
 
@@ -573,8 +612,7 @@ def cmd_synth(cfg: PipelineConfig) -> int:
 def cmd_report(cfg: PipelineConfig) -> int:
     if cfg.input_path is None:
         raise ConfigError("report needs --input pointing at a results.json")
-    with open(cfg.input_path) as fh:
-        results = json.load(fh)
+    results = _read_json(cfg.input_path, "results")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, text in report_plots(results).items():
@@ -586,103 +624,61 @@ def cmd_report(cfg: PipelineConfig) -> int:
 # argument plumbing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ConfigError instead of printing usage."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _options() -> list:
+    """The PipelineConfig fields that are CLI options."""
+    return [f for f in fields(PipelineConfig) if f.metadata]
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="localmf",
-                                 description="local multifractal analysis")
+    ap = _Parser(prog="localmf", description="local multifractal analysis")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("synth", "analyze", "local", "check-oracle", "report"):
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        p.add_argument("--input", dest="input_path", default=None)
-        p.add_argument("--spec", default=None, help="model spec JSON file")
-        p.add_argument("--family", default=None)
-        p.add_argument("--p-grid", default=None)
-        p.add_argument("--h-grid", default=None)
-        p.add_argument("--windows", default=None)
-        p.add_argument("--x-grid", default=None)
-        p.add_argument("--radii", default=None)
-        p.add_argument("--fit", default=None)
-        p.add_argument("--frac-int", type=float, default=None)
-        p.add_argument("--j-max", type=int, default=None)
-        p.add_argument("--min-cubes", type=int, default=None)
-        p.add_argument("--osc-order", type=int, default=None)
-        p.add_argument("--filter", dest="filter_id", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", dest="out_dir", default=None)
-        p.add_argument("--deterministic", action="store_true", default=None)
-        p.add_argument("--mode", choices=("global", "local"), default=None)
+        p.add_argument("--config")
+        for f in _options():
+            how = ({"action": "store_true"} if f.default is False
+                   else {"metavar": f.metadata["key"].upper()})
+            p.add_argument(f.metadata["flag"], dest=f.name, default=None, **how)
     return ap
 
 
 def _assemble_config(args: argparse.Namespace) -> PipelineConfig:
-    file_cfg: dict = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config!r}: {exc}")
-        if not isinstance(file_cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
-
-    def pick(flag, key, default=None):
-        if flag is not None:
-            return flag
-        return file_cfg.get(key, default)
-
+    """Each option from its flag, else its config entry, else its default;
+    flag text and config values go through the same parsers."""
+    file_cfg = _read_json(args.config, "config") if args.config else {}
+    options = _options()
+    unknown = set(file_cfg) - {"model", "potential",
+                               *(f.metadata["key"] for f in options)}
+    if unknown:
+        raise ConfigError(f"unknown config entries {sorted(unknown)}")
     cfg = PipelineConfig(command=args.command)
-    cfg.input_path = pick(args.input_path, "input")
-    spec_path = pick(args.spec, "spec")
-    if spec_path:
-        cfg.model = ModelSpec.from_json(Path(spec_path).read_text())
-    elif isinstance(file_cfg.get("model"), dict):
-        cfg.model = ModelSpec.from_json(json.dumps(file_cfg["model"]))
-    family = pick(args.family, "family", "auto" if args.command == "check-oracle"
-                  else "plain-measure")
-    if family == "auto":
-        family = (_DEFAULT_FAMILY.get(cfg.model.kind, "plain-measure")
-                  if cfg.model is not None else "plain-measure")
-    cfg.family = family
-    if family.startswith("p-leaders"):
-        try:
-            cfg.p_value = float(family.split(":", 1)[1])
-        except (IndexError, ValueError):
-            raise ConfigError("p-leaders family must be given as 'p-leaders:p'")
-    def value(flag, key, from_json, parse=None, default=None):
-        """Flag or config entry ``key`` (``default`` when absent or null):
-        text through the option parser ``parse`` when there is one,
-        anything else through ``from_json``."""
-        v = pick(flag, key)
+    for f in options:
+        key = f.metadata["key"]
+        v, what = getattr(args, f.name), f.metadata["flag"]
         if v is None:
-            return default
-        if parse is not None and isinstance(v, str):
-            return parse(v)
-        return _config_value(from_json, v, f"config entry {key!r}")
-
-    cfg.p_grid = value(args.p_grid, "p_grid", _float_list, _parse_grid,
-                       cfg.p_grid)
-    cfg.H_grid = value(args.h_grid, "H_grid", _float_list, _parse_grid)
-    cfg.windows = value(args.windows, "windows", _window_list, _parse_windows)
-    cfg.x_grid = value(args.x_grid, "x_grid", _float_list, _parse_x_grid)
-    cfg.radii = value(args.radii, "radii", _float_list, _parse_grid)
-    radii = pick(args.radii, "radii")
-    if isinstance(radii, str) and ":" in radii:
-        cfg.radii = cfg.radii[::-1]  # grids ascend; radii descend
-    cfg.fit_range = value(args.fit, "fit", _int_pair, _parse_fit)
-    cfg.frac_int = value(args.frac_int, "frac_int", float, default=0.0)
-    cfg.j_max = value(args.j_max, "j_max", int)
-    cfg.min_cubes = value(args.min_cubes, "min_cubes", int, default=8)
-    cfg.osc_order = value(args.osc_order, "osc_order", int, default=1)
-    cfg.filter_id = value(args.filter_id, "filter", str,
-                          default=wavelet.DEFAULT_FILTER)
-    cfg.seed = value(args.seed, "seed", int, default=0)
-    cfg.out_dir = pick(args.out_dir, "out", ".")
-    cfg.deterministic = bool(pick(args.deterministic, "deterministic", False))
-    cfg.mode = pick(args.mode, "mode",
-                    "local" if args.command == "local" else "global")
-    cfg.potential = file_cfg.get("potential")
+            v, what = file_cfg.get(key), f"config entry {key!r}"
+        if v is not None:
+            parse = f.metadata["parse" if isinstance(v, str) else "convert"]
+            setattr(cfg, f.name, _config_value(parse, v, what))
+    if cfg.model is None and file_cfg.get("model") is not None:
+        cfg.model = ModelSpec.from_json(json.dumps(file_cfg["model"]))
     if cfg.model is not None and args.seed is not None:
-        cfg.model = ModelSpec(cfg.model.kind, cfg.model.params, args.seed)
+        cfg.model = ModelSpec(cfg.model.kind, cfg.model.params, cfg.seed)
+    if cfg.family == "auto" or (args.command == "check-oracle" and (
+            args.family or file_cfg.get("family")) is None):
+        kind = cfg.model.kind if cfg.model is not None else None
+        cfg.family = _DEFAULT_FAMILY.get(kind, "plain-measure")
+    if cfg.family.startswith("p-leaders"):
+        cfg.p_value = _config_value(float, cfg.family.partition(":")[2],
+                                    "p-leaders family must be 'p-leaders:p'")
+    cfg.potential = file_cfg.get("potential")
     if args.command == "local":
         cfg.mode = "local"
     return cfg
@@ -691,11 +687,10 @@ def _assemble_config(args: argparse.Namespace) -> PipelineConfig:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
         cfg = _assemble_config(args)
         cfg.validate()
+    except SystemExit:  # --help
+        return 0
     except AnalysisError as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return 2

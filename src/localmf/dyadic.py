@@ -206,18 +206,20 @@ class DyadicFamily:
     def k_lo(self, j: int) -> int:
         return self.window.cube_range(j)[0]
 
-    def n_cubes(self, j: int) -> int:
-        return self._values[j - self.j_min].size
-
-    def values_at(self, j: int) -> np.ndarray:
+    def _index(self, j: int) -> int:
         if not self.j_min <= j <= self.j_max:
             raise ScaleError(f"scale {j} outside [{self.j_min}, {self.j_max}]")
-        return self._values[j - self.j_min]
+        return j - self.j_min
+
+    def n_cubes(self, j: int) -> int:
+        return self._values[self._index(j)].size
+
+    def values_at(self, j: int) -> np.ndarray:
+        return self._values[self._index(j)]
 
     def valid_at(self, j: int) -> np.ndarray | None:
-        if self._valid is None:
-            return None
-        return self._valid[j - self.j_min]
+        i = self._index(j)
+        return None if self._valid is None else self._valid[i]
 
     def value(self, j: int, k: int) -> float:
         a = self.values_at(j)

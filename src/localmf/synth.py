@@ -108,11 +108,18 @@ class ModelSpec:
         data = json.loads(text)
         if not isinstance(data, dict) or "kind" not in data:
             raise ModelError("model spec JSON must carry a 'kind' field")
-        params = dict(data.get("params", {}))
+        params = data.get("params", {})
+        if not isinstance(params, dict):
+            raise ModelError(f"model spec params must be an object, got {params!r}")
+        params = dict(params)
         for key in ("J", "N", "T"):
             if key in data:
                 params.setdefault(key, data[key])
-        return ModelSpec(data["kind"], params, int(data.get("seed", 0)))
+        try:
+            seed = int(data.get("seed", 0))
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"model spec seed must be an integer: {exc}") from exc
+        return ModelSpec(data["kind"], params, seed)
 
 
 def _substream(seed: int, stream: int) -> np.random.Generator:

@@ -8,6 +8,9 @@ from localmf.cli import main
 from localmf.synth import write_jumps
 
 
+COMMANDS = ["synth", "analyze", "local", "check-oracle", "report"]
+
+
 def write_spec(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -78,7 +81,8 @@ class TestValidation:
         {"windows": [[0.5]]}, {"windows": [0.5]}, {"min_cubes": "abc"},
         {"p_grid": ["a"]}, {"p_grid": 2}, {"radii": ["x"]},
         {"x_grid": [["a"]]}, {"fit": [3]}, {"j_max": "x"},
-        {"frac_int": "x"}, {"seed": [1]},
+        {"frac_int": "x"}, {"seed": [1]}, {"mode": "foo"},
+        {"deterministic": "no"}, {"p-grid": "1:2:1"},
     ], ids=lambda e: json.dumps(e))
     def test_malformed_config_value_exits_2(self, tmp_path, capsys, entry):
         measure = tmp_path / "measure.txt"
@@ -90,6 +94,59 @@ class TestValidation:
         assert rc == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: validation:") and "\n" not in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("option", [
+        ["--bogus", "1"], ["--j-max", "abc"], ["--frac-int", "x"], ["--j-max"],
+    ], ids=" ".join)
+    def test_bad_flag_is_one_line(self, tmp_path, capsys, command, option):
+        rc = main([command, "--out", str(tmp_path / "out")] + option)
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: validation:") and "\n" not in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_exits_0(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        assert "--min-cubes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", [
+        None, "{not json", '{"kind": "binomial", "seed": "abc"}',
+        '{"kind": "binomial", "params": [1, 2]}',
+    ], ids=["missing", "not-json", "seed", "params"])
+    def test_bad_spec_file_exits_2(self, tmp_path, capsys, text):
+        spec = tmp_path / "spec.json"
+        if text is not None:
+            spec.write_text(text)
+        rc = main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: validation:") and "\n" not in err
+
+    @pytest.mark.parametrize("potential", [{"b": 0.6}, {"a": "x", "b": 0.6}],
+                             ids=json.dumps)
+    def test_birkhoff_potential_needs_numeric_digits(self, tmp_path, capsys,
+                                                      potential):
+        spec = write_spec(tmp_path, "binom.json",
+                          {"kind": "binomial", "params": {"p": 0.4, "J": 10}})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"potential": potential}))
+        rc = main(["analyze", "--spec", spec, "--family", "birkhoff",
+                   "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: validation:") and "\n" not in err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "{not json"],
+                             ids=["list", "not-json"])
+    def test_unparsable_report_input_exits_3(self, tmp_path, capsys, text):
+        results = tmp_path / "results.json"
+        results.write_text(text)
+        rc = main(["report", "--input", str(results),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: runtime:") and "\n" not in err
 
     @pytest.mark.parametrize("option", [
         ["--family", "oscillation", "--osc-order", "0"],

@@ -12,6 +12,7 @@ from localmf import (
     DyadicFamily,
     EmptyWindowError,
     OutOfWindowError,
+    ScaleError,
     Window,
     WindowError,
     cube_at,
@@ -183,6 +184,16 @@ class TestFamilyValidation:
     def test_rejects_wrong_length(self):
         with pytest.raises(Exception):
             DyadicFamily(0, 1, Window(0.0, 1.0), [np.ones(1), np.ones(3)])
+
+    @pytest.mark.parametrize("method, j", [("n_cubes", 0), ("valid_at", 0),
+                                           ("n_cubes", 6)])
+    def test_scale_outside_range_raises(self, method, j):
+        # scales 2..5: index j - j_min would wrap at 0 and overrun at 6
+        sizes = [1 << s for s in range(2, 6)]
+        F = DyadicFamily(2, 5, Window(0.0, 1.0), [np.ones(n) for n in sizes],
+                         valid=[np.ones(n, dtype=bool) for n in sizes])
+        with pytest.raises(ScaleError):
+            getattr(F, method)(j)
 
     def test_point_values_alignment(self):
         F = power_law_family(0.5, j_max=6)

@@ -34,6 +34,15 @@ class TestModelSpec:
             '{"kind": "cantor_pair", "J": 10, "params": {}}')
         assert back.params["J"] == 10
 
+    @pytest.mark.parametrize("text", [
+        '{"kind": "binomial", "seed": "abc"}', '{"kind": "binomial", "seed": null}',
+        '{"kind": "binomial", "params": [["p", 0.4]]}',
+        '{"kind": "binomial", "params": "p"}',
+    ])
+    def test_malformed_seed_or_params_is_model_error(self, text):
+        with pytest.raises(ModelError):
+            ModelSpec.from_json(text)
+
 
 class TestLocalizedBernoulli:
     def test_constant_p_is_binomial(self):
