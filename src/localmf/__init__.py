@@ -22,13 +22,10 @@ from .dyadic import (
     ExponentEstimate,
     Window,
     cube_at,
-    family_to_csv,
     lower_exponent,
     neighborhood,
-    read_family,
     restrict,
     upper_exponent,
-    write_family,
 )
 from .errors import (
     AnalysisError,

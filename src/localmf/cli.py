@@ -48,12 +48,7 @@ def _fmt_float(x: float):
 
 
 def _fmt_cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, str):
-        return x
-    v = _fmt_float(float(x))
-    return v if isinstance(v, str) else f"{v:.12g}"
+    return "" if x is None else f"{x:.12g}"
 
 
 def _jsonify(obj):
@@ -130,7 +125,7 @@ def _parse_windows(text: str) -> list[Window]:
 
 
 def _int_pair(values) -> tuple[int, int]:
-    j1, j2 = (int(v) for v in values)
+    j1, j2 = (synth._as_int(v) for v in values)
     return j1, j2
 
 
@@ -198,10 +193,10 @@ class PipelineConfig:
     model: ModelSpec | None = _option("--spec", parse=_read_spec)
     family: str = _option("--family", "plain-measure")
     p_value: float | None = None          # for p-leaders
-    osc_order: int = _option("--osc-order", 1, int)
+    osc_order: int = _option("--osc-order", 1, int, synth._as_int)
     frac_int: float = _option("--frac-int", 0.0, float)
     filter_id: str = _option("--filter", wavelet.DEFAULT_FILTER)
-    j_max: int | None = _option("--j-max", parse=int)
+    j_max: int | None = _option("--j-max", parse=int, convert=synth._as_int)
     p_grid: np.ndarray = _option("--p-grid", parse=_parse_grid,
                                  convert=_float_list,
                                  factory=lambda: np.arange(-5.0, 5.5, 0.5))
@@ -215,21 +210,35 @@ class PipelineConfig:
     radii: np.ndarray | None = _option("--radii", parse=_parse_radii,
                                        convert=_float_list)
     fit_range: tuple[int, int] | None = _option(
-        "--fit", parse=lambda text: _int_pair(text.split(":")), convert=_int_pair)
-    min_cubes: int = _option("--min-cubes", 8, int)
+        "--fit", parse=lambda text: _int_pair(map(int, text.split(":"))),
+        convert=_int_pair)
+    min_cubes: int = _option("--min-cubes", 8, int, synth._as_int)
     potential: dict | None = None
-    seed: int = _option("--seed", 0, int)
+    seed: int = _option("--seed", 0, int, synth._as_int)
     out_dir: str = _option("--out", ".")
     deterministic: bool = _option("--deterministic", False, _switch)
     mode: str = _option("--mode", "global", _mode)
 
     def validate(self):
-        if (self.input_path is None) == (self.model is None):
-            raise ConfigError("exactly one input source is required "
-                              "(--input or a model spec)")
         base = self.family.split(":")[0]
         if base not in FAMILY_KINDS:
             raise ConfigError(f"unknown family kind {self.family!r}")
+        if base == "birkhoff":
+            if not isinstance(self.potential, dict):
+                raise ConfigError("birkhoff families need a 'potential' "
+                                  "config entry with digit values a, b")
+            for digit in "ab":
+                _config_value(float, self.potential.get(digit),
+                              f"potential entry {digit!r}")
+            # built from the potential; check-oracle's spec is its oracle
+            spec = "birkhoff" if self.command == "check-oracle" else None
+            if (self.input_path is not None
+                    or getattr(self.model, "kind", None) != spec):
+                raise ConfigError("a birkhoff family takes no input source "
+                                  "(check-oracle: its birkhoff spec only)")
+        elif (self.input_path is None) == (self.model is None):
+            raise ConfigError("exactly one input source is required "
+                              "(--input or a model spec)")
         if base == "p-leaders":
             if self.p_value is None or not self.p_value > 0:
                 raise ConfigError("p-leaders requires p > 0 (family 'p-leaders:p')")
@@ -272,15 +281,7 @@ class PipelineConfig:
                 raise ConfigError("check-oracle on a markov_jump model "
                                   "estimates pointwise exponents and takes no "
                                   + ", ".join(ignored))
-        if base == "birkhoff":
-            if not isinstance(self.potential, dict):
-                raise ConfigError("birkhoff families need a 'potential' "
-                                  "config entry with digit values a, b")
-            for digit in "ab":
-                _config_value(float, self.potential.get(digit),
-                              f"potential entry {digit!r}")
-        if (self.model is not None and base != "birkhoff"
-                and self.command not in ("synth", "report")):
+        if self.model is not None and self.command not in ("synth", "report"):
             makes_measure = self.model.kind in (
                 "binomial", "localized_bernoulli", "cantor_pair")
             wants_measure = base in ("measure", "plain-measure")
@@ -464,17 +465,24 @@ def report_plots(results: dict) -> dict[str, str]:
 
     Windows without local results contribute global rows (empty x column);
     windows with local results contribute one row per base point and grid
-    value. Column order is fixed.
+    value. Column order is fixed; a malformed entry raises ConfigError.
     """
     tau_rows, spec_rows = [], []
-    for entry in results.get("windows", []):
-        lo, hi = entry["window"]
-        points = [(loc["x"], loc["tau"][-1], loc["legendre"])
-                  for loc in entry.get("local") or []]
-        for x, taus, leg in points or [(None, entry["tau"], entry.get("legendre"))]:
-            tau_rows += [(lo, hi, x, p, t) for p, t in zip(entry["p_grid"], taus)]
-            if leg:
-                spec_rows += [(lo, hi, x, H, L) for H, L in zip(leg["H"], leg["L"])]
+    where = "windows"
+    try:
+        for i, entry in enumerate(results.get("windows", [])):
+            where = f"windows[{i}]"
+            lo, hi = (float(v) for v in entry["window"])
+            points = [(float(loc["x"]), loc["tau"][-1], loc["legendre"])
+                      for loc in entry.get("local") or []]
+            whole = (None, entry["tau"], entry.get("legendre", {"H": [], "L": []}))
+            for x, taus, leg in points or [whole]:
+                tau_rows += [(lo, hi, x, float(p), float(t))
+                             for p, t in zip(entry["p_grid"], taus, strict=True)]
+                spec_rows += [(lo, hi, x, float(H), float(L))
+                              for H, L in zip(leg["H"], leg["L"], strict=True)]
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"results entry {where} is malformed: {exc!r}") from exc
     return {
         "tau_long.csv": _table("window_lo,window_hi,x,p,tau", tau_rows),
         "spectrum_long.csv": _table("window_lo,window_hi,x,H,L", spec_rows),

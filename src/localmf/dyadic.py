@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._textio import MAX_SCALE, format_rows, parse_rows, place_cubes
 from .errors import (
     DomainError,
     EmptyWindowError,
@@ -37,9 +36,6 @@ __all__ = [
     "restrict",
     "lower_exponent",
     "upper_exponent",
-    "write_family",
-    "read_family",
-    "family_to_csv",
 ]
 
 
@@ -411,57 +407,3 @@ def upper_exponent(family: DyadicFamily, x: float, method: str = "tail-min",
     the tail method distinguishes the two at finite scales.
     """
     return _exponent(family, x, method, fit_range, tail_max=True)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-_HEADER = "#dyadic-family"
-
-
-def write_family(path, family: DyadicFamily) -> None:
-    """Textual container: one header line, then one `j,k,value[,valid]` row
-    per cube."""
-    with open(path, "w") as fh:
-        fh.write(f"{_HEADER} j_min={family.j_min} j_max={family.j_max} "
-                 f"lo={family.window.lo!r} hi={family.window.hi!r} "
-                 f"masked={int(family._valid is not None)}\n")
-        fh.write(family_to_csv(family))
-
-
-def family_to_csv(family: DyadicFamily) -> str:
-    """CSV body `j,k,value` (plus a `valid` column when a mask is present)."""
-    sizes = [family.n_cubes(j) for j in family.scales]
-    columns = [np.repeat(family.scales, sizes),
-               np.concatenate([np.arange(n) + family.k_lo(j)
-                               for j, n in zip(family.scales, sizes)]),
-               np.concatenate(family._values)]
-    header = "j,k,value"
-    if family._valid is not None:
-        columns.append(np.concatenate(family._valid).astype(int))
-        header += ",valid"
-    return header + "\n" + "".join(format_rows(*columns))
-
-
-def read_family(path) -> DyadicFamily:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith(_HEADER):
-            raise WindowError(f"{path}: not a dyadic-family file")
-        try:
-            meta = dict(tok.split("=") for tok in header.split()[1:])
-            j_min, j_max = int(meta["j_min"]), int(meta["j_max"])
-            window = Window(float(meta["lo"]), float(meta["hi"]))
-            masked = bool(int(meta.get("masked", "0")))
-        except (KeyError, ValueError) as exc:
-            raise WindowError(f"{path}: malformed header: {exc!r}") from exc
-        if not 0 <= j_min <= j_max <= MAX_SCALE:
-            raise WindowError(f"{path}: header scales must lie in [0, {MAX_SCALE}]")
-        fh.readline()  # column header
-        fields = [("j", "i8"), ("k", "i8"), ("value", "f8"), ("valid", "i8")]
-        rows = parse_rows(fh, fields if masked else fields[:3], WindowError, path)
-    scales = [(j, *window.cube_range(j)) for j in range(j_min, j_max + 1)]
-    cubes = place_cubes(rows["j"], rows["k"], scales, WindowError, path)
-    return DyadicFamily(j_min, j_max, window, [rows["value"][c] for c in cubes],
-                        valid=[rows["valid"][c] != 0 for c in cubes]
-                        if masked else None)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -66,6 +67,15 @@ KINDS = ("binomial", "localized_bernoulli", "cantor_pair", "mbm", "fbm",
 _LN2 = math.log(2.0)
 
 
+def _as_int(value) -> int:
+    """``value`` as an int: an integer (numpy's too) or an integral float."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (bool, np.bool_, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _as_function(param) -> Callable[[np.ndarray], np.ndarray]:
     """Accept a constant, a piecewise-linear table [[x, y], ...], or a
     callable; return a vectorized callable."""
@@ -95,7 +105,7 @@ class ModelSpec:
         if self.kind not in KINDS:
             raise ModelError(f"unsupported model kind {self.kind!r}; "
                              f"known kinds: {KINDS}")
-        if not 0 <= int(self.seed) < 1 << 64:
+        if not 0 <= _as_int(self.seed) < 1 << 64:
             raise ModelError(f"seed must be an unsigned 64-bit integer, "
                              f"got {self.seed}")
 
@@ -116,7 +126,7 @@ class ModelSpec:
             if key in data:
                 params.setdefault(key, data[key])
         try:
-            seed = int(data.get("seed", 0))
+            seed = _as_int(data.get("seed", 0))
         except (TypeError, ValueError) as exc:
             raise ModelError(f"model spec seed must be an integer: {exc}") from exc
         return ModelSpec(data["kind"], params, seed)

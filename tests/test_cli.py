@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from localmf import ModelSpec, read_measure, synthesize
-from localmf.cli import main
+from localmf.cli import _table, main
 from localmf.synth import write_jumps
 
 
@@ -82,7 +82,9 @@ class TestValidation:
         {"p_grid": ["a"]}, {"p_grid": 2}, {"radii": ["x"]},
         {"x_grid": [["a"]]}, {"fit": [3]}, {"j_max": "x"},
         {"frac_int": "x"}, {"seed": [1]}, {"mode": "foo"},
-        {"deterministic": "no"}, {"p-grid": "1:2:1"},
+        {"deterministic": "no"}, {"p-grid": "1:2:1"}, {"seed": 5.7},
+        {"seed": True}, {"j_max": 9.9}, {"min_cubes": True},
+        {"osc_order": 1.5}, {"fit": [3.5, 9]},
     ], ids=lambda e: json.dumps(e))
     def test_malformed_config_value_exits_2(self, tmp_path, capsys, entry):
         measure = tmp_path / "measure.txt"
@@ -137,16 +139,40 @@ class TestValidation:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: validation:") and "\n" not in err
 
-    @pytest.mark.parametrize("text", ["[1, 2]", "{not json"],
-                             ids=["list", "not-json"])
-    def test_unparsable_report_input_exits_3(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("text, named", [
+        ("[1, 2]", "JSON object"), ("{not json", "cannot read"),
+        ('{"windows": [1]}', "windows[0]"),
+        ('{"windows": [GOOD, {"window": [0, 1], "tau": [0]}]}', "windows[1]"),
+        ('{"windows": [GOOD, {"window": [0, 1], "p_grid": [1]}]}', "windows[1]"),
+        ('{"windows": [GOOD, {"window": [0, 1], "p_grid": [1], "tau": [0], '
+         '"local": [{"x": 0.5, "tau": [[0]]}]}]}', "windows[1]"),
+    ], ids=["list", "not-json", "entry-not-object", "no-p_grid", "no-tau",
+            "local-without-legendre"])
+    def test_unparsable_report_input_exits_3(self, tmp_path, capsys, text,
+                                             named):
+        good = '{"window": [0, 1], "p_grid": [1], "tau": [0]}'
         results = tmp_path / "results.json"
-        results.write_text(text)
+        results.write_text(text.replace("GOOD", good))
         rc = main(["report", "--input", str(results),
                    "--out", str(tmp_path / "out")])
         assert rc == 3
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: runtime:") and "\n" not in err
+        assert named in err
+
+    @pytest.mark.parametrize("source", ["--input", "--spec", "model"])
+    def test_birkhoff_takes_no_input_source(self, tmp_path, capsys, source):
+        spec = {"kind": "binomial", "params": {"p": 0.4, "J": 10}}
+        cfg = {"potential": {"a": 0.4, "b": 1.1}}
+        argv = ["analyze", "--family", "birkhoff", "--out", str(tmp_path / "out")]
+        if source == "model":
+            cfg["model"] = spec
+        else:
+            argv += [source, write_spec(tmp_path, "binom.json", spec)]
+        rc = main(argv + ["--config", write_spec(tmp_path, "cfg.json", cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: validation:") and "\n" not in err
 
     @pytest.mark.parametrize("option", [
         ["--family", "oscillation", "--osc-order", "0"],
@@ -345,7 +371,41 @@ class TestDeterminism:
         json.loads(text)  # stays valid JSON
 
 
+class TestBirkhoff:
+    @pytest.mark.parametrize("command", ["analyze", "check-oracle"])
+    def test_family_needs_only_its_potential(self, tmp_path, command):
+        potential = {"a": 0.4, "b": 1.1}
+        cfg = write_spec(tmp_path, "cfg.json", {"potential": potential})
+        argv = [command, "--family", "birkhoff", "--config", cfg,
+                "--deterministic", "--out", str(tmp_path / "out")]
+        if command == "check-oracle":    # the spec gives the oracle
+            argv += ["--spec", write_spec(tmp_path, "birkhoff.json", {
+                "kind": "birkhoff", "params": potential})]
+        assert main(argv) == 0
+        results = json.loads((tmp_path / "out" / "results.json").read_text())
+        assert np.all(np.isfinite(results["windows"][0]["tau"]))
+        if command == "check-oracle":
+            summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+            assert summary["max_abs_tau_deviation"] < 1e-9
+
+
 class TestReport:
+    def test_table_formats_each_cell_once(self):
+        big = np.finfo(float).max
+        edges = [0.0, -0.0, 5e-324, -5e-324, big, -big, np.inf, -np.inf, np.nan,
+                 0.1 + 0.2, 123456789012.5, 1e16]
+        bits = np.random.default_rng(3).integers(0, 2 ** 64, 2000, np.uint64)
+        cells = edges + bits.view(float).tolist()
+
+        def two_step(x):    # the rule it replaced: round to 12 digits, format
+            return f"{float(f'{x:.12g}'):.12g}" if np.isfinite(x) else str(x)
+
+        text = _table("h", [[None] + cells])
+        assert text == "h\n" + ",".join([""] + [two_step(x) for x in cells]) + "\n"
+        assert text.startswith("h\n,0,-0,4.94065645841e-324,-4.94065645841e-324,"
+                               "1.79769313486e+308,-1.79769313486e+308,inf,-inf,"
+                               "nan,0.3,123456789012,1e+16,")
+
     def test_global_rows_have_empty_x(self, tmp_path):
         spec = write_spec(tmp_path, "binom.json",
                           {"kind": "binomial", "params": {"p": 0.4, "J": 12}})

@@ -1,5 +1,4 @@
 import math
-import time
 
 import numpy as np
 import pytest
@@ -14,14 +13,11 @@ from localmf import (
     OutOfWindowError,
     ScaleError,
     Window,
-    WindowError,
     cube_at,
     lower_exponent,
     neighborhood,
-    read_family,
     restrict,
     upper_exponent,
-    write_family,
 )
 from localmf.dyadic import _line_fit
 
@@ -202,56 +198,6 @@ class TestFamilyValidation:
             assert vals[i] == F.value(j, cube_at(0.3, j).k)
 
 
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        F = power_law_family(0.5, j_max=6, window=Window(0.25, 0.75))
-        path = tmp_path / "fam.txt"
-        write_family(path, F)
-        G = read_family(path)
-        assert (G.j_min, G.j_max) == (F.j_min, F.j_max)
-        assert G.window == F.window
-        for j in F.scales:
-            np.testing.assert_array_equal(G.values_at(j), F.values_at(j))
-        # headers written with the former dim=1 token still load
-        header, body = path.read_text().split("\n", 1)
-        path.write_text(header.replace(" masked=", " dim=1 masked=") + "\n" + body)
-        G = read_family(path)
-        for j in F.scales:
-            np.testing.assert_array_equal(G.values_at(j), F.values_at(j))
-
-    def test_round_trip_with_mask(self, tmp_path):
-        w = Window(0.0, 1.0)
-        values = [np.full(1 << j, 0.5 ** j) for j in range(5)]
-        valid = [np.ones(1 << j, bool) for j in range(5)]
-        valid[3][0] = False
-        F = DyadicFamily(0, 4, w, values, valid=valid)
-        path = tmp_path / "fam.txt"
-        write_family(path, F)
-        G = read_family(path)
-        assert not G.valid_at(3)[0]
-        assert G.valid_at(3)[1]
-
-
-    @pytest.mark.parametrize("edit", [
-        lambda rows: rows + ["2,-1,77.0"],
-        lambda rows: rows + ["0,0,1.0"],
-        lambda rows: rows + ["7,0,1.0"],
-        lambda rows: rows + [rows[5]],
-        lambda rows: rows[:5] + rows[6:],
-        lambda rows: rows + ["2,x,1.0"],
-    ], ids=["negative-offset", "below-j_min", "above-j_max", "twice",
-            "missing", "unparsable"])
-    def test_rejects_rows_not_stored_once(self, tmp_path, edit):
-        F = power_law_family(0.5, j_max=6)
-        F = DyadicFamily(1, 6, F.window, [F.values_at(j) for j in range(1, 7)])
-        path = tmp_path / "fam.txt"
-        write_family(path, F)
-        header, columns, *rows = path.read_text().splitlines()
-        path.write_text("\n".join([header, columns] + edit(rows)) + "\n")
-        with pytest.raises(WindowError):
-            read_family(path)
-
-
 class TestLineFit:
     def test_matches_polyfit_per_row(self):
         rng = np.random.default_rng(5)
@@ -297,30 +243,6 @@ class TestValidationErrors:
             Window(0.2, 1.1)
         with pytest.raises(WindowError):
             Window.ball(0.5, 0.0)
-
-    @pytest.mark.parametrize("header", [
-        "not a family",
-        "#dyadic-family j_min=0 j_max",
-        "#dyadic-family j_min=0 lo=0.0 hi=1.0 masked=0",
-        "#dyadic-family j_min=a j_max=3 lo=0.0 hi=1.0 masked=0",
-    ], ids=["not-a-family", "token-without-value", "no-j_max", "j_min-not-int"])
-    def test_read_family_rejects_foreign_file(self, tmp_path, header):
-        from localmf import WindowError
-        path = tmp_path / "junk.txt"
-        path.write_text(header + "\n")
-        with pytest.raises(WindowError):
-            read_family(path)
-
-    @pytest.mark.parametrize("j_max", [40, 10 ** 9])
-    def test_read_family_large_header_scale_rejected_quickly(self, tmp_path,
-                                                             j_max):
-        path = tmp_path / "fam.txt"
-        path.write_text(f"#dyadic-family j_min=0 j_max={j_max} lo=0.0 hi=1.0 "
-                        f"masked=0\nj,k,value\n0,0,1.0\n")
-        t0 = time.perf_counter()
-        with pytest.raises(WindowError):
-            read_family(path)
-        assert time.perf_counter() - t0 < 1.0
 
     def test_no_overlap_restrict(self):
         from localmf import WindowError

@@ -38,6 +38,7 @@ class TestModelSpec:
         '{"kind": "binomial", "seed": "abc"}', '{"kind": "binomial", "seed": null}',
         '{"kind": "binomial", "params": [["p", 0.4]]}',
         '{"kind": "binomial", "params": "p"}',
+        '{"kind": "binomial", "seed": 5.7}', '{"kind": "binomial", "seed": true}',
     ])
     def test_malformed_seed_or_params_is_model_error(self, text):
         with pytest.raises(ModelError):
