@@ -61,16 +61,13 @@ class BinnedMeasure:
         return self.masses.size.bit_length() - 1
 
 
-def _pairwise_pyramid(x: np.ndarray, j_top: int, J: int, op) -> list[np.ndarray]:
-    """Per-cube reduction of the 2^J finest values at scales j_top..J, by
-    op over sibling pairs (np.add gives cube masses)."""
-    out = [None] * (J + 1)
-    cur = x
-    out[J] = cur
-    for j in range(J - 1, j_top - 1, -1):
-        cur = op(cur[0::2], cur[1::2])
-        out[j] = cur
-    return out
+def _pairwise_pyramid(x: np.ndarray, op) -> list[np.ndarray]:
+    """Per-cube reduction of the 2^J finest values at scales 0..J (entry j
+    of the list), by op over sibling pairs (np.add gives cube masses)."""
+    out = [x]
+    while out[-1].size > 1:
+        out.append(op(out[-1][0::2], out[-1][1::2]))
+    return out[::-1]
 
 
 def _neighbor3(a: np.ndarray, op, pad) -> np.ndarray:
@@ -82,7 +79,7 @@ def _neighbor3(a: np.ndarray, op, pad) -> np.ndarray:
 
 def _cube_masses(measure: BinnedMeasure, j_max: int) -> list[np.ndarray]:
     """mu(lambda) per scale 0..j_max."""
-    return _pairwise_pyramid(measure.masses, 0, measure.J, np.add)[: j_max + 1]
+    return _pairwise_pyramid(measure.masses, np.add)[: j_max + 1]
 
 
 def _require_scales(measure: BinnedMeasure, j_max: int) -> None:
@@ -138,12 +135,12 @@ def oscillation_family(signal, order: int = 1, j_max: int | None = None) -> Dyad
         raise ScaleError(f"j_max={j_max} exceeds the sample scale {J}")
 
     if order == 1:
-        maxs = _pairwise_pyramid(x, 0, J, np.maximum)
-        mins = _pairwise_pyramid(x, 0, J, np.minimum)
+        maxs = _pairwise_pyramid(x, np.maximum)
+        mins = _pairwise_pyramid(x, np.minimum)
         values = []
         for j in range(0, j_max + 1):
-            hi = _neighbor3(maxs[j][: 1 << j], np.maximum, -np.inf)
-            lo = _neighbor3(mins[j][: 1 << j], np.minimum, np.inf)
+            hi = _neighbor3(maxs[j], np.maximum, -np.inf)
+            lo = _neighbor3(mins[j], np.minimum, np.inf)
             values.append(hi - lo)
         return DyadicFamily(0, j_max, Window(0.0, 1.0), values)
 

@@ -266,20 +266,24 @@ class PipelineConfig:
                 raise ConfigError(f"unknown wavelet filter {name!r} in "
                                   f"the model spec; available: "
                                   f"{sorted(wavelet.FILTERS)}")
-        if (self.command == "check-oracle" and self.model is not None
-                and self.model.kind == "markov_jump"):
-            if base != "oscillation" or self.osc_order != 1:
-                raise ConfigError("check-oracle on a markov_jump model "
-                                  "analyzes order-1 oscillations only")
+        if self.command not in ("synth", "report"):
+            unread = ["windows"] if self.command == "check-oracle" else []
+            if self.mode != "local":
+                unread += ["x_grid", "radii", "min_cubes"]
+            where = f"in {self.mode} mode"
+            if (self.command == "check-oracle"
+                    and getattr(self.model, "kind", None) == "markov_jump"):
+                if base != "oscillation" or self.osc_order != 1:
+                    raise ConfigError("check-oracle on a markov_jump model "
+                                      "analyzes order-1 oscillations only")
+                unread += ["mode", "p_grid", "H_grid"]
+                where = "on a markov_jump model (pointwise exponents)"
             defaults = PipelineConfig(self.command)
-            ignored = [f.metadata["flag"] for f in _options()
-                       if f.name in ("mode", "x_grid", "radii", "windows",
-                                     "p_grid", "H_grid", "min_cubes")
+            ignored = [f.metadata["flag"] for f in _options() if f.name in unread
                        and not np.array_equal(getattr(self, f.name),
                                               getattr(defaults, f.name))]
             if ignored:
-                raise ConfigError("check-oracle on a markov_jump model "
-                                  "estimates pointwise exponents and takes no "
+                raise ConfigError(f"{self.command} {where} reads no "
                                   + ", ".join(ignored))
         if self.model is not None and self.command not in ("synth", "report"):
             makes_measure = self.model.kind in (
@@ -293,11 +297,12 @@ class PipelineConfig:
             raise ConfigError(f"unreadable input {self.input_path!r}")
 
 
-def _family_from_config(cfg: PipelineConfig) -> tuple[dyadic.DyadicFamily, dict]:
-    """Build the analysis family; returns (family, extras) where extras
-    carries the synthesized Markov path, if any, under 'path'."""
+def _family_from_config(cfg: PipelineConfig
+                        ) -> tuple[dyadic.DyadicFamily, synth.MarkovPath | None]:
+    """Build the analysis family; returns (family, path) where path is the
+    synthesized Markov path, if any, else None."""
     base = cfg.family.split(":")[0]
-    extras: dict = {}
+    path = None
 
     if base == "birkhoff":
         pot = builders.DigitPotential(
@@ -306,7 +311,7 @@ def _family_from_config(cfg: PipelineConfig) -> tuple[dyadic.DyadicFamily, dict]
             if "gamma" in cfg.potential else None,
             theta_fn=synth._as_function(cfg.potential["theta"])
             if "theta" in cfg.potential else None)
-        return builders.birkhoff_family(pot, cfg.j_max or 14), extras
+        return builders.birkhoff_family(pot, cfg.j_max or 14), path
 
     measure = signal = None
     if cfg.model is not None:
@@ -314,8 +319,8 @@ def _family_from_config(cfg: PipelineConfig) -> tuple[dyadic.DyadicFamily, dict]
         measure = made.get("measure")
         signal = made.get("signal")
         if "path" in made:
-            extras["path"] = made["path"]
-            signal = made["path"].grid_M
+            path = made["path"]
+            signal = path.grid_M
     elif base in ("measure", "plain-measure"):
         measure = builders.read_measure(cfg.input_path)
     else:
@@ -327,7 +332,7 @@ def _family_from_config(cfg: PipelineConfig) -> tuple[dyadic.DyadicFamily, dict]
         j_max = cfg.j_max or measure.J
         build = (builders.measure_family if base == "measure"
                  else builders.plain_measure_family)
-        return build(measure, j_max), extras
+        return build(measure, j_max), path
 
     if base == "oscillation":
         if signal is None:
@@ -336,7 +341,7 @@ def _family_from_config(cfg: PipelineConfig) -> tuple[dyadic.DyadicFamily, dict]
         # [3, j_max - 1] the 4 scales it needs
         J = np.asarray(signal).size.bit_length() - 1
         j_max = cfg.j_max or min(J, max(7, J - 3))
-        return builders.oscillation_family(signal, cfg.osc_order, j_max), extras
+        return builders.oscillation_family(signal, cfg.osc_order, j_max), path
 
     # wavelet families
     if signal is None:
@@ -345,8 +350,8 @@ def _family_from_config(cfg: PipelineConfig) -> tuple[dyadic.DyadicFamily, dict]
     if cfg.frac_int:
         pyramid = wavelet.frac_integrate(pyramid, cfg.frac_int)
     if base == "leaders":
-        return wavelet.leaders(pyramid), extras
-    return wavelet.p_leaders(pyramid, cfg.p_value), extras
+        return wavelet.leaders(pyramid), path
+    return wavelet.p_leaders(pyramid, cfg.p_value), path
 
 
 def _auto_H_grid(sf: estimators.ScalingFunction) -> np.ndarray:
@@ -377,7 +382,7 @@ def run(cfg: PipelineConfig) -> dict:
     """Execute a validated pipeline; returns the results dictionary and
     writes results.json plus the plot CSVs into cfg.out_dir."""
     t0 = time.time()
-    family, extras = _family_from_config(cfg)
+    family, path = _family_from_config(cfg)
     windows = cfg.windows or [family.window]
 
     results: dict = {"command": cfg.command, "windows": []}
@@ -392,9 +397,7 @@ def run(cfg: PipelineConfig) -> dict:
         spec_w = estimators.legendre(sf, H_grid)
         entry = estimators.scaling_to_dict(sf, spec_w)
         if cfg.mode == "local" and iw == 0:
-            policy = FitPolicy(j1=cfg.fit_range[0] if cfg.fit_range else 3,
-                               j2=cfg.fit_range[1] if cfg.fit_range else None,
-                               min_cubes=cfg.min_cubes)
+            policy = FitPolicy(*(cfg.fit_range or ()), min_cubes=cfg.min_cubes)
             lp = estimators.local_profile(family, _base_points(cfg, family),
                                           cfg.radii, cfg.p_grid, policy,
                                           H_grid=H_grid)
@@ -413,8 +416,6 @@ def run(cfg: PipelineConfig) -> dict:
                 }
                 for ix in range(lp.x_grid.size)
             ]
-            extras["local_profile"] = lp
-            extras["monohoelder"] = mono
         results["windows"].append(entry)
 
     results["runtime_s"] = time.time() - t0 if not cfg.deterministic else None
@@ -423,9 +424,8 @@ def run(cfg: PipelineConfig) -> dict:
     _write_json(out / "results.json", results)
     for name, text in report_plots(results).items():
         (out / name).write_text(text)
-    if "path" in extras:
-        _write_jumps(out, extras["path"])
-    results["_extras"] = extras
+    if path is not None:
+        _write_jumps(out, path)
     return results
 
 
@@ -512,37 +512,31 @@ def check_oracle(cfg: PipelineConfig) -> dict:
         return _check_oracle_markov(cfg)
 
     results = run(cfg)
-    extras = results["_extras"]
+    entry = results["windows"][0]
+    p_grid = np.asarray(entry["p_grid"], dtype=float)
     orc = synth.oracle(cfg.model)
     out = Path(cfg.out_dir)
     summary: dict = {"kind": kind, "mode": cfg.mode}
     rows = []
 
     if cfg.mode == "local":
-        lp = extras["local_profile"]
-        mono = extras["monohoelder"]
-        devs = []
-        alpha_rows = []
-        H_fn_dev = []
-        for ix, x in enumerate(lp.x_grid):
-            tau_o = np.atleast_1d(orc.tau(float(x), lp.p_grid))
-            rows += [(x, p, th, to)
-                     for p, th, to in zip(lp.p_grid, lp.tau_local[ix], tau_o)]
-            fin = np.isfinite(lp.tau_local[ix]) & np.isfinite(tau_o)
-            devs.append(float(np.abs(lp.tau_local[ix][fin] - tau_o[fin]).max()))
+        devs, alpha_rows = [], []
+        for loc in entry["local"]:
+            x, tau_hat = loc["x"], np.array(loc["tau"][-1])
+            tau_o = np.atleast_1d(orc.tau(x, p_grid))
+            rows += [(x, p, th, to) for p, th, to in zip(p_grid, tau_hat, tau_o)]
+            fin = np.isfinite(tau_hat) & np.isfinite(tau_o)
+            devs.append(float(np.abs(tau_hat[fin] - tau_o[fin]).max()))
             if orc.pointwise is not None:
-                a_o = float(orc.pointwise(float(x)))
-                alpha_rows.append((x, mono.alpha[ix], a_o))
-                H_fn_dev.append(abs(mono.alpha[ix] - a_o))
+                alpha_rows.append((x, loc["alpha"], float(orc.pointwise(x))))
         summary["max_abs_tau_deviation"] = max(devs)
         summary["per_x_tau_deviation"] = devs
-        if H_fn_dev:
-            summary["median_alpha_deviation"] = float(np.median(H_fn_dev))
+        if alpha_rows:
+            summary["median_alpha_deviation"] = float(
+                np.median([abs(a - a_o) for _, a, a_o in alpha_rows]))
             (out / "alpha.csv").write_text(
                 _table("x,alpha_hat,alpha_oracle", alpha_rows))
     else:
-        entry = results["windows"][0]
-        p_grid = np.asarray(entry["p_grid"], dtype=float)
         tau_hat = np.array(entry["tau"])
         tau_o = np.atleast_1d(orc.tau_global(p_grid))
         rows += [(None, p, th, to) for p, th, to in zip(p_grid, tau_hat, tau_o)]

@@ -403,24 +403,21 @@ class LegendreSpectrum:
         return _max_convexity(self.H_grid, self.L)
 
 
-def legendre(sf: ScalingFunction, H_grid, floor: float = LEGENDRE_FLOOR,
-             endpoint_slope_tol: float | None = None) -> LegendreSpectrum:
+def legendre(sf: ScalingFunction, H_grid) -> LegendreSpectrum:
     """Legendre spectrum L(H) = min over the p grid of (H p - tau(p)).
 
-    By default the unbounded-direction test uses half the H-grid spacing as
-    slope tolerance, so that a linear tau (mono-exponent family) keeps a
-    finite value at the grid point closest to its slope instead of flagging
-    every H.
+    The unbounded-direction test uses half the H-grid spacing as slope
+    tolerance, so that a linear tau (mono-exponent family) keeps a finite
+    value at the grid point closest to its slope instead of flagging every
+    H. :func:`discrete_legendre` takes another floor or tolerance.
     """
     fin = np.isfinite(sf.tau)
     if fin.sum() < 2:
         raise DomainError("Legendre transform needs tau finite on >= 2 grid points")
     H = np.ascontiguousarray(H_grid, dtype=float)
-    if endpoint_slope_tol is None:
-        spacing = np.median(np.diff(np.sort(H))) if H.size > 1 else 0.0
-        endpoint_slope_tol = max(1e-6, 0.5 * float(spacing))
-    L = discrete_legendre(sf.p_grid, sf.tau, H, floor=floor,
-                          endpoint_slope_tol=endpoint_slope_tol)
+    spacing = np.median(np.diff(np.sort(H))) if H.size > 1 else 0.0
+    L = discrete_legendre(sf.p_grid, sf.tau, H,
+                          endpoint_slope_tol=max(1e-6, 0.5 * float(spacing)))
     return LegendreSpectrum(H, L, sf.p_grid)
 
 
@@ -451,22 +448,16 @@ class LocalProfile:
     H_grid: np.ndarray | None = None
     legendre_local: list[LegendreSpectrum] | None = None
 
-    def tau(self, ix: int, ir: int) -> np.ndarray:
-        return self.profiles[ix][ir].tau
-
-    def radius_monotone_violation(self, estimate: str = "tailmin") -> float:
+    def radius_monotone_violation(self) -> float:
         """Max over x, p, and consecutive radii of tau(larger r) - tau(smaller
         r); nonpositive per the shrinking-window monotonicity of scaling
-        functions. The default checks the liminf-faithful tail-min estimate,
-        which satisfies the monotonicity exactly on a common fit range; the
+        functions. It checks the liminf-faithful tail-min estimate, which
+        satisfies the monotonicity exactly on a common fit range; the
         regression estimate can exceed it transiently on windows where the
         structure sums are strongly curved in log-log."""
         worst = 0.0
         for per_x in self.profiles:
-            if estimate == "tailmin":
-                taus = np.array([sf.tau_tailmin for sf in per_x])
-            else:
-                taus = np.array([sf.tau for sf in per_x])  # radii x p
+            taus = np.array([sf.tau_tailmin for sf in per_x])   # radii x p
             fin = np.isfinite(taus[:-1]) & np.isfinite(taus[1:])
             if np.any(fin):
                 diffs = (taus[:-1] - taus[1:])[fin]
@@ -583,17 +574,6 @@ class LocalMonoHoelderResult:
     residual: np.ndarray
 
 
-def _linear_fit(p, tau, tol_lin):
-    fin = np.isfinite(tau)
-    if fin.sum() < 2:
-        raise DomainError("mono-Hoelder detection needs tau finite on >= 2 points")
-    slope, intercept, _ = map(float, _line_fit(p, tau))
-    resid = np.abs(tau[fin] - (slope * p[fin] + intercept))
-    norm = np.maximum(1.0, np.abs(p[fin]))
-    residual = float(np.max(resid / norm))
-    return MonoHoelderResult(residual <= tol_lin, slope, intercept, residual)
-
-
 def monohoelder_detect(obj, tol_lin: float = 0.02):
     """Detect a linear scaling function tau(p) = tau(0) + alpha p.
 
@@ -604,17 +584,25 @@ def monohoelder_detect(obj, tol_lin: float = 0.02):
     ``tol_lin``.
     """
     if isinstance(obj, ScalingFunction):
-        return _linear_fit(obj.p_grid, obj.tau, tol_lin)
-    if isinstance(obj, LocalProfile):
-        res = [_linear_fit(obj.p_grid, obj.tau_local[ix], tol_lin)
-               for ix in range(obj.x_grid.size)]
-        return LocalMonoHoelderResult(
-            obj.x_grid,
-            np.array([r.alpha for r in res]),
-            np.array([r.is_linear for r in res]),
-            np.array([r.residual for r in res]),
-        )
-    raise DomainError("expected a ScalingFunction or a LocalProfile")
+        taus = obj.tau[None, :]
+    elif isinstance(obj, LocalProfile):
+        taus = obj.tau_local
+    else:
+        raise DomainError("expected a ScalingFunction or a LocalProfile")
+    p = obj.p_grid
+    fin = np.isfinite(taus)
+    if np.any(fin.sum(axis=1) < 2):
+        raise DomainError("mono-Hoelder detection needs tau finite on >= 2 points")
+    slope, intercept, _ = _line_fit(p, taus)
+    fit = slope[:, None] * p + intercept[:, None]
+    # max over the finite entries; every residual is >= 0
+    residual = np.where(fin, np.abs(taus - fit) / np.maximum(1.0, np.abs(p)),
+                        0.0).max(axis=1)
+    is_linear = residual <= tol_lin
+    if isinstance(obj, ScalingFunction):
+        return MonoHoelderResult(bool(is_linear[0]), float(slope[0]),
+                                 float(intercept[0]), float(residual[0]))
+    return LocalMonoHoelderResult(obj.x_grid, slope, is_linear, residual)
 
 
 @dataclass
@@ -671,8 +659,8 @@ def besov_membership(family: DyadicFamily, s: float, p: float,
 # report container (JSON schema of the CLI)
 
 
-def scaling_to_dict(sf: ScalingFunction, spectrum: LegendreSpectrum | None = None,
-                    local: list | None = None) -> dict:
+def scaling_to_dict(sf: ScalingFunction,
+                    spectrum: LegendreSpectrum | None = None) -> dict:
     """Result dictionary following the toolkit's JSON schema."""
     out = {
         "window": [sf.window.lo, sf.window.hi],
@@ -688,6 +676,4 @@ def scaling_to_dict(sf: ScalingFunction, spectrum: LegendreSpectrum | None = Non
     }
     if spectrum is not None:
         out["legendre"] = {"H": spectrum.H_grid.tolist(), "L": spectrum.L.tolist()}
-    if local is not None:
-        out["local"] = local
     return out

@@ -3,12 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from localmf import ModelSpec, read_measure, synthesize
+from localmf import ModelSpec, gen_mbm, read_measure, read_signal, synthesize
 from localmf.cli import _table, main
 from localmf.synth import write_jumps
 
 
 COMMANDS = ["synth", "analyze", "local", "check-oracle", "report"]
+MARKOV_SPEC = {"kind": "markov_jump", "seed": 3,
+               "params": {"gamma": [[0.0, 0.5], [1.6, 0.9], [50.0, 0.9]],
+                          "T": 1.0, "N": 1024, "eps_trunc": 2.0 ** -12}}
 
 
 def write_spec(tmp_path, name, payload):
@@ -218,6 +221,25 @@ class TestValidation:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: validation:") and "\n" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--min-cubes", "1000"], ["analyze", "--x-grid", "0.5"],
+        ["analyze", "--radii", "0.25"], ["check-oracle", "--x-grid", "0.5"],
+        ["check-oracle", "--windows", "0.75,1;0,0.5"],
+        ["check-oracle", "--mode", "local", "--x-grid", "0.5", "--radii",
+         "0.25", "--windows", "0,0.5"],
+    ], ids=" ".join)
+    def test_option_the_run_does_not_read_exits_2(self, tmp_path, capsys,
+                                                  argv):
+        spec = write_spec(tmp_path, "bern.json", {
+            "kind": "localized_bernoulli",
+            "params": {"p": [[0.0, 0.2], [1.0, 0.45]], "J": 12}})
+        rc = main(argv + ["--spec", spec, "--p-grid=-1:1:1",
+                          "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: validation:") and "\n" not in err
+        assert argv[-2] in err      # the unread option
+
     def test_bad_binary_signal_header_exits_3(self, tmp_path, capsys):
         sig = tmp_path / "sig.bin"
         sig.write_bytes(b"LMFSIG01abc")
@@ -318,6 +340,42 @@ class TestSynthCommand:
         assert not (out / "pyramid.csv").exists()
         meta = json.loads((out / "meta.json").read_text())
         assert meta["outputs"] == ["signal.bin"]
+
+    def test_seed_flag_replaces_spec_seed(self, tmp_path):
+        params = {"H": 0.6, "J": 10}
+        spec = write_spec(tmp_path, "mbm.json",
+                          {"kind": "mbm", "seed": 1, "params": params})
+        out = tmp_path / "out"
+        assert main(["synth", "--spec", spec, "--seed", "5",
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "meta.json").read_text())["seed"] == 5
+        signal, _ = gen_mbm(ModelSpec("mbm", params, seed=5))
+        np.testing.assert_array_equal(read_signal(out / "signal.bin"), signal)
+
+    def test_markov_artifacts(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "markov.json", MARKOV_SPEC)
+        out = tmp_path / "out"
+        assert main(["synth", "--spec", spec, "--out", str(out)]) == 0
+        path = synthesize(ModelSpec.from_json(json.dumps(MARKOV_SPEC)))["path"]
+        np.testing.assert_array_equal(read_signal(out / "path.txt"), path.grid_M)
+        ref = tmp_path / "ref.csv"
+        write_jumps(ref, path)
+        assert (out / "jumps.csv").read_bytes() == ref.read_bytes()
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["outputs"] == ["path.txt", "jumps.csv"]
+        assert meta["drift_bound"] == pytest.approx(path.drift_bound, rel=1e-11)
+        assert meta["drift_rate_max"] == pytest.approx(path.drift_rate_max,
+                                                       rel=1e-11)
+        assert "truncation drift bound" in capsys.readouterr().out
+
+    def test_markov_analysis_writes_the_same_jumps(self, tmp_path):
+        spec = write_spec(tmp_path, "markov.json", MARKOV_SPEC)
+        for command, extra in (("synth", []), ("analyze", [
+                "--family", "oscillation", "--p-grid=-1:1:1"])):
+            assert main([command, "--spec", spec, "--deterministic",
+                         "--out", str(tmp_path / command)] + extra) == 0
+        assert ((tmp_path / "analyze" / "jumps.csv").read_bytes()
+                == (tmp_path / "synth" / "jumps.csv").read_bytes())
 
 
 class TestDeterminism:
