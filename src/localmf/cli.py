@@ -85,18 +85,19 @@ def _config_value(convert, value, what: str):
     """``convert(value)``, with a malformed value raised as a ConfigError."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """'a:b:step' inclusive grid, or a comma list of values."""
+    """'a:b:step' grid (a, a + step, ... up to b inclusive), or a comma list
+    of values; every value must be finite."""
     if ":" not in text:
-        return np.array([float(t) for t in text.split(",") if t])
-    a, b, step = (float(t) for t in text.split(":"))
+        return _float_list([float(t) for t in text.split(",") if t])
+    a, b, step = _float_list([float(t) for t in text.split(":")])
     if step <= 0 or b < a:
         raise ConfigError(f"grid {text!r} must have b >= a and step > 0")
-    return a + step * np.arange(int(round((b - a) / step)) + 1)
+    return a + step * np.arange(math.floor((b - a) / step + 1e-9) + 1)
 
 
 def _parse_x_grid(text: str) -> np.ndarray | int:
@@ -137,6 +138,8 @@ def _float_list(values) -> np.ndarray:
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 1:
         raise ValueError("expected a list of numbers")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError(f"expected finite numbers, got {grid.tolist()}")
     return grid
 
 
@@ -285,6 +288,13 @@ class PipelineConfig:
             if ignored:
                 raise ConfigError(f"{self.command} {where} reads no "
                                   + ", ".join(ignored))
+            if (self.mode == "local" and self.windows
+                    and not isinstance(self.x_grid, int)):
+                outside = [float(x) for x in self.x_grid
+                           if not any(w.contains(x) for w in self.windows)]
+                if outside:
+                    raise ConfigError(f"base points {outside} lie outside "
+                                      f"every window")
         if self.model is not None and self.command not in ("synth", "report"):
             makes_measure = self.model.kind in (
                 "binomial", "localized_bernoulli", "cantor_pair")
@@ -366,16 +376,34 @@ def _auto_H_grid(sf: estimators.ScalingFunction) -> np.ndarray:
     return np.round(np.arange(max(0.0, lo - pad), hi + pad + 1e-9, 0.01), 10)
 
 
-def _base_points(cfg: PipelineConfig, family: dyadic.DyadicFamily) -> np.ndarray:
+def _base_points(cfg: PipelineConfig, family: dyadic.DyadicFamily,
+                 windows: list[Window]) -> np.ndarray:
     """The configured x grid; a scale j gives the centre of every scale-j
-    cube, (k + 0.5) / 2^j, for j up to the family's finest scale."""
+    cube, (k + 0.5) / 2^j, that lies in one of the windows, for j up to the
+    family's finest scale."""
     if not isinstance(cfg.x_grid, int):
         return cfg.x_grid
     if cfg.x_grid > family.j_max:
         raise ConfigError(f"x grid auto:{cfg.x_grid} is finer than the "
                           f"family's finest scale {family.j_max}")
     n = 1 << cfg.x_grid
-    return (np.arange(n) + 0.5) / n
+    centres = (np.arange(n) + 0.5) / n
+    return np.array([x for x in centres if any(w.contains(x) for w in windows)])
+
+
+def _window_entry(sf: estimators.ScalingFunction,
+                  spectrum: estimators.LegendreSpectrum) -> dict:
+    """One ``windows`` entry of results.json, without its local points."""
+    return {
+        "window": [sf.window.lo, sf.window.hi],
+        "p_grid": sf.p_grid.tolist(),
+        "tau": sf.tau.tolist(),
+        "eta": sf.eta.tolist(),
+        "tau_tailmin": sf.tau_tailmin.tolist(),
+        "fit": {"j1": sf.fit_range[0], "j2": sf.fit_range[1],
+                "residuals": sf.residuals.tolist()},
+        "legendre": {"H": spectrum.H_grid.tolist(), "L": spectrum.L.tolist()},
+    }
 
 
 def run(cfg: PipelineConfig) -> dict:
@@ -392,30 +420,24 @@ def run(cfg: PipelineConfig) -> dict:
 
     sfs = estimators._scaling_functions(family, windows, cfg.p_grid,
                                         [cfg.fit_range] * len(windows))
-    for iw, sf in enumerate(sfs):
+    points = None
+    if cfg.mode == "local":
+        policy = FitPolicy(*(cfg.fit_range or ()), min_cubes=cfg.min_cubes)
+        lp = estimators.local_profile(family, _base_points(cfg, family, windows),
+                                      cfg.radii, cfg.p_grid, policy)
+        alphas = estimators.monohoelder_detect(lp).alpha
+        points = list(zip(lp.x_grid, lp.profiles, alphas))
+    for sf in sfs:
         H_grid = cfg.H_grid if cfg.H_grid is not None else _auto_H_grid(sf)
-        spec_w = estimators.legendre(sf, H_grid)
-        entry = estimators.scaling_to_dict(sf, spec_w)
-        if cfg.mode == "local" and iw == 0:
-            policy = FitPolicy(*(cfg.fit_range or ()), min_cubes=cfg.min_cubes)
-            lp = estimators.local_profile(family, _base_points(cfg, family),
-                                          cfg.radii, cfg.p_grid, policy,
-                                          H_grid=H_grid)
-            mono = estimators.monohoelder_detect(lp)
+        entry = _window_entry(sf, estimators.legendre(sf, H_grid))
+        if points is not None:
+            # each point under every window holding it, on that window's H grid
             entry["local"] = [
-                {
-                    "x": float(lp.x_grid[ix]),
-                    "radii": lp.radii.tolist(),
-                    "tau": [lp.profiles[ix][ir].tau.tolist()
-                            for ir in range(lp.radii.size)],
-                    "legendre": {
-                        "H": lp.legendre_local[ix].H_grid.tolist(),
-                        "L": lp.legendre_local[ix].L.tolist(),
-                    },
-                    "alpha": float(mono.alpha[ix]),
-                }
-                for ix in range(lp.x_grid.size)
-            ]
+                {"x": float(x), "tau": [s.tau.tolist() for s in per_x],
+                 "legendre": {
+                     "L": estimators.legendre(per_x[-1], H_grid).L.tolist()},
+                 "alpha": float(alpha)}
+                for x, per_x, alpha in points if sf.window.contains(x)]
         results["windows"].append(entry)
 
     results["runtime_s"] = time.time() - t0 if not cfg.deterministic else None
@@ -465,7 +487,8 @@ def report_plots(results: dict) -> dict[str, str]:
 
     Windows without local results contribute global rows (empty x column);
     windows with local results contribute one row per base point and grid
-    value. Column order is fixed; a malformed entry raises ConfigError.
+    value, every point's spectrum on its window's H grid. Column order is
+    fixed; a malformed entry raises ConfigError.
     """
     tau_rows, spec_rows = [], []
     where = "windows"
@@ -473,14 +496,14 @@ def report_plots(results: dict) -> dict[str, str]:
         for i, entry in enumerate(results.get("windows", [])):
             where = f"windows[{i}]"
             lo, hi = (float(v) for v in entry["window"])
-            points = [(float(loc["x"]), loc["tau"][-1], loc["legendre"])
+            leg = entry.get("legendre", {"H": [], "L": []})
+            points = [(float(loc["x"]), loc["tau"][-1], loc["legendre"]["L"])
                       for loc in entry.get("local") or []]
-            whole = (None, entry["tau"], entry.get("legendre", {"H": [], "L": []}))
-            for x, taus, leg in points or [whole]:
+            for x, taus, Ls in points or [(None, entry["tau"], leg["L"])]:
                 tau_rows += [(lo, hi, x, float(p), float(t))
                              for p, t in zip(entry["p_grid"], taus, strict=True)]
                 spec_rows += [(lo, hi, x, float(H), float(L))
-                              for H, L in zip(leg["H"], leg["L"], strict=True)]
+                              for H, L in zip(leg["H"], Ls, strict=True)]
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"results entry {where} is malformed: {exc!r}") from exc
     return {

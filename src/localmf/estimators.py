@@ -86,7 +86,6 @@ __all__ = [
     "global_from_local_check",
     "monohoelder_detect",
     "besov_membership",
-    "scaling_to_dict",
 ]
 
 LEGENDRE_FLOOR = -10.0
@@ -184,9 +183,11 @@ def _window_sums(family: DyadicFamily, windows, scales, p_grid):
     :func:`_segment_log2_sums`, block by block in two scratch blocks shared
     by every segment of the call, and every window combines the sums of its
     segments by :func:`_log2_runs`. A window made of one segment gets that
-    segment's sum unchanged.
+    segment's sum unchanged. A non-finite p raises DomainError.
     """
     p_grid = np.asarray(p_grid, dtype=float)
+    if not np.all(np.isfinite(p_grid)):
+        raise DomainError(f"partition sums need finite p, got {p_grid.tolist()}")
     n_w = len(windows)
     log2_S = np.full((n_w, p_grid.size, len(scales)), -np.inf)
     n_valid = np.zeros((n_w, len(scales)), dtype=int)
@@ -358,10 +359,10 @@ def discrete_legendre(x_grid, f_values, y_grid, floor: float = LEGENDRE_FLOOR,
                       endpoint_slope_tol: float = 1e-6) -> np.ndarray:
     """Discrete transform g(y) = min_x (x y - f(x)) over the sample grid.
 
-    Non-finite f entries are ignored. Where the minimum sits on a grid
-    endpoint and the one-sided slope says the objective is still strictly
-    decreasing (the unbounded direction), or where the value falls below
-    ``floor``, -inf is reported.
+    Non-finite f entries are ignored; a non-finite y raises DomainError.
+    Where the minimum sits on a grid endpoint and the one-sided slope says
+    the objective is still strictly decreasing (the unbounded direction),
+    or where the value falls below ``floor``, -inf is reported.
     """
     x = np.ascontiguousarray(x_grid, dtype=float)
     fv = np.ascontiguousarray(f_values, dtype=float)
@@ -372,6 +373,8 @@ def discrete_legendre(x_grid, f_values, y_grid, floor: float = LEGENDRE_FLOOR,
     order = np.argsort(x)
     x, fv = x[order], fv[order]
     y = np.ascontiguousarray(y_grid, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise DomainError("discrete Legendre transform needs a finite y grid")
     obj = np.outer(y, x) - fv[None, :]
     idx = np.argmin(obj, axis=1)
     out = obj[np.arange(y.size), idx]
@@ -469,16 +472,19 @@ def local_profile(family: DyadicFamily, x_grid, radii, p_grid,
                   fit_policy: FitPolicy | None = None,
                   H_grid=None) -> LocalProfile:
     """Windowed scaling functions on the balls B(x, r) for every base point
-    and every radius; radii must decrease and the smallest one must keep at
-    least 64 cubes at the finest analysis scale."""
+    x in [0, 1) and every radius; radii must be positive, finite and
+    strictly decreasing, and the smallest one must keep at least 64 cubes
+    at the finest analysis scale."""
     policy = fit_policy or FitPolicy()
     x_grid = np.ascontiguousarray(x_grid, dtype=float)
     radii = np.ascontiguousarray(radii, dtype=float)
     if radii.size == 0:
         raise DomainError("at least one radius is required")
+    if not np.all((radii > 0) & np.isfinite(radii)):
+        raise DomainError("radii must be positive and finite")
     if radii.size > 1 and np.any(np.diff(radii) >= 0):
         raise DomainError("radii must be strictly decreasing")
-    if np.any((x_grid < 0) | (x_grid >= 1)):
+    if np.any(~((x_grid >= 0) & (x_grid < 1))):
         raise DomainError("base points must lie in [0, 1)")
     if 2.0 * radii[-1] * 2.0 ** family.j_max < 64:
         raise RadiusError(
@@ -653,27 +659,3 @@ def besov_membership(family: DyadicFamily, s: float, p: float,
     cmax = float(np.max(log2_c))
     constant = 2.0 ** cmax if cmax < 1023 else math.inf
     return BesovResult(growth <= growth_tol, constant, growth)
-
-
-# ---------------------------------------------------------------------------
-# report container (JSON schema of the CLI)
-
-
-def scaling_to_dict(sf: ScalingFunction,
-                    spectrum: LegendreSpectrum | None = None) -> dict:
-    """Result dictionary following the toolkit's JSON schema."""
-    out = {
-        "window": [sf.window.lo, sf.window.hi],
-        "p_grid": sf.p_grid.tolist(),
-        "tau": sf.tau.tolist(),
-        "eta": sf.eta.tolist(),
-        "tau_tailmin": sf.tau_tailmin.tolist(),
-        "fit": {
-            "j1": sf.fit_range[0],
-            "j2": sf.fit_range[1],
-            "residuals": sf.residuals.tolist(),
-        },
-    }
-    if spectrum is not None:
-        out["legendre"] = {"H": spectrum.H_grid.tolist(), "L": spectrum.L.tolist()}
-    return out

@@ -1,4 +1,9 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +93,9 @@ class TestValidation:
         {"deterministic": "no"}, {"p-grid": "1:2:1"}, {"seed": 5.7},
         {"seed": True}, {"j_max": 9.9}, {"min_cubes": True},
         {"osc_order": 1.5}, {"fit": [3.5, 9]},
+        {"p_grid": "nan,1,2"}, {"p_grid": "-1,inf"}, {"p_grid": [math.nan]},
+        {"p_grid": "0:inf:1"}, {"x_grid": "nan"}, {"radii": "nan"},
+        {"radii": "0.25,nan"}, {"radii": [math.inf]}, {"H_grid": "nan,0.5,1"},
     ], ids=lambda e: json.dumps(e))
     def test_malformed_config_value_exits_2(self, tmp_path, capsys, entry):
         measure = tmp_path / "measure.txt"
@@ -639,3 +647,105 @@ class TestLocalValidation:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "x-grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, key, grid", [
+        (["analyze", "--p-grid=-3:3:0.7"], "p_grid",
+         [-3.0, -2.3, -1.6, -0.9, -0.2, 0.5, 1.2, 1.9, 2.6]),
+        (["local", "--x-grid", "0:1:0.6", "--radii", "0.25"], "x_grid",
+         [0.0, 0.6]),
+    ], ids=["p-grid", "x-grid"])
+    def test_step_grid_stops_at_b(self, tmp_path, argv, key, grid):
+        spec = write_spec(tmp_path, "binom.json",
+                          {"kind": "binomial", "params": {"p": 0.4, "J": 12}})
+        out = tmp_path / "out"
+        assert main(argv + ["--spec", spec, "--family", "plain-measure",
+                            "--deterministic", "--out", str(out)]) == 0
+        config = json.loads((out / "results.json").read_text())["config"]
+        assert config[key] == grid
+
+
+class TestLocalWindows:
+    def run_local(self, tmp_path, name, *option):
+        spec = write_spec(tmp_path, "bern.json", {
+            "kind": "localized_bernoulli",
+            "params": {"p": [[0.0, 0.2], [1.0, 0.45]], "J": 12}})
+        out = tmp_path / name
+        rc = main(["local", "--spec", spec, "--family", "plain-measure",
+                   "--p-grid=-2:2:0.5", "--radii", "0.25,0.125,0.0625",
+                   "--fit", "3:11", "--deterministic", "--out", str(out),
+                   *option])
+        return rc, out
+
+    def test_each_point_under_the_windows_holding_it(self, tmp_path):
+        rc, out = self.run_local(tmp_path, "out", "--x-grid", "0.25,0.5,0.75",
+                                 "--windows", "0,0.5;0.5,1;0.25,0.75")
+        assert rc == 0
+        windows = json.loads((out / "results.json").read_text())["windows"]
+        assert [[loc["x"] for loc in w["local"]] for w in windows] == [
+            [0.25], [0.5, 0.75], [0.25, 0.5]]
+        tau = {}
+        rows = [r.split(",") for r in
+                (out / "spectrum_long.csv").read_text().splitlines()[1:]]
+        for w in windows:
+            H = w["legendre"]["H"]
+            for loc in w["local"]:
+                assert set(loc) == {"x", "tau", "legendre", "alpha"}
+                assert set(loc["legendre"]) == {"L"}
+                assert len(loc["legendre"]["L"]) == len(H)
+                assert tau.setdefault(loc["x"], loc["tau"]) == loc["tau"]
+                mine = [r for r in rows if [float(v) for v in r[:3]]
+                        == [*w["window"], loc["x"]]]
+                assert [float(r[3]) for r in mine] == H
+        # the two halves' auto H grids differ, so each point used its own
+        assert len(windows[0]["legendre"]["H"]) != len(windows[1]["legendre"]["H"])
+
+    def test_point_outside_every_window_exits_2(self, tmp_path, capsys):
+        rc, out = self.run_local(tmp_path, "out", "--x-grid", "0.75",
+                                 "--windows", "0,0.5")
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: validation:") and "\n" not in err
+        assert not out.exists()
+
+    def test_auto_grid_keeps_the_centres_inside_the_windows(self, tmp_path):
+        rc, out = self.run_local(tmp_path, "out", "--x-grid", "auto:3",
+                                 "--windows", "0,0.5")
+        assert rc == 0
+        windows = json.loads((out / "results.json").read_text())["windows"]
+        assert [loc["x"] for loc in windows[0]["local"]] == [
+            0.0625, 0.1875, 0.3125, 0.4375]
+
+    def test_report_reads_the_schema_with_per_point_H_and_radii(self, tmp_path):
+        rc, out = self.run_local(tmp_path, "out", "--x-grid", "0.25,0.5,0.75")
+        assert rc == 0
+        results = json.loads((out / "results.json").read_text())
+        for w in results["windows"]:
+            for loc in w["local"]:
+                loc["radii"] = results["config"]["radii"]
+                loc["legendre"] = {"H": w["legendre"]["H"], **loc["legendre"]}
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(results))
+        rep = tmp_path / "rep"
+        assert main(["report", "--input", str(old), "--out", str(rep)]) == 0
+        for fname in ("tau_long.csv", "spectrum_long.csv"):
+            assert (rep / fname).read_bytes() == (out / fname).read_bytes()
+
+
+class TestProcess:
+    """``python -m localmf`` as a user runs it: numpy warnings are not
+    turned into errors, so only a real process shows every stderr line."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["analyze", "--p-grid=-1,inf"], 2), (["analyze", "--help"], 0),
+    ], ids=["non-finite-p-grid", "help"])
+    def test_exit_code_and_at_most_one_stderr_line(self, tmp_path, argv, code):
+        spec = write_spec(tmp_path, "binom.json",
+                          {"kind": "binomial", "params": {"p": 0.4, "J": 10}})
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "localmf", *argv, "--spec", spec,
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == code
+        assert len(proc.stderr.splitlines()) <= 1

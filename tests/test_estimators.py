@@ -433,6 +433,24 @@ class TestSmallSurfaces:
         hi = upper_exponent(BINOM, 0.3, method="regression")
         assert lo.value == hi.value
 
+    @pytest.mark.parametrize("call", [
+        lambda: structure_function(BINOM, None, math.nan),
+        lambda: scaling_function(BINOM, None, [0.0, math.inf]),
+        lambda: besov_membership(BINOM, 0.5, math.nan),
+        lambda: local_profile(BINOM, [0.5], [0.25], [1.0, math.nan]),
+        lambda: local_profile(BINOM, [math.nan], [0.25], [1.0]),
+        lambda: local_profile(BINOM, [0.5], [math.nan], [1.0]),
+        lambda: local_profile(BINOM, [0.5], [0.25, math.nan], [1.0]),
+        lambda: local_profile(BINOM, [0.5], [math.inf], [1.0]),
+        lambda: discrete_legendre([0.0, 1.0], [0.0, 1.0], [0.5, math.nan]),
+    ], ids=["structure-p", "scaling-p", "besov-p", "local-p", "local-x",
+            "local-radius", "local-second-radius", "local-inf-radius",
+            "legendre-y"])
+    def test_non_finite_input_is_domain_error(self, call):
+        from localmf import DomainError
+        with pytest.raises(DomainError):
+            call()
+
 
 class TestBoundaryBasePoints:
     def test_local_profile_near_domain_edges(self):
