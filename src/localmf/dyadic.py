@@ -115,9 +115,12 @@ class Window:
 
     @staticmethod
     def ball(x: float, r: float) -> "Window":
-        """B(x, r) clipped to [0, 1)."""
-        if r <= 0:
-            raise WindowError(f"ball radius must be positive, got {r}")
+        """B(x, r) clipped to [0, 1); x must be finite and r finite and
+        positive."""
+        if not math.isfinite(x):
+            raise WindowError(f"ball centre must be finite, got {x}")
+        if not (math.isfinite(r) and r > 0):
+            raise WindowError(f"ball radius must be positive and finite, got {r}")
         return Window(max(0.0, x - r), min(1.0, x + r))
 
 

@@ -36,9 +36,14 @@ Conventions
 
 Each segment is summed one cache block of ``_BLOCK`` terms at a time:
 numpy's pairwise summation within a block, then pairwise over the block
-sums. Blocks and segment sums combine in a fixed order on one thread, so
-results are order-stable across repeated runs; a window made of a single
-segment (such as a lone window) gets exactly that segment's sum.
+sums. Within a block the p of each sign are walked outward from 0 by a
+ratio recurrence, t(p + s) = t(p) 2^(s (log2 e - x_top)) with every ratio
+at most 1, so a p costs one multiply and one sum per term; the exp2 is
+paid once per block for each run of consecutive p reached by one step s
+(a run of one p takes its terms directly). Blocks and segment sums
+combine in a fixed order on one thread, so results are order-stable
+across repeated runs; a window made of a single segment (such as a lone
+window) gets exactly that segment's sum.
 """
 
 from __future__ import annotations
@@ -106,35 +111,70 @@ def _masked_values(family: DyadicFamily, j: int) -> np.ndarray:
 _BLOCK = 1 << 16
 
 
-def _segment_log2_sums(log2e, p_grid, d, t) -> np.ndarray:
-    """log2 sum_i exp2(p log2e_i) for every p of the grid; ``d`` and ``t``
-    are scratch arrays of at least min(_BLOCK, log2e.size) entries.
+def _p_walks(p_grid) -> list:
+    """The walk of each sign of a p grid, p > 0 then p < 0: the indices of
+    its p in order of increasing |p|, cut into runs of consecutive p
+    reached by one step s (exact float equality), the first p's step being
+    taken from 0. Each run is given as (s, indices of its p)."""
+    walks = []
+    for ips in (np.flatnonzero(p_grid > 0), np.flatnonzero(p_grid < 0)):
+        ips = ips[np.argsort(np.abs(p_grid[ips]), kind="stable")]
+        steps = np.diff(p_grid[ips], prepend=0.0)
+        firsts = np.flatnonzero(np.diff(steps, prepend=np.nan) != 0)
+        walks.append((ips, [(steps[a], ips[a:b].tolist()) for a, b
+                            in zip(firsts, [*firsts[1:], ips.size])]))
+    return walks
 
-    Each sum is formed as top + log2 sum exp2(p (log2e - x_top)), x_top
-    being the largest log2e for p > 0 and the smallest for p < 0 and top
-    = p x_top, so every term is at most 1 and no sum can overflow. The
-    terms are taken one block of ``_BLOCK`` entries at a time: log2e -
-    x_top once per block and sign of p, then one multiply, exp2 and sum
-    per p, so the block stays in cache; each p's block sums are added
-    pairwise. At p = 0 the sum is the count of entries.
+
+def _segment_log2_sums(log2e, p_grid, d, t) -> np.ndarray:
+    """:func:`_walk_log2_sums` over the walk of ``p_grid``."""
+    return _walk_log2_sums(log2e, p_grid, _p_walks(p_grid), d, t)
+
+
+def _walk_log2_sums(log2e, p_grid, walks, d, t) -> np.ndarray:
+    """log2 sum_i exp2(p log2e_i) for every p of the grid, whose walk
+    :func:`_p_walks` gives; ``d`` and ``t`` are scratch arrays of at least
+    min(_BLOCK, log2e.size) entries and the only ones of block size.
+
+    Each sum is formed as top + log2 sum t_i(p), t_i(p) = exp2(p (log2e_i
+    - x_top)), x_top being the largest log2e for p > 0 and the smallest
+    for p < 0 and top = p x_top, so every term is at most 1 and no sum can
+    overflow. The p of one sign are walked in order of increasing |p|. In
+    a run of p reached by one step s the terms follow the recurrence
+    t(p + s) = t(p) r, r = exp2(s (log2e - x_top)) <= 1, so terms only
+    shrink: r is formed once in ``d`` and each p of the run costs one
+    multiply and one sum per term. A run of one p (an irregular grid is
+    all such runs) takes its terms directly, one multiply and one exp2, so
+    a grid costs one exp2 per run. A sum differs from a direct exp2 by the
+    rounding of the ratios and multiplies, about n eps for the n-th p of a
+    sign. The terms are taken one block of ``_BLOCK`` entries at a time,
+    so the block stays in cache; each p's block sums are added pairwise.
+    At p = 0 the sum is the count of entries.
     """
     lo, hi = log2e.min(), log2e.max()
     starts = range(0, log2e.size, _BLOCK)
     partial = np.empty((p_grid.size, len(starts)))
-    signs = [(np.flatnonzero(p_grid > 0), hi), (np.flatnonzero(p_grid < 0), lo)]
     for ib, a in enumerate(starts):
         x = log2e[a:a + _BLOCK]
         dx, tx = d[:x.size], t[:x.size]
-        for ips, x_top in signs:
-            if ips.size:
-                np.subtract(x, x_top, out=dx)
-            for ip in ips:
-                np.multiply(dx, p_grid[ip], out=tx)
-                np.exp2(tx, out=tx)
-                partial[ip, ib] = tx.sum()
+        for (_, runs), x_top in zip(walks, (hi, lo)):
+            for k, (s, run) in enumerate(runs):
+                # d holds log2e - x_top unless the last run left its ratio
+                if k == 0 or len(runs[k - 1][1]) > 1:
+                    np.subtract(x, x_top, out=dx)
+                if len(run) == 1:
+                    np.multiply(dx, p_grid[run[0]], out=tx)
+                    np.exp2(tx, out=tx)
+                    partial[run[0], ib] = tx.sum()
+                    continue
+                np.multiply(dx, s, out=dx)
+                np.exp2(dx, out=dx)
+                for m, ip in enumerate(run):
+                    np.multiply(tx if k or m else 1.0, dx, out=tx)
+                    partial[ip, ib] = tx.sum()
     out = np.full(p_grid.size, np.nan)
     out[p_grid == 0] = np.log2(float(log2e.size))
-    for ips, x_top in signs:
+    for (ips, _), x_top in zip(walks, (hi, lo)):
         out[ips] = p_grid[ips] * x_top + np.log2(partial[ips].sum(axis=1))
     return out
 
@@ -180,10 +220,11 @@ def _window_sums(family: DyadicFamily, windows, scales, p_grid):
 
     At each scale the cubes are cut at the edges of every window into
     segments. Each segment a window covers is summed once per p by
-    :func:`_segment_log2_sums`, block by block in two scratch blocks shared
-    by every segment of the call, and every window combines the sums of its
-    segments by :func:`_log2_runs`. A window made of one segment gets that
-    segment's sum unchanged. A non-finite p raises DomainError.
+    :func:`_walk_log2_sums`, over one walk of the p grid and block by block
+    in two scratch blocks, both shared by every segment of the call, and
+    every window combines the sums of its segments by :func:`_log2_runs`.
+    A window made of one segment gets that segment's sum unchanged. A
+    non-finite p raises DomainError.
     """
     p_grid = np.asarray(p_grid, dtype=float)
     if not np.all(np.isfinite(p_grid)):
@@ -195,6 +236,7 @@ def _window_sums(family: DyadicFamily, windows, scales, p_grid):
     block = min(_BLOCK, max((family.values_at(j).size for j in scales),
                             default=0))
     d, t = np.empty(block), np.empty(block)
+    walks = _p_walks(p_grid)
     for i, j in enumerate(scales):
         v, valid = family.values_at(j), family.valid_at(j)
         ends = np.array([w.cube_range(j) for w in windows]) - family.k_lo(j)
@@ -214,7 +256,7 @@ def _window_sums(family: DyadicFamily, windows, scales, p_grid):
             seg_valid[s + 1], seg_pos[s + 1] = sv.size, log2e.size
             if log2e.size:
                 np.log2(log2e, out=log2e)
-                seg_S[:, s] = _segment_log2_sums(log2e, p_grid, d, t)
+                seg_S[:, s] = _walk_log2_sums(log2e, p_grid, walks, d, t)
         for counts, out in ((seg_valid, n_valid), (seg_pos, n_pos)):
             c = np.cumsum(counts)
             out[:, i] = c[runs[:, 1]] - c[runs[:, 0]]
@@ -630,10 +672,12 @@ def besov_membership(family: DyadicFamily, s: float, p: float,
     (a bounded sequence at the achievable resolution), and the reported
     constant is max c_j. The scale range (default [3, j_max]) is clipped to
     the family and may include scale 0; a range holding no scale raises
-    ScaleError.
+    ScaleError. p = 0, p = -inf and a non-finite s raise DomainError.
     """
-    if p == 0:
-        raise DomainError("Besov membership is undefined for p = 0")
+    if p == 0 or p == -math.inf:
+        raise DomainError(f"Besov membership is undefined for p = {p}")
+    if not math.isfinite(s):
+        raise DomainError(f"Besov membership needs a finite s, got {s}")
     w = family.window if window is None else _clip_window(family, window)
     if fit_range is None:
         fit_range = (max(3, family.j_min), family.j_max)

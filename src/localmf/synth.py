@@ -159,8 +159,10 @@ def gen_localized_bernoulli(spec: ModelSpec) -> BinnedMeasure:
         ratios = p_fn(mids)
         if np.any(ratios <= 0) or np.any(ratios >= 0.5):
             raise DomainError("the splitting map p(.) must take values in (0, 1/2)")
-        masses = np.column_stack([masses * ratios,
-                                  masses * (1.0 - ratios)]).ravel()
+        children = np.empty(2 * masses.size)
+        np.multiply(masses, ratios, out=children[0::2])
+        np.multiply(masses, 1.0 - ratios, out=children[1::2])
+        masses = children
     return BinnedMeasure(masses)
 
 

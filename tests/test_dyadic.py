@@ -244,6 +244,14 @@ class TestValidationErrors:
         with pytest.raises(WindowError):
             Window.ball(0.5, 0.0)
 
+    @pytest.mark.parametrize("x, r", [
+        (math.nan, 0.25), (0.5, math.nan), (math.inf, 0.25), (-math.inf, 0.25),
+        (0.5, math.inf)])
+    def test_non_finite_ball_raises(self, x, r):
+        from localmf import WindowError
+        with pytest.raises(WindowError):
+            Window.ball(x, r)
+
     def test_no_overlap_restrict(self):
         from localmf import WindowError
         F = power_law_family(0.5, j_max=8, window=Window(0.0, 0.25))

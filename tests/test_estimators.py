@@ -437,13 +437,18 @@ class TestSmallSurfaces:
         lambda: structure_function(BINOM, None, math.nan),
         lambda: scaling_function(BINOM, None, [0.0, math.inf]),
         lambda: besov_membership(BINOM, 0.5, math.nan),
+        lambda: besov_membership(BINOM, 0.5, -math.inf),
+        lambda: besov_membership(BINOM, math.nan, 2.0),
+        lambda: besov_membership(BINOM, math.nan, math.inf),
+        lambda: besov_membership(BINOM, math.inf, 2.0),
         lambda: local_profile(BINOM, [0.5], [0.25], [1.0, math.nan]),
         lambda: local_profile(BINOM, [math.nan], [0.25], [1.0]),
         lambda: local_profile(BINOM, [0.5], [math.nan], [1.0]),
         lambda: local_profile(BINOM, [0.5], [0.25, math.nan], [1.0]),
         lambda: local_profile(BINOM, [0.5], [math.inf], [1.0]),
         lambda: discrete_legendre([0.0, 1.0], [0.0, 1.0], [0.5, math.nan]),
-    ], ids=["structure-p", "scaling-p", "besov-p", "local-p", "local-x",
+    ], ids=["structure-p", "scaling-p", "besov-p", "besov-minus-inf-p",
+            "besov-s", "besov-s-sup", "besov-inf-s", "local-p", "local-x",
             "local-radius", "local-second-radius", "local-inf-radius",
             "legendre-y"])
     def test_non_finite_input_is_domain_error(self, call):
@@ -643,3 +648,70 @@ class TestWindowSums:
         ref = np.logaddexp2.reduce(np.outer(ps, log2e), axis=1)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
         assert got[ps == 0] == np.log2(float(n))
+
+    def test_wide_range_family_on_a_uniform_grid(self):
+        # 1e+-300 values at every p of an even grid: one ratio row per sign
+        from localmf.estimators import _window_sums
+        rng = np.random.default_rng(5)
+        J = 10
+        values = [10.0 ** rng.uniform(-300.0, 300.0, 1 << j) for j in range(J + 1)]
+        F = DyadicFamily(0, J, Window(0.0, 1.0), values)
+        ps = np.arange(-40.0, 40.5, 0.5)
+        windows = sample_windows(J)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            log2_S, _, _ = _window_sums(F, windows, F.scales, ps)
+        for iw, w in enumerate(windows):
+            for i, j in enumerate(F.scales):
+                k_lo, k_hi = w.cube_range(j)
+                if k_hi == k_lo:
+                    assert np.all(np.isneginf(log2_S[iw, :, i]))
+                    continue
+                log2e = np.log2(F.values_at(j)[k_lo:k_hi])
+                ref = np.logaddexp2.reduce(np.outer(ps, log2e), axis=1)
+                assert np.all(np.abs(log2_S[iw, :, i] - ref)
+                              <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    @given(st.sampled_from([1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]),
+           st.one_of(
+               # linspace grids, whose steps differ at the ulp level
+               st.builds(np.linspace, st.floats(-40.0, 40.0),
+                         st.floats(-40.0, 40.0), st.integers(1, 41)),
+               # irregular, unsorted grids with duplicates
+               st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=24).map(
+                   lambda ps: np.array(ps + ps[::3])),
+               # one sign only
+               st.lists(st.floats(0.0, 40.0), min_size=1, max_size=12).map(
+                   lambda ps: np.array(ps)),
+               st.lists(st.floats(-40.0, 0.0), min_size=1, max_size=12).map(
+                   lambda ps: np.array(ps)),
+           ),
+           st.floats(-300.0, 300.0), st.floats(-300.0, 300.0),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_segment_sums_on_any_p_grid(self, n, ps, e1, e2, seed):
+        rng = np.random.default_rng(seed)
+        log2e = rng.uniform(min(e1, e2), max(e1, e2), n) * math.log2(10.0)
+        d, t = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _segment_log2_sums(log2e, ps, d, t)
+        ref = np.logaddexp2.reduce(np.outer(ps, log2e), axis=1)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+        assert np.all(got[ps == 0] == np.log2(float(n)))
+
+    def test_irregular_grid_needs_no_scratch_beyond_d_and_t(self):
+        # 400 p with no two equal steps: one run per p, so no ratio rows
+        import tracemalloc
+        log2e = np.random.default_rng(7).uniform(-50.0, 50.0, _BLOCK + 1)
+        ps = np.r_[-np.geomspace(0.01, 40.0, 200), np.geomspace(0.01, 40.0, 200)]
+        d, t = np.empty(_BLOCK), np.empty(_BLOCK)
+        tracemalloc.start()
+        try:
+            got = _segment_log2_sums(log2e, ps, d, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _BLOCK * 8 // 4
+        ref = np.logaddexp2.reduce(np.outer(ps, log2e), axis=1)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
