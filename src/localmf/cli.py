@@ -27,8 +27,17 @@ from .synth import ModelSpec
 
 __all__ = ["main", "run", "report_plots", "PipelineConfig"]
 
-FAMILY_KINDS = ("measure", "plain-measure", "oscillation", "leaders",
-                "p-leaders", "birkhoff")
+# Each family kind: the input it analyzes (None: a birkhoff family is built
+# from a potential) and the family options it reads.
+_FAMILIES = {
+    "measure": ("measure", ("j_max",)),
+    "plain-measure": ("measure", ("j_max",)),
+    "oscillation": ("signal", ("j_max", "osc_order")),
+    "leaders": ("signal", ("filter_id", "frac_int")),
+    "p-leaders": ("signal", ("filter_id", "frac_int")),
+    "birkhoff": (None, ("j_max",)),
+}
+_FAMILY_OPTIONS = {"j_max", "osc_order", "filter_id", "frac_int"}
 
 
 class ConfigError(AnalysisError):
@@ -224,51 +233,54 @@ class PipelineConfig:
 
     def validate(self):
         base = self.family.split(":")[0]
-        if base not in FAMILY_KINDS:
+        if base not in _FAMILIES:
             raise ConfigError(f"unknown family kind {self.family!r}")
+        reads, family_options = _FAMILIES[base]
         if base == "birkhoff":
-            if not isinstance(self.potential, dict):
-                raise ConfigError("birkhoff families need a 'potential' "
-                                  "config entry with digit values a, b")
+            potential = _potential(self)
+            if not isinstance(potential, dict):
+                raise ConfigError("a birkhoff family needs digit values a, b: "
+                                  "a 'potential' config entry, or on "
+                                  "check-oracle its birkhoff spec")
             for digit in "ab":
-                _config_value(float, self.potential.get(digit),
+                _config_value(float, potential.get(digit),
                               f"potential entry {digit!r}")
-            # built from the potential; check-oracle's spec is its oracle
-            spec = "birkhoff" if self.command == "check-oracle" else None
-            if (self.input_path is not None
-                    or getattr(self.model, "kind", None) != spec):
-                raise ConfigError("a birkhoff family takes no input source "
-                                  "(check-oracle: its birkhoff spec only)")
-        elif (self.input_path is None) == (self.model is None):
-            raise ConfigError("exactly one input source is required "
-                              "(--input or a model spec)")
+        # one source rule: the sources this command and family read
+        takes = {"synth": ["--spec"], "check-oracle": ["--spec"],
+                 "report": ["--input"]}.get(
+            self.command, ["--input", "--spec"] if reads else [])
+        sources = {"--input": self.input_path, "--spec": self.model}
+        given = [flag for flag, value in sources.items() if value is not None]
+        if len(given) != min(len(takes), 1) or not set(given) <= set(takes):
+            raise ConfigError(f"{self.command} reads " + (" or ".join(takes) or
+                              "no input source with a birkhoff family")
+                              + f", given {' and '.join(given) or 'none'}")
+        if (self.model is not None and self.command != "synth"
+                and _FAMILIES[_DEFAULT_FAMILY[self.model.kind]][0] != reads):
+            raise ConfigError(f"a {self.model.kind} spec gives no "
+                              f"{reads or 'potential'} for a {base} family")
         if base == "p-leaders":
             if self.p_value is None or not self.p_value > 0:
                 raise ConfigError("p-leaders requires p > 0 (family 'p-leaders:p')")
         if self.mode == "local" and (self.x_grid is None or self.radii is None):
             raise ConfigError("local mode requires --x-grid and --radii")
-        if self.frac_int != 0.0 and base not in ("leaders", "p-leaders"):
-            raise ConfigError("fractional integration applies to wavelet "
-                              "families only")
         if self.osc_order not in (1, 2):
             raise ConfigError(f"oscillation order must be 1 or 2, got "
                               f"{self.osc_order}")
-        if self.osc_order != 1 and base != "oscillation":
-            raise ConfigError("an oscillation order applies to oscillation "
-                              "families only")
         if self.filter_id not in wavelet.FILTERS:
             raise ConfigError(f"unknown wavelet filter {self.filter_id!r}; "
                               f"available: {sorted(wavelet.FILTERS)}")
-        if (self.filter_id != wavelet.DEFAULT_FILTER
-                and base not in ("leaders", "p-leaders")):
-            raise ConfigError("a wavelet filter applies to wavelet families "
-                              "only")
         if self.model is not None and self.model.kind in ("mbm", "fbm"):
             name = self.model.params.get("filter", wavelet.DEFAULT_FILTER)
             if not isinstance(name, str) or name not in wavelet.FILTERS:
                 raise ConfigError(f"unknown wavelet filter {name!r} in "
                                   f"the model spec; available: "
                                   f"{sorted(wavelet.FILTERS)}")
+        if self.potential is not None and (
+                base != "birkhoff" or self.command not in ("analyze", "local")):
+            raise ConfigError(f"{self.command} reads no 'potential' config "
+                              f"entry; only a birkhoff family in analyze or "
+                              f"local does")
         if self.command not in ("synth", "report"):
             unread = ["windows"] if self.command == "check-oracle" else []
             if self.mode != "local":
@@ -282,12 +294,14 @@ class PipelineConfig:
                 unread += ["mode", "p_grid", "H_grid"]
                 where = "on a markov_jump model (pointwise exponents)"
             defaults = PipelineConfig(self.command)
-            ignored = [f.metadata["flag"] for f in _options() if f.name in unread
-                       and not np.array_equal(getattr(self, f.name),
-                                              getattr(defaults, f.name))]
-            if ignored:
-                raise ConfigError(f"{self.command} {where} reads no "
-                                  + ", ".join(ignored))
+            for names, who in ((unread, f"{self.command} {where}"),
+                               (_FAMILY_OPTIONS - set(family_options),
+                                f"a {base} family")):
+                ignored = [f.metadata["flag"] for f in _options()
+                           if f.name in names and not np.array_equal(
+                               getattr(self, f.name), getattr(defaults, f.name))]
+                if ignored:
+                    raise ConfigError(f"{who} reads no " + ", ".join(ignored))
             if (self.mode == "local" and self.windows
                     and not isinstance(self.x_grid, int)):
                 outside = [float(x) for x in self.x_grid
@@ -295,16 +309,18 @@ class PipelineConfig:
                 if outside:
                     raise ConfigError(f"base points {outside} lie outside "
                                       f"every window")
-        if self.model is not None and self.command not in ("synth", "report"):
-            makes_measure = self.model.kind in (
-                "binomial", "localized_bernoulli", "cantor_pair")
-            wants_measure = base in ("measure", "plain-measure")
-            if makes_measure != wants_measure:
-                raise ConfigError(
-                    f"family {self.family!r} does not apply to "
-                    f"{self.model.kind!r} output")
         if self.input_path is not None and not Path(self.input_path).exists():
             raise ConfigError(f"unreadable input {self.input_path!r}")
+
+
+def _potential(cfg: PipelineConfig) -> dict | None:
+    """A birkhoff family's potential: the parameters of check-oracle's
+    birkhoff spec (which also gives the oracle), else the 'potential'
+    config entry."""
+    spec = cfg.model if cfg.command == "check-oracle" else None
+    if getattr(spec, "kind", None) == "birkhoff":
+        return spec.params
+    return cfg.potential
 
 
 def _family_from_config(cfg: PipelineConfig
@@ -312,51 +328,38 @@ def _family_from_config(cfg: PipelineConfig
     """Build the analysis family; returns (family, path) where path is the
     synthesized Markov path, if any, else None."""
     base = cfg.family.split(":")[0]
-    path = None
-
+    reads = _FAMILIES[base][0]
     if base == "birkhoff":
-        pot = builders.DigitPotential(
-            a=float(cfg.potential["a"]), b=float(cfg.potential["b"]),
-            gamma_fn=synth._as_function(cfg.potential["gamma"])
-            if "gamma" in cfg.potential else None,
-            theta_fn=synth._as_function(cfg.potential["theta"])
-            if "theta" in cfg.potential else None)
-        return builders.birkhoff_family(pot, cfg.j_max or 14), path
+        pot = _potential(cfg)
+        gamma, theta = (synth._as_function(pot[key]) if key in pot else None
+                        for key in ("gamma", "theta"))
+        pot = builders.DigitPotential(float(pot["a"]), float(pot["b"]),
+                                      gamma, theta)
+        return builders.birkhoff_family(pot, cfg.j_max or 14), None
 
-    measure = signal = None
-    if cfg.model is not None:
-        made = synth.synthesize(cfg.model)
-        measure = made.get("measure")
-        signal = made.get("signal")
-        if "path" in made:
-            path = made["path"]
-            signal = path.grid_M
-    elif base in ("measure", "plain-measure"):
-        measure = builders.read_measure(cfg.input_path)
+    path = None
+    if cfg.model is None:
+        read = builders.read_measure if reads == "measure" else wavelet.read_signal
+        data = read(cfg.input_path)
     else:
-        signal = wavelet.read_signal(cfg.input_path)
+        made = synth.synthesize(cfg.model)
+        path = made.get("path")
+        data = made[reads] if path is None else path.grid_M
 
-    if base in ("measure", "plain-measure"):
-        if measure is None:
-            raise ConfigError(f"family {cfg.family!r} needs a binned measure input")
-        j_max = cfg.j_max or measure.J
+    if reads == "measure":
         build = (builders.measure_family if base == "measure"
                  else builders.plain_measure_family)
-        return build(measure, j_max), path
+        return build(data, cfg.j_max or data.J), path
 
     if base == "oscillation":
-        if signal is None:
-            raise ConfigError("oscillation families need a signal input")
         # j_max >= 7 (where the signal allows) leaves the default fit
         # [3, j_max - 1] the 4 scales it needs
-        J = np.asarray(signal).size.bit_length() - 1
+        J = np.asarray(data).size.bit_length() - 1
         j_max = cfg.j_max or min(J, max(7, J - 3))
-        return builders.oscillation_family(signal, cfg.osc_order, j_max), path
+        return builders.oscillation_family(data, cfg.osc_order, j_max), path
 
     # wavelet families
-    if signal is None:
-        raise ConfigError(f"family {cfg.family!r} needs a signal input")
-    pyramid = wavelet.dwt(signal, cfg.filter_id)
+    pyramid = wavelet.dwt(data, cfg.filter_id)
     if cfg.frac_int:
         pyramid = wavelet.frac_integrate(pyramid, cfg.frac_int)
     if base == "leaders":
@@ -523,13 +526,12 @@ _DEFAULT_FAMILY = {
     "mbm": "leaders",
     "fbm": "leaders",
     "markov_jump": "oscillation",
+    "birkhoff": "birkhoff",
 }
 
 
 def check_oracle(cfg: PipelineConfig) -> dict:
     """Synthesize a model, analyze it, and compare against its oracle."""
-    if cfg.model is None:
-        raise ConfigError("check-oracle needs a model spec (--spec)")
     kind = cfg.model.kind
     if kind == "markov_jump":
         return _check_oracle_markov(cfg)
@@ -611,8 +613,6 @@ def _check_oracle_markov(cfg: PipelineConfig) -> dict:
 
 
 def cmd_synth(cfg: PipelineConfig) -> int:
-    if cfg.model is None:
-        raise ConfigError("synth needs a model spec (--spec)")
     made = synth.synthesize(cfg.model)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -635,8 +635,6 @@ def cmd_synth(cfg: PipelineConfig) -> int:
 
 
 def cmd_report(cfg: PipelineConfig) -> int:
-    if cfg.input_path is None:
-        raise ConfigError("report needs --input pointing at a results.json")
     results = _read_json(cfg.input_path, "results")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

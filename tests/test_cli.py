@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from localmf import ModelSpec, gen_mbm, read_measure, read_signal, synthesize
+from localmf import (ModelSpec, gen_mbm, read_measure, read_signal,
+                     synthesize, write_measure)
 from localmf.cli import _table, main
 from localmf.synth import write_jumps
 
@@ -441,18 +442,126 @@ class TestBirkhoff:
     @pytest.mark.parametrize("command", ["analyze", "check-oracle"])
     def test_family_needs_only_its_potential(self, tmp_path, command):
         potential = {"a": 0.4, "b": 1.1}
-        cfg = write_spec(tmp_path, "cfg.json", {"potential": potential})
-        argv = [command, "--family", "birkhoff", "--config", cfg,
+        argv = [command, "--family", "birkhoff",
                 "--deterministic", "--out", str(tmp_path / "out")]
-        if command == "check-oracle":    # the spec gives the oracle
+        if command == "check-oracle":    # the spec gives family and oracle
             argv += ["--spec", write_spec(tmp_path, "birkhoff.json", {
                 "kind": "birkhoff", "params": potential})]
+        else:
+            argv += ["--config", write_spec(tmp_path, "cfg.json",
+                                            {"potential": potential})]
         assert main(argv) == 0
         results = json.loads((tmp_path / "out" / "results.json").read_text())
         assert np.all(np.isfinite(results["windows"][0]["tau"]))
         if command == "check-oracle":
             summary = json.loads((tmp_path / "out" / "summary.json").read_text())
             assert summary["max_abs_tau_deviation"] < 1e-9
+
+    def test_check_oracle_from_the_spec_alone(self, tmp_path):
+        spec = write_spec(tmp_path, "birkhoff.json", {
+            "kind": "birkhoff", "params": {"a": 0.4, "b": 1.1}})
+        out = tmp_path / "out"
+        assert main(["check-oracle", "--spec", spec, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["max_abs_tau_deviation"] < 1e-9
+
+    @pytest.mark.parametrize("params, config, named", [
+        ({"a": 0.4, "b": 1.1}, {"potential": {"a": 0.4, "b": 1.1}},
+         "potential"),
+        ({"a": "x", "b": 1.1}, {}, "'a'"),
+    ], ids=["config-potential", "non-numeric-digit"])
+    def test_check_oracle_rejects_a_potential_or_bad_spec_digit(
+            self, tmp_path, capsys, params, config, named):
+        spec = write_spec(tmp_path, "birkhoff.json",
+                          {"kind": "birkhoff", "params": params})
+        rc = main(["check-oracle", "--spec", spec, "--config",
+                   write_spec(tmp_path, "cfg.json", config),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: validation:") and "\n" not in err
+        assert named in err
+
+
+class TestFamilyTable:
+    """Each family kind reads exactly the family options its table row
+    names; any other one set away from its default exits 2."""
+
+    READS = {"measure": {"--j-max"}, "plain-measure": {"--j-max"},
+             "oscillation": {"--j-max", "--osc-order"},
+             "leaders": {"--filter", "--frac-int"},
+             "p-leaders:2": {"--filter", "--frac-int"},
+             "birkhoff": {"--j-max"}}
+    OPTIONS = {"--j-max": "8", "--osc-order": "2", "--filter": "haar",
+               "--frac-int": "0.5"}
+
+    @pytest.fixture(scope="class")
+    def sources(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("sources")
+        write_measure(d / "measure.txt", synthesize(ModelSpec(
+            "binomial", {"p": 0.4, "J": 10}))["measure"])
+        walk = np.cumsum(np.random.default_rng(3).standard_normal(1 << 10))
+        (d / "walk.txt").write_text("\n".join(repr(float(v)) for v in walk)
+                                    + "\n")
+        (d / "cfg.json").write_text(json.dumps({"potential": {"a": 0.4,
+                                                              "b": 1.1}}))
+        return {"measure": ["--input", str(d / "measure.txt")],
+                "signal": ["--input", str(d / "walk.txt")],
+                "potential": ["--config", str(d / "cfg.json")]}
+
+    @pytest.mark.parametrize("option", list(OPTIONS))
+    @pytest.mark.parametrize("family", list(READS))
+    def test_family_reads_exactly_its_options(self, tmp_path, capsys, sources,
+                                              family, option):
+        source = sources[{"measure": "measure", "plain-measure": "measure",
+                          "birkhoff": "potential"}.get(family, "signal")]
+        argv = ["analyze", "--family", family, *source, "--p-grid=-2:2:1",
+                "--deterministic"]
+        rc = main(argv + [option, self.OPTIONS[option],
+                          "--out", str(tmp_path / "set")])
+        err = capsys.readouterr().err.strip()
+        if option not in self.READS[family]:
+            assert rc == 2
+            assert err.startswith("error: validation:") and "\n" not in err
+            assert option in err
+            return
+        assert rc == 0, err
+        assert main(argv + ["--out", str(tmp_path / "default")]) == 0
+        assert ((tmp_path / "set" / "results.json").read_bytes()
+                != (tmp_path / "default" / "results.json").read_bytes())
+
+    @pytest.mark.parametrize("argv, named", [
+        (["analyze", "--family", "leaders", "--input", "SIGNAL",
+          "--j-max", "6"], "--j-max"),
+        (["analyze", "--family", "p-leaders:2", "--input", "SIGNAL",
+          "--j-max", "6"], "--j-max"),
+        (["check-oracle", "--spec", "MBM", "--j-max", "8"], "--j-max"),
+        (["analyze", "--family", "leaders", "--input", "SIGNAL",
+          "--config", "POTENTIAL"], "potential"),
+        (["analyze", "--spec", "BIRKHOFF", "--family", "leaders"], "signal"),
+        (["synth", "--input", "SIGNAL"], "--spec"),
+        (["report", "--spec", "MBM"], "--input"),
+        (["check-oracle", "--input", "SIGNAL"], "--spec"),
+    ], ids=["leaders-j-max", "p-leaders-j-max", "check-oracle-mbm-j-max",
+            "leaders-potential", "birkhoff-spec-leaders", "synth-input",
+            "report-spec", "check-oracle-input"])
+    def test_unread_option_or_wrong_source_exits_2(self, tmp_path, capsys,
+                                                   sources, argv, named):
+        files = {
+            "SIGNAL": sources["signal"][1],
+            "POTENTIAL": sources["potential"][1],
+            "MBM": write_spec(tmp_path, "mbm.json", {
+                "kind": "mbm", "params": {"H": 0.5, "J": 10}}),
+            "BIRKHOFF": write_spec(tmp_path, "birkhoff.json", {
+                "kind": "birkhoff", "params": {"a": 0.4, "b": 1.1}}),
+        }
+        rc = main([files.get(a, a) for a in argv]
+                  + ["--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: validation:") and "\n" not in err
+        assert named in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestReport:
@@ -736,15 +845,21 @@ class TestProcess:
     turned into errors, so only a real process shows every stderr line."""
 
     @pytest.mark.parametrize("argv, code", [
-        (["analyze", "--p-grid=-1,inf"], 2), (["analyze", "--help"], 0),
-    ], ids=["non-finite-p-grid", "help"])
+        (["analyze", "--p-grid=-1,inf", "--spec", "BINOM"], 2),
+        (["analyze", "--help"], 0),
+        (["synth", "--input", "SIGNAL"], 2),
+        (["analyze", "--family", "leaders", "--j-max", "6", "--input",
+          "SIGNAL"], 2),
+    ], ids=["non-finite-p-grid", "help", "synth-input", "leaders-j-max"])
     def test_exit_code_and_at_most_one_stderr_line(self, tmp_path, argv, code):
-        spec = write_spec(tmp_path, "binom.json",
-                          {"kind": "binomial", "params": {"p": 0.4, "J": 10}})
+        files = {"BINOM": write_spec(tmp_path, "binom.json", {
+            "kind": "binomial", "params": {"p": 0.4, "J": 10}})}
+        files["SIGNAL"] = str(tmp_path / "sig.txt")
+        Path(files["SIGNAL"]).write_text("0.0\n" * 1024)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run(
-            [sys.executable, "-m", "localmf", *argv, "--spec", spec,
+            [sys.executable, "-m", "localmf", *(files.get(a, a) for a in argv),
              "--out", str(tmp_path / "out")],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == code

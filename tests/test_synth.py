@@ -251,6 +251,18 @@ class TestMarkovJump:
         assert s[1] == pytest.approx(1.0)
         assert np.isneginf(s[2])
 
+    def test_oracle_global_values_are_extrema_over_its_t_grid(self):
+        spec, path = self.make()
+        orc = oracle(spec, realization=path)
+        ts = np.linspace(0.0, path.T, 257, endpoint=False)[1:]
+        ps = np.arange(0.0, 3.25, 0.25)
+        hs = np.linspace(0.0, 2.5, 26)
+        np.testing.assert_array_equal(
+            orc.tau_global(ps), np.min([orc.tau(t, ps) for t in ts], axis=0))
+        np.testing.assert_array_equal(
+            orc.spectrum_global(hs),
+            np.max([orc.spectrum(t, hs) for t in ts], axis=0))
+
     def test_jump_csv(self, tmp_path):
         _, path = self.make()
         f = tmp_path / "jumps.csv"
@@ -368,6 +380,28 @@ class TestOracles:
         x = 0.22
         np.testing.assert_allclose(orc.tau(x, ps),
                                    H_fn(np.array(x)) * ps - 1.0, atol=1e-12)
+
+    def test_mbm_global_values_are_extrema_of_the_local_ones(self):
+        orc = oracle(ModelSpec("mbm", {"H": [[0.0, 0.4], [0.5, 0.7],
+                                             [1.0, 0.45]]}))
+        ps = np.arange(-3.0, 3.5, 0.5)
+        per_x = [orc.tau(x, ps) for x in np.linspace(0.0, 1.0, 2049)]
+        np.testing.assert_array_equal(orc.tau_global(ps),
+                                      np.min(per_x, axis=0))
+        lo, hi = 0.4, 0.7
+        H = np.array([lo - 2e-9, lo - 1e-9, lo, 0.55, hi, hi + 1e-9,
+                      hi + 2e-9])
+        np.testing.assert_array_equal(orc.spectrum_global(H),
+                                      [-np.inf, 1, 1, 1, 1, 1, -np.inf])
+        np.testing.assert_array_equal(orc.spectrum(0.5, [0.7, 0.55]),
+                                      [1.0, -np.inf])
+
+    def test_cantor_pair_global_tau_is_the_smaller_component(self):
+        orc = oracle(ModelSpec("cantor_pair", {"J": 12}))
+        qs = np.arange(-4.0, 4.5, 0.5)
+        np.testing.assert_array_equal(
+            orc.tau_global(qs), np.minimum((qs - 1) / 2, (qs - 1) / 4))
+        np.testing.assert_array_equal(orc.tau(0.8, qs), (qs - 1) / 4)
 
     def test_synthesize_dispatch(self):
         assert "measure" in synthesize(ModelSpec("binomial", {"p": 0.3, "J": 8}))
