@@ -24,7 +24,6 @@ from .dyadic import (
     cube_at,
     lower_exponent,
     neighborhood,
-    restrict,
     upper_exponent,
 )
 from .errors import (

@@ -38,6 +38,11 @@ _FAMILIES = {
     "birkhoff": (None, ("j_max",)),
 }
 _FAMILY_OPTIONS = {"j_max", "osc_order", "filter_id", "frac_int"}
+# The options synth and report read; they read no family or analysis option.
+_COMMAND_OPTIONS = {
+    "synth": ("model", "seed", "out_dir", "deterministic"),
+    "report": ("input_path", "out_dir", "deterministic"),
+}
 
 
 class ConfigError(AnalysisError):
@@ -281,7 +286,10 @@ class PipelineConfig:
             raise ConfigError(f"{self.command} reads no 'potential' config "
                               f"entry; only a birkhoff family in analyze or "
                               f"local does")
-        if self.command not in ("synth", "report"):
+        if self.command in _COMMAND_OPTIONS:
+            checks = [({f.name for f in _options()}
+                       - set(_COMMAND_OPTIONS[self.command]), self.command)]
+        else:
             unread = ["windows"] if self.command == "check-oracle" else []
             if self.mode != "local":
                 unread += ["x_grid", "radii", "min_cubes"]
@@ -293,22 +301,22 @@ class PipelineConfig:
                                       "analyzes order-1 oscillations only")
                 unread += ["mode", "p_grid", "H_grid"]
                 where = "on a markov_jump model (pointwise exponents)"
-            defaults = PipelineConfig(self.command)
-            for names, who in ((unread, f"{self.command} {where}"),
-                               (_FAMILY_OPTIONS - set(family_options),
-                                f"a {base} family")):
-                ignored = [f.metadata["flag"] for f in _options()
-                           if f.name in names and not np.array_equal(
-                               getattr(self, f.name), getattr(defaults, f.name))]
-                if ignored:
-                    raise ConfigError(f"{who} reads no " + ", ".join(ignored))
-            if (self.mode == "local" and self.windows
-                    and not isinstance(self.x_grid, int)):
-                outside = [float(x) for x in self.x_grid
-                           if not any(w.contains(x) for w in self.windows)]
-                if outside:
-                    raise ConfigError(f"base points {outside} lie outside "
-                                      f"every window")
+            checks = [(unread, f"{self.command} {where}"),
+                      (_FAMILY_OPTIONS - set(family_options), f"a {base} family")]
+        defaults = PipelineConfig(self.command)
+        for names, who in checks:
+            ignored = [f.metadata["flag"] for f in _options()
+                       if f.name in names and not np.array_equal(
+                           getattr(self, f.name), getattr(defaults, f.name))]
+            if ignored:
+                raise ConfigError(f"{who} reads no " + ", ".join(ignored))
+        if (self.mode == "local" and self.windows
+                and not isinstance(self.x_grid, int)):
+            outside = [float(x) for x in self.x_grid
+                       if not any(w.contains(x) for w in self.windows)]
+            if outside:
+                raise ConfigError(f"base points {outside} lie outside "
+                                  f"every window")
         if self.input_path is not None and not Path(self.input_path).exists():
             raise ConfigError(f"unreadable input {self.input_path!r}")
 

@@ -33,7 +33,6 @@ __all__ = [
     "ExponentEstimate",
     "cube_at",
     "neighborhood",
-    "restrict",
     "lower_exponent",
     "upper_exponent",
 ]
@@ -60,10 +59,6 @@ class DyadicCube:
     def hi(self) -> float:
         return (self.k + 1) * 2.0 ** -self.j
 
-    @property
-    def width(self) -> float:
-        return 2.0 ** -self.j
-
     def contains(self, x: float) -> bool:
         return self.lo <= x < self.hi
 
@@ -72,11 +67,6 @@ class DyadicCube:
         if self.j == 0:
             raise DomainError("the root cube has no parent")
         return DyadicCube(self.j - 1, self.k >> 1)
-
-    @property
-    def children(self) -> tuple["DyadicCube", "DyadicCube"]:
-        return (DyadicCube(self.j + 1, 2 * self.k),
-                DyadicCube(self.j + 1, 2 * self.k + 1))
 
 
 @dataclass(frozen=True)
@@ -89,10 +79,6 @@ class Window:
     def __post_init__(self):
         if not (0.0 <= self.lo < self.hi <= 1.0):
             raise WindowError(f"invalid window [{self.lo}, {self.hi})")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
     def contains(self, x: float) -> bool:
         return self.lo <= x < self.hi
@@ -241,17 +227,12 @@ class DyadicFamily:
                 out[i] = self._values[i][k - k_lo]
         return out
 
-    def restrict(self, w: Window) -> "DyadicFamily":
-        return restrict(self, w)
 
-    def __repr__(self):
-        return (f"DyadicFamily(j_min={self.j_min}, j_max={self.j_max}, "
-                f"window=[{self.window.lo}, {self.window.hi}))")
-
-
-def _clip_window(family: DyadicFamily, w: Window) -> Window:
-    """The part of w inside the family's window; it must hold a cube of the
-    finest scale."""
+def _clip_window(family: DyadicFamily, w: Window | None) -> Window:
+    """The part of w inside the family's window, which must hold a cube of
+    the finest scale; the family's window itself when w is None."""
+    if w is None:
+        return family.window
     inter = family.window.intersect(w)
     if inter is None:
         raise WindowError(f"window [{w.lo}, {w.hi}) does not overlap the family")
@@ -259,22 +240,6 @@ def _clip_window(family: DyadicFamily, w: Window) -> Window:
         raise EmptyWindowError(
             f"no cube of scale {family.j_max} fits inside [{inter.lo}, {inter.hi})")
     return inter
-
-
-def restrict(family: DyadicFamily, w: Window) -> DyadicFamily:
-    """Family keeping exactly the cubes contained in w; scale range unchanged."""
-    inter = _clip_window(family, w)
-    values, valid = [], []
-    for j in family.scales:
-        old_lo, _ = family.window.cube_range(j)
-        new_lo, new_hi = inter.cube_range(j)
-        sl = slice(new_lo - old_lo, new_hi - old_lo)
-        values.append(family.values_at(j)[sl])
-        m = family.valid_at(j)
-        if m is not None:
-            valid.append(m[sl])
-    return DyadicFamily(family.j_min, family.j_max, inter, values,
-                        valid=valid if family._valid is not None else None)
 
 
 @dataclass(frozen=True)

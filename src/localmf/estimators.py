@@ -62,7 +62,6 @@ from .dyadic import (
     _estimate,
     _fit_scales,
     _line_fit,
-    restrict,
 )
 from .errors import (
     CoverageError,
@@ -100,10 +99,12 @@ LEGENDRE_FLOOR = -10.0
 # structure and scaling functions
 
 
-def _masked_values(family: DyadicFamily, j: int) -> np.ndarray:
-    v = family.values_at(j)
-    m = family.valid_at(j)
-    return v if m is None else v[m]
+def _cube_values(family: DyadicFamily, j: int, a: int, b: int) -> np.ndarray:
+    """Values of the valid scale-j cubes of offsets [a, b), read in place;
+    the family must store every one of them."""
+    k_lo = family.k_lo(j)
+    v, m = family.values_at(j)[a - k_lo:b - k_lo], family.valid_at(j)
+    return v if m is None else v[m[a - k_lo:b - k_lo]]
 
 
 # float64 entries of one kernel block (512 kB): the fastest size from 2^12
@@ -124,11 +125,6 @@ def _p_walks(p_grid) -> list:
         walks.append((ips, [(steps[a], ips[a:b].tolist()) for a, b
                             in zip(firsts, [*firsts[1:], ips.size])]))
     return walks
-
-
-def _segment_log2_sums(log2e, p_grid, d, t) -> np.ndarray:
-    """:func:`_walk_log2_sums` over the walk of ``p_grid``."""
-    return _walk_log2_sums(log2e, p_grid, _p_walks(p_grid), d, t)
 
 
 def _walk_log2_sums(log2e, p_grid, walks, d, t) -> np.ndarray:
@@ -219,7 +215,8 @@ def _window_sums(family: DyadicFamily, windows, scales, p_grid):
     each scale (n_windows x n_scales).
 
     At each scale the cubes are cut at the edges of every window into
-    segments. Each segment a window covers is summed once per p by
+    segments. Each segment a window covers is read in place by
+    :func:`_cube_values` and summed once per p by
     :func:`_walk_log2_sums`, over one walk of the p grid and block by block
     in two scratch blocks, both shared by every segment of the call, and
     every window combines the sums of its segments by :func:`_log2_runs`.
@@ -238,8 +235,7 @@ def _window_sums(family: DyadicFamily, windows, scales, p_grid):
     d, t = np.empty(block), np.empty(block)
     walks = _p_walks(p_grid)
     for i, j in enumerate(scales):
-        v, valid = family.values_at(j), family.valid_at(j)
-        ends = np.array([w.cube_range(j) for w in windows]) - family.k_lo(j)
+        ends = np.array([w.cube_range(j) for w in windows])
         edges, runs = np.unique(ends, return_inverse=True)
         runs = runs.reshape(n_w, 2)
         # depth > 0 marks the segments some window covers
@@ -250,8 +246,7 @@ def _window_sums(family: DyadicFamily, windows, scales, p_grid):
         seg_valid = np.zeros(edges.size, dtype=int)   # counts of segment s at s + 1
         seg_pos = np.zeros_like(seg_valid)
         for s in np.flatnonzero(np.cumsum(depth)[:-1] > 0):
-            a, b = edges[s], edges[s + 1]
-            sv = v[a:b] if valid is None else v[a:b][valid[a:b]]
+            sv = _cube_values(family, j, edges[s], edges[s + 1])
             log2e = sv[sv > 0]
             seg_valid[s + 1], seg_pos[s + 1] = sv.size, log2e.size
             if log2e.size:
@@ -269,13 +264,13 @@ def structure_function(family: DyadicFamily, window: Window | None, p: float,
                        return_excluded: bool = False):
     """Per-scale sums S_j = sum over scale-j cubes in the window of e^p.
 
-    Returns an array aligned with ``family.scales`` (after restriction to
-    the window). With ``return_excluded`` also returns the per-scale count
-    of zero-valued cubes left out of the sum (nonzero only for p <= 0).
+    Returns an array aligned with ``family.scales``. With
+    ``return_excluded`` also returns the per-scale count of zero-valued
+    cubes left out of the sum (nonzero only for p <= 0).
     Sums of 2^1024 or more raise :class:`RangeError`; their logarithms
     stay available through :func:`scaling_function` (``log2_S``).
     """
-    w = family.window if window is None else _clip_window(family, window)
+    w = _clip_window(family, window)
     log2_S, excluded, _ = _window_sums(family, [w], family.scales, [p])
     log2_S = log2_S[0, 0]
     too_big = log2_S >= 1024.0
@@ -349,8 +344,7 @@ def _scaling_functions(family: DyadicFamily, windows, p_grid, fit_ranges,
     if not windows:
         return []
     p_grid = np.ascontiguousarray(p_grid, dtype=float)
-    clipped = [family.window if w is None else _clip_window(family, w)
-               for w in windows]
+    clipped = [_clip_window(family, w) for w in windows]
     ranges = [_fit_scales(family, fr, family.j_max - 1, 4) for fr in fit_ranges]
     scales = np.arange(min(r[0] for r in ranges), max(r[1] for r in ranges) + 1)
     log2_S, excluded, n_valid = _window_sums(family, clipped, scales, p_grid)
@@ -378,12 +372,21 @@ def uniform_exponent(family: DyadicFamily, window: Window | None = None,
                      method: str = "tail-min",
                      fit_range: tuple[int, int] | None = None) -> ExponentEstimate:
     """Slope surrogate of log2 (sup_lambda e_lambda) against -j: the uniform
-    regularity exponent of the family on the window."""
-    f = family if window is None else restrict(family, window)
-    j1, j2 = _fit_scales(f, fit_range, f.j_max, 2)
+    regularity exponent of the family on the window.
+
+    The ``tail-min`` chords log2 sup / (-j) are anchored at scale 0, not
+    at the window's own scale, so on a window they carry a bias that a
+    smaller radius does not remove: on the J=20 localized Bernoulli with p(x) = 0.2 + 0.25 x and
+    fit (8, 20), the balls B(x, 2^-4 .. 2^-8) at x = 0.25, 0.5 and 0.75
+    give 0.567, 0.607 and 0.726 at every radius, where h_min(x) =
+    -log2(1 - p(x)) is 0.439, 0.567 and 0.707. ``regression`` matches
+    h_min to 3 digits there.
+    """
+    w = _clip_window(family, window)
+    j1, j2 = _fit_scales(family, fit_range, family.j_max, 2)
     js, sups = [], []
     for j in range(j1, j2 + 1):
-        v = _masked_values(f, j)
+        v = _cube_values(family, j, *w.cube_range(j))
         if v.size:
             js.append(j)
             sups.append(v.max())
@@ -678,7 +681,7 @@ def besov_membership(family: DyadicFamily, s: float, p: float,
         raise DomainError(f"Besov membership is undefined for p = {p}")
     if not math.isfinite(s):
         raise DomainError(f"Besov membership needs a finite s, got {s}")
-    w = family.window if window is None else _clip_window(family, window)
+    w = _clip_window(family, window)
     if fit_range is None:
         fit_range = (max(3, family.j_min), family.j_max)
     j1 = max(int(fit_range[0]), family.j_min)
@@ -687,8 +690,8 @@ def besov_membership(family: DyadicFamily, s: float, p: float,
         raise ScaleError(f"scale range ({j1}, {j2}) holds no scale of the family")
     js = np.arange(j1, j2 + 1, dtype=float)
     if math.isinf(p):
-        f = family if window is None else restrict(family, window)
-        sups = [_masked_values(f, j).max(initial=0.0) for j in range(j1, j2 + 1)]
+        sups = [_cube_values(family, j, *w.cube_range(j)).max(initial=0.0)
+                for j in range(j1, j2 + 1)]
         with np.errstate(divide="ignore"):
             log2_c = s * js + np.log2(sups)
     else:

@@ -116,10 +116,6 @@ class WaveletPyramid:
         return self.n_samples.bit_length() - 1
 
     @property
-    def j_max(self) -> int:
-        return self.J - 1
-
-    @property
     def analysis_scales(self) -> range:
         return range(self.j_analysis_min, self.J)
 

@@ -542,9 +542,14 @@ class TestFamilyTable:
         (["synth", "--input", "SIGNAL"], "--spec"),
         (["report", "--spec", "MBM"], "--input"),
         (["check-oracle", "--input", "SIGNAL"], "--spec"),
+        (["synth", "--spec", "MBM", "--j-max", "8", "--family", "oscillation",
+          "--p-grid=-1:1:1"], "synth reads no --family, --j-max, --p-grid"),
+        (["report", "--input", "RESULTS", "--x-grid", "0.5", "--filter",
+          "haar"], "report reads no --filter, --x-grid"),
     ], ids=["leaders-j-max", "p-leaders-j-max", "check-oracle-mbm-j-max",
             "leaders-potential", "birkhoff-spec-leaders", "synth-input",
-            "report-spec", "check-oracle-input"])
+            "report-spec", "check-oracle-input", "synth-analysis-options",
+            "report-analysis-options"])
     def test_unread_option_or_wrong_source_exits_2(self, tmp_path, capsys,
                                                    sources, argv, named):
         files = {
@@ -554,6 +559,7 @@ class TestFamilyTable:
                 "kind": "mbm", "params": {"H": 0.5, "J": 10}}),
             "BIRKHOFF": write_spec(tmp_path, "birkhoff.json", {
                 "kind": "birkhoff", "params": {"a": 0.4, "b": 1.1}}),
+            "RESULTS": write_spec(tmp_path, "results.json", {"windows": []}),
         }
         rc = main([files.get(a, a) for a in argv]
                   + ["--out", str(tmp_path / "out")])
@@ -562,6 +568,17 @@ class TestFamilyTable:
         assert err.startswith("error: validation:") and "\n" not in err
         assert named in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "report"])
+    def test_synth_and_report_take_every_option_they_read(self, tmp_path,
+                                                          command):
+        spec = write_spec(tmp_path, "mbm.json", {
+            "kind": "mbm", "params": {"H": 0.5, "J": 10}})
+        results = write_spec(tmp_path, "results.json", {"windows": []})
+        argv = {"synth": ["--spec", spec, "--seed", "3"],
+                "report": ["--input", results]}[command]
+        assert main([command, *argv, "--out", str(tmp_path / "out"),
+                     "--deterministic"]) == 0
 
 
 class TestReport:
@@ -850,7 +867,9 @@ class TestProcess:
         (["synth", "--input", "SIGNAL"], 2),
         (["analyze", "--family", "leaders", "--j-max", "6", "--input",
           "SIGNAL"], 2),
-    ], ids=["non-finite-p-grid", "help", "synth-input", "leaders-j-max"])
+        (["report", "--input", "SIGNAL", "--x-grid", "0.5"], 2),
+    ], ids=["non-finite-p-grid", "help", "synth-input", "leaders-j-max",
+            "report-x-grid"])
     def test_exit_code_and_at_most_one_stderr_line(self, tmp_path, argv, code):
         files = {"BINOM": write_spec(tmp_path, "binom.json", {
             "kind": "binomial", "params": {"p": 0.4, "J": 10}})}

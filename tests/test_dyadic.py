@@ -13,10 +13,12 @@ from localmf import (
     OutOfWindowError,
     ScaleError,
     Window,
+    WindowError,
+    besov_membership,
     cube_at,
     lower_exponent,
     neighborhood,
-    restrict,
+    uniform_exponent,
     upper_exponent,
 )
 from localmf.dyadic import _line_fit
@@ -26,6 +28,11 @@ def power_law_family(alpha, j_max=12, c=1.0, window=Window(0.0, 1.0)):
     values = [np.full(window.n_cubes(j), c * 2.0 ** (-alpha * j))
               for j in range(j_max + 1)]
     return DyadicFamily(0, j_max, window, values)
+
+
+def sup_besov(F, w):
+    """Besov membership for p = infinity on the window w."""
+    return besov_membership(F, 0.5, math.inf, window=w)
 
 
 class TestCubeAt:
@@ -60,24 +67,17 @@ class TestNeighborhood:
 
 
 class TestRestrict:
-    def test_left_half(self):
-        F = power_law_family(0.5, j_max=8)
-        R = restrict(F, Window(0.0, 0.5))
-        for j in range(1, 9):
-            assert R.n_cubes(j) == 1 << (j - 1)
-            assert R.k_lo(j) == 0
-
-    def test_identity(self):
-        F = power_law_family(0.5, j_max=8)
-        R = restrict(F, F.window)
-        for j in F.scales:
-            np.testing.assert_array_equal(R.values_at(j), F.values_at(j))
+    """Estimators restricted to a window that holds no cube of the finest
+    scale raise EmptyWindowError."""
 
     def test_too_narrow(self):
         F = power_law_family(0.5, j_max=8)
-        with pytest.raises(EmptyWindowError):
-            restrict(F, Window(0.1, 0.1 + 2.0 ** -10))
+        for estimate in (uniform_exponent, sup_besov):
+            with pytest.raises(EmptyWindowError):
+                estimate(F, Window(0.1, 0.1 + 2.0 ** -10))
 
+
+class TestWindow:
     @given(st.integers(min_value=1, max_value=5), st.data())
     @settings(max_examples=50)
     def test_partition_exactness(self, m, data):
@@ -253,18 +253,7 @@ class TestValidationErrors:
             Window.ball(x, r)
 
     def test_no_overlap_restrict(self):
-        from localmf import WindowError
         F = power_law_family(0.5, j_max=8, window=Window(0.0, 0.25))
-        with pytest.raises(WindowError):
-            restrict(F, Window(0.5, 1.0))
-
-
-class TestRestrictIdempotence:
-    def test_double_restrict(self):
-        F = power_law_family(0.5, j_max=9)
-        w = Window(0.125, 0.625)
-        once = restrict(F, w)
-        twice = restrict(once, w)
-        assert twice.window == once.window
-        for j in once.scales:
-            np.testing.assert_array_equal(twice.values_at(j), once.values_at(j))
+        for estimate in (uniform_exponent, sup_besov):
+            with pytest.raises(WindowError):
+                estimate(F, Window(0.5, 1.0))

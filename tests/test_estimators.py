@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localmf import (
+    AnalysisError,
     CoverageError,
     DyadicFamily,
     ModelSpec,
@@ -29,7 +30,8 @@ from localmf import (
     synthesize,
     uniform_exponent,
 )
-from localmf.estimators import _BLOCK, FitPolicy, _segment_log2_sums
+from localmf.dyadic import _clip_window
+from localmf.estimators import _BLOCK, FitPolicy, _p_walks, _walk_log2_sums
 
 
 def power_family(alpha, j_max=12, window=Window(0.0, 1.0)):
@@ -186,6 +188,19 @@ class TestUniformExponent:
                                  fit_range=(8, 15)).value)
         assert abs(np.mean(estimates) - 0.3) <= 0.1
 
+
+    def test_localized_bernoulli_h_min_on_balls(self):
+        # h_min(x) = -log2(1 - p(x)) with p(x) = 0.2 + 0.25 x; the regression
+        # slope meets it within 1.3e-4 at every ball below (1e-3 allowed)
+        spec = ModelSpec("localized_bernoulli",
+                         {"p": [[0.0, 0.2], [1.0, 0.45]], "J": 20})
+        F = plain_measure_family(synthesize(spec)["measure"], 20)
+        for x in (0.25, 0.5, 0.75):
+            h_min = -math.log2(1.0 - (0.2 + 0.25 * x))
+            for r in (2.0 ** -4, 2.0 ** -6, 2.0 ** -8):
+                est = uniform_exponent(F, Window.ball(x, r),
+                                       method="regression", fit_range=(8, 20))
+                assert abs(est.value - h_min) <= 1e-3
 
     @pytest.mark.parametrize("method", ["tail-min", "regression"])
     def test_scale_zero_leaves_the_fit(self, method):
@@ -532,6 +547,18 @@ def largest_top_segment(family, windows):
     return max(int(keep[a:b].sum()) for a, b in zip(edges[:-1], edges[1:]))
 
 
+def family_on(F, w):
+    """F's cubes inside w, clipped to F's window, as a family of their own,
+    built from F's sliced arrays and masks."""
+    w = _clip_window(F, w)
+    cuts = [slice(*np.subtract(w.cube_range(j), F.k_lo(j))) for j in F.scales]
+    valid = None
+    if F.valid_at(F.j_min) is not None:
+        valid = [F.valid_at(j)[cut] for j, cut in zip(F.scales, cuts)]
+    return DyadicFamily(F.j_min, F.j_max, w, [F.values_at(j)[cut] for j, cut
+                                              in zip(F.scales, cuts)], valid)
+
+
 def sample_windows(J):
     cube = 2.0 ** -J
     return [
@@ -546,11 +573,10 @@ class TestWindowSums:
     @pytest.mark.parametrize("make", [
         lambda: rough_family(), lambda: rough_family(masked=True),
         leader_family,
-        lambda: rough_family(masked=True).restrict(Window(0.125, 0.875)),
+        lambda: family_on(rough_family(masked=True), Window(0.125, 0.875)),
         block_family,
     ], ids=["zeros", "zeros-masked", "leaders", "restricted", "blocks"])
     def test_matches_direct_sums(self, make):
-        from localmf.dyadic import _clip_window
         from localmf.estimators import _window_sums
         F = make()
         windows = [w for w in sample_windows(F.j_max)
@@ -644,7 +670,7 @@ class TestWindowSums:
         d, t = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = _segment_log2_sums(log2e, ps, d, t)
+            got = _walk_log2_sums(log2e, ps, _p_walks(ps), d, t)
         ref = np.logaddexp2.reduce(np.outer(ps, log2e), axis=1)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
         assert got[ps == 0] == np.log2(float(n))
@@ -695,7 +721,7 @@ class TestWindowSums:
         d, t = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = _segment_log2_sums(log2e, ps, d, t)
+            got = _walk_log2_sums(log2e, ps, _p_walks(ps), d, t)
         ref = np.logaddexp2.reduce(np.outer(ps, log2e), axis=1)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
         assert np.all(got[ps == 0] == np.log2(float(n)))
@@ -708,10 +734,73 @@ class TestWindowSums:
         d, t = np.empty(_BLOCK), np.empty(_BLOCK)
         tracemalloc.start()
         try:
-            got = _segment_log2_sums(log2e, ps, d, t)
+            got = _walk_log2_sums(log2e, ps, _p_walks(ps), d, t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < _BLOCK * 8 // 4
         ref = np.logaddexp2.reduce(np.outer(ps, log2e), axis=1)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def outcome(call):
+    """The repr of call()'s result, exact for every float in it, or the
+    type of the AnalysisError it raises."""
+    try:
+        return repr(call())
+    except AnalysisError as exc:
+        return type(exc)
+
+
+def zero_family(J=9):
+    return DyadicFamily(0, J, Window(0.0, 1.0),
+                        [np.zeros(1 << j) for j in range(J + 1)])
+
+
+
+
+class TestWindowReads:
+    """The sup-based estimators read a window's cubes in place and give,
+    bit for bit and errors included, what they give on a family of its
+    own holding exactly those cubes."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: BINOM, lambda: rough_family(masked=True), leader_family,
+        zero_family,
+        lambda: family_on(rough_family(masked=True), Window(0.125, 0.875)),
+    ], ids=["plain", "masked-rough", "leaders", "all-zero", "part-domain"])
+    def test_equal_to_the_family_on_the_window(self, make):
+        F = make()
+        J = F.j_max
+        fit_ranges = [None, (1, J), (J - 1, J), (J + 1, J + 4)]
+        outcomes = set()
+        for w in sample_windows(J):
+            for method in ("tail-min", "regression"):
+                for fr in fit_ranges:
+                    got = outcome(lambda: uniform_exponent(F, w, method, fr))
+                    assert got == outcome(lambda: uniform_exponent(
+                        family_on(F, w), None, method, fr)), (w, method, fr)
+                    outcomes.add(got if isinstance(got, type) else "value")
+            for s in (0.3, 1.0):
+                for fr in [None, (0, J)] + fit_ranges[2:]:
+                    got = outcome(lambda: besov_membership(
+                        F, s, math.inf, window=w, fit_range=fr))
+                    assert got == outcome(lambda: besov_membership(
+                        family_on(F, w), s, math.inf, fit_range=fr)), (w, s, fr)
+                    outcomes.add(got if isinstance(got, type) else "value")
+        assert {"value", ScaleError} <= outcomes
+
+    def test_invalid_cubes_never_enter_a_sup(self):
+        # the same masked family with its invalid cubes raised above every
+        # valid one: a read that kept them would change the sups
+        F = rough_family(masked=True)
+        masks = [F.valid_at(j) for j in F.scales]
+        G = DyadicFamily(0, F.j_max, F.window,
+                         [np.where(m, F.values_at(j), 4.0)
+                          for j, m in zip(F.scales, masks)], masks)
+        for w in sample_windows(F.j_max):
+            for estimate in (
+                    lambda F: uniform_exponent(F, w, "regression"),
+                    lambda F: besov_membership(F, 0.5, math.inf, window=w)):
+                assert outcome(lambda: estimate(F)) == outcome(
+                    lambda: estimate(G)), w
