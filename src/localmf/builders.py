@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from ._textio import format_rows, parse_rows
-from .dyadic import DyadicFamily, Window
+from .dyadic import DyadicFamily
 from .errors import DomainError, RangeError, ScaleError, SignalError
 
 __all__ = [
@@ -93,15 +93,14 @@ def measure_family(measure: BinnedMeasure, j_max: int) -> DyadicFamily:
     """Family e_lambda = mu(3 lambda), the neighborhood mass (clipped at the
     domain boundary)."""
     _require_scales(measure, j_max)
-    return DyadicFamily(0, j_max, Window(0.0, 1.0),
-                        [_neighbor3(mu, np.add, 0.0)
-                         for mu in _cube_masses(measure, j_max)])
+    return DyadicFamily(0, j_max, [_neighbor3(mu, np.add, 0.0)
+                                   for mu in _cube_masses(measure, j_max)])
 
 
 def plain_measure_family(measure: BinnedMeasure, j_max: int) -> DyadicFamily:
     """Family e_lambda = mu(lambda), the dyadic (non-enlarged) cube mass."""
     _require_scales(measure, j_max)
-    return DyadicFamily(0, j_max, Window(0.0, 1.0), _cube_masses(measure, j_max))
+    return DyadicFamily(0, j_max, _cube_masses(measure, j_max))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +141,7 @@ def oscillation_family(signal, order: int = 1, j_max: int | None = None) -> Dyad
             hi = _neighbor3(maxs[j], np.maximum, -np.inf)
             lo = _neighbor3(mins[j], np.minimum, np.inf)
             values.append(hi - lo)
-        return DyadicFamily(0, j_max, Window(0.0, 1.0), values)
+        return DyadicFamily(0, j_max, values)
 
     # Order 2, one lag at a time: d_h = |x[i+2h] - 2 x[i+h] + x[i]| sits at
     # pad[n:2n-2h] and, as lags run downward, -inf fills the rest. So
@@ -167,7 +166,7 @@ def oscillation_family(signal, order: int = 1, j_max: int | None = None) -> Dyad
                 np.maximum(best[j], row_max[s:s + nk], out=best[j])
             if r:
                 np.maximum(best[j], rows[q:q + nk, :r].max(axis=1), out=best[j])
-    return DyadicFamily(0, j_max, Window(0.0, 1.0), best)
+    return DyadicFamily(0, j_max, best)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +241,7 @@ def birkhoff_family(pot: DigitPotential, j_max: int) -> DyadicFamily:
                 f"{best.max():.6g}]; exp of it leaves the normal doubles "
                 f"[{lo:.6g}, {hi:.6g}]")
         values.append(np.exp(best))
-    return DyadicFamily(0, j_max, Window(0.0, 1.0), values)
+    return DyadicFamily(0, j_max, values)
 
 
 # ---------------------------------------------------------------------------

@@ -150,8 +150,8 @@ def _window_list(pairs) -> list[Window]:
 
 def _float_list(values) -> np.ndarray:
     grid = np.asarray(values, dtype=float)
-    if grid.ndim != 1:
-        raise ValueError("expected a list of numbers")
+    if grid.ndim != 1 or not grid.size:
+        raise ValueError("expected a non-empty list of numbers")
     if not np.all(np.isfinite(grid)):
         raise ValueError(f"expected finite numbers, got {grid.tolist()}")
     return grid
@@ -422,7 +422,7 @@ def run(cfg: PipelineConfig) -> dict:
     writes results.json plus the plot CSVs into cfg.out_dir."""
     t0 = time.time()
     family, path = _family_from_config(cfg)
-    windows = cfg.windows or [family.window]
+    windows = cfg.windows or [Window(0.0, 1.0)]
 
     results: dict = {"command": cfg.command, "windows": []}
     if not cfg.deterministic:

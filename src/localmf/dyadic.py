@@ -2,7 +2,7 @@
 
 Everything lives on the unit interval [0, 1). A cube of scale j and offset k
 is the half-open interval [k 2^-j, (k+1) 2^-j). A family attaches one
-nonnegative value to every cube of a scale range that fits inside a window;
+nonnegative value to every cube of [0, 1) at each scale of a range;
 pointwise exponents are finite-scale log-log surrogates evaluated along the
 chain of cubes containing a point.
 
@@ -93,12 +93,6 @@ class Window:
         k_lo, k_hi = self.cube_range(j)
         return k_hi - k_lo
 
-    def intersect(self, other: "Window") -> "Window | None":
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        if lo >= hi:
-            return None
-        return Window(lo, hi)
-
     @staticmethod
     def ball(x: float, r: float) -> "Window":
         """B(x, r) clipped to [0, 1); x must be finite and r finite and
@@ -127,59 +121,52 @@ def neighborhood(cube: DyadicCube) -> list[DyadicCube]:
 
 
 class DyadicFamily:
-    """Nonnegative quantities attached to the dyadic cubes of a window.
+    """Nonnegative quantities attached to the dyadic cubes of [0, 1).
 
     Parameters
     ----------
     j_min, j_max : int
         Inclusive scale range.
-    window : Window
-        Analysis window; at scale j the stored values cover exactly the
-        cubes contained in it.
     values : sequence of 1-D arrays
-        One array per scale, ``values[j - j_min][i]`` being the value of the
-        cube with offset ``window.cube_range(j)[0] + i``.
+        One array of 2^j values per scale j, ``values[j - j_min][k]`` being
+        the value of the cube with offset k.
     valid : sequence of 1-D bool arrays, optional
-        Per-cube flags; invalid cubes are skipped by structure-function sums
-        (used e.g. to exclude wrap-around leader cubes).
+        Per-cube flags shaped like the values; invalid cubes are skipped by
+        partition sums, uniform exponents and Besov sups (used e.g. to
+        exclude wrap-around leader cubes, or the cubes outside the part of
+        the domain where data is known).
 
     All arrays are made read-only; instances are immutable after
     construction and safe to share across threads.
     """
 
-    def __init__(self, j_min, j_max, window, values, valid=None):
+    def __init__(self, j_min, j_max, values, valid=None):
         j_min, j_max = int(j_min), int(j_max)
         if j_min < 0 or j_max < j_min:
             raise ScaleError(f"invalid scale range [{j_min}, {j_max}]")
-        if len(values) != j_max - j_min + 1:
-            raise ScaleError(
-                f"expected {j_max - j_min + 1} value arrays, got {len(values)}")
         self.j_min, self.j_max = j_min, j_max
-        self.window = window
-        vals = []
-        for i, j in enumerate(range(j_min, j_max + 1)):
-            a = np.ascontiguousarray(values[i], dtype=float)
-            n = window.n_cubes(j)
-            if a.ndim != 1 or a.size != n:
-                raise ScaleError(
-                    f"scale {j}: expected {n} values for window "
-                    f"[{window.lo}, {window.hi}), got {a.size}")
-            if a.size and (not np.all(np.isfinite(a)) or a.min() < 0):
+        self._values = self._per_scale(values, float, "values")
+        for j, a in zip(self.scales, self._values):
+            if not np.all(np.isfinite(a)) or a.min() < 0:
                 raise DomainError(f"scale {j}: values must be finite and >= 0")
+        self._valid = None if valid is None else self._per_scale(
+            valid, bool, "valid flags")
+
+    def _per_scale(self, arrays, dtype, what) -> tuple:
+        """Read-only copies (or views) of one 1-D array of 2^j entries per
+        scale j."""
+        if len(arrays) != self.n_scales():
+            raise ScaleError(
+                f"expected {self.n_scales()} arrays of {what}, got {len(arrays)}")
+        out = []
+        for j, a in zip(self.scales, arrays):
+            a = np.ascontiguousarray(a, dtype=dtype)
+            if a.shape != (1 << j,):
+                raise ScaleError(
+                    f"scale {j}: expected {1 << j} {what}, got shape {a.shape}")
             a.flags.writeable = False
-            vals.append(a)
-        self._values = tuple(vals)
-        if valid is None:
-            self._valid = None
-        else:
-            masks = []
-            for i, j in enumerate(range(j_min, j_max + 1)):
-                m = np.ascontiguousarray(valid[i], dtype=bool)
-                if m.size != self._values[i].size:
-                    raise ScaleError(f"scale {j}: valid mask length mismatch")
-                m.flags.writeable = False
-                masks.append(m)
-            self._valid = tuple(masks)
+            out.append(a)
+        return tuple(out)
 
     @property
     def scales(self) -> range:
@@ -187,9 +174,6 @@ class DyadicFamily:
 
     def n_scales(self) -> int:
         return self.j_max - self.j_min + 1
-
-    def k_lo(self, j: int) -> int:
-        return self.window.cube_range(j)[0]
 
     def _index(self, j: int) -> int:
         if not self.j_min <= j <= self.j_max:
@@ -208,38 +192,28 @@ class DyadicFamily:
 
     def value(self, j: int, k: int) -> float:
         a = self.values_at(j)
-        i = k - self.k_lo(j)
-        if not 0 <= i < a.size:
+        if not 0 <= k < a.size:
             raise OutOfWindowError(f"cube ({j}, {k}) not stored")
-        return float(a[i])
+        return float(a[k])
 
     def point_values(self, x: float) -> np.ndarray:
-        """e over the cube chain of x, one entry per scale (NaN if the cube
-        at that scale sticks out of the window)."""
-        if not self.window.contains(x):
-            raise OutOfWindowError(f"point {x} outside window "
-                                   f"[{self.window.lo}, {self.window.hi})")
-        out = np.full(self.n_scales(), np.nan)
-        for i, j in enumerate(self.scales):
-            k = cube_at(x, j).k
-            k_lo, k_hi = self.window.cube_range(j)
-            if k_lo <= k < k_hi:
-                out[i] = self._values[i][k - k_lo]
-        return out
+        """e over the cube chain of x, one entry per scale: at scale j the
+        value of offset floor(x 2^j)."""
+        if not 0.0 <= x < 1.0:
+            raise OutOfWindowError(f"point {x} outside [0, 1)")
+        return np.array([a[int(x * (1 << j))]
+                         for j, a in zip(self.scales, self._values)])
 
 
 def _clip_window(family: DyadicFamily, w: Window | None) -> Window:
-    """The part of w inside the family's window, which must hold a cube of
-    the finest scale; the family's window itself when w is None."""
+    """w, which must hold a cube of the family's finest scale; the whole
+    domain [0, 1) when w is None."""
     if w is None:
-        return family.window
-    inter = family.window.intersect(w)
-    if inter is None:
-        raise WindowError(f"window [{w.lo}, {w.hi}) does not overlap the family")
-    if inter.n_cubes(family.j_max) == 0:
+        return Window(0.0, 1.0)
+    if w.n_cubes(family.j_max) == 0:
         raise EmptyWindowError(
-            f"no cube of scale {family.j_max} fits inside [{inter.lo}, {inter.hi})")
-    return inter
+            f"no cube of scale {family.j_max} fits inside [{w.lo}, {w.hi})")
+    return w
 
 
 @dataclass(frozen=True)
@@ -344,13 +318,8 @@ def _exponent(family, x, method, fit_range, tail_max):
     if family.n_scales() < 4:
         raise ScaleError("pointwise exponents need a family with >= 4 scales")
     j1, j2 = _fit_scales(family, fit_range, family.j_max, 2)
-    vals = family.point_values(x)
-    js = np.array(family.scales)
-    sel = (js >= j1) & (js <= j2) & ~np.isnan(vals)
-    if not np.any(sel):
-        raise OutOfWindowError(
-            f"no analysis cube of the fit range lies inside the window at x={x}")
-    return _estimate(js[sel], vals[sel], method, tail_max, (j1, j2))
+    vals = family.point_values(x)[j1 - family.j_min:j2 - family.j_min + 1]
+    return _estimate(np.arange(j1, j2 + 1), vals, method, tail_max, (j1, j2))
 
 
 def lower_exponent(family: DyadicFamily, x: float, method: str = "tail-min",

@@ -100,11 +100,9 @@ LEGENDRE_FLOOR = -10.0
 
 
 def _cube_values(family: DyadicFamily, j: int, a: int, b: int) -> np.ndarray:
-    """Values of the valid scale-j cubes of offsets [a, b), read in place;
-    the family must store every one of them."""
-    k_lo = family.k_lo(j)
-    v, m = family.values_at(j)[a - k_lo:b - k_lo], family.valid_at(j)
-    return v if m is None else v[m[a - k_lo:b - k_lo]]
+    """Values of the valid scale-j cubes of offsets [a, b), read in place."""
+    v, m = family.values_at(j)[a:b], family.valid_at(j)
+    return v if m is None else v[m[a:b]]
 
 
 # float64 entries of one kernel block (512 kB): the fastest size from 2^12
@@ -208,11 +206,10 @@ def _log2_runs(seg_S, runs) -> np.ndarray:
 def _window_sums(family: DyadicFamily, windows, scales, p_grid):
     """Partition sums of the family on every window of a list at once.
 
-    ``windows`` must lie inside the family's window. Returns log2 S_j(w, p)
-    (n_windows x n_p x n_scales; -inf where the window holds no nonzero
-    valid cube), the count of zero cubes left out of each sum (same shape,
-    nonzero only for p <= 0) and the count of valid cubes of each window at
-    each scale (n_windows x n_scales).
+    Returns log2 S_j(w, p) (n_windows x n_p x n_scales; -inf where the
+    window holds no nonzero valid cube), the count of zero cubes left out
+    of each sum (same shape, nonzero only for p <= 0) and the count of
+    valid cubes of each window at each scale (n_windows x n_scales).
 
     At each scale the cubes are cut at the edges of every window into
     segments. Each segment a window covers is read in place by
@@ -220,10 +217,13 @@ def _window_sums(family: DyadicFamily, windows, scales, p_grid):
     :func:`_walk_log2_sums`, over one walk of the p grid and block by block
     in two scratch blocks, both shared by every segment of the call, and
     every window combines the sums of its segments by :func:`_log2_runs`.
-    A window made of one segment gets that segment's sum unchanged. A
-    non-finite p raises DomainError.
+    A window made of one segment gets that segment's sum unchanged. A p
+    grid that is empty, not 1-D or holds a non-finite p raises DomainError.
     """
     p_grid = np.asarray(p_grid, dtype=float)
+    if p_grid.ndim != 1 or not p_grid.size:
+        raise DomainError(
+            f"partition sums need a non-empty 1-D p grid, got {p_grid.tolist()}")
     if not np.all(np.isfinite(p_grid)):
         raise DomainError(f"partition sums need finite p, got {p_grid.tolist()}")
     n_w = len(windows)
@@ -339,7 +339,7 @@ def scaling_function(family: DyadicFamily, window: Window | None,
 def _scaling_functions(family: DyadicFamily, windows, p_grid, fit_ranges,
                        min_cubes: int = 1) -> list[ScalingFunction]:
     """:func:`scaling_function` on every window of a list (None: the
-    family's window), ``windows[i]`` fitted over ``fit_ranges[i]``, with
+    whole domain), ``windows[i]`` fitted over ``fit_ranges[i]``, with
     the partition sums of all windows taken by one kernel call."""
     if not windows:
         return []
@@ -523,6 +523,8 @@ def local_profile(family: DyadicFamily, x_grid, radii, p_grid,
     policy = fit_policy or FitPolicy()
     x_grid = np.ascontiguousarray(x_grid, dtype=float)
     radii = np.ascontiguousarray(radii, dtype=float)
+    if x_grid.ndim != 1 or radii.ndim != 1:
+        raise DomainError("base points and radii must be 1-D grids")
     if radii.size == 0:
         raise DomainError("at least one radius is required")
     if not np.all((radii > 0) & np.isfinite(radii)):

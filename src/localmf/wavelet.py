@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._textio import format_rows, parse_rows
-from .dyadic import DyadicFamily, Window
+from .dyadic import DyadicFamily
 from .errors import DomainError, FilterError, ScaleError, SignalError
 
 __all__ = [
@@ -217,7 +217,7 @@ def leaders(pyramid: WaveletPyramid, include_boundary: bool = False) -> DyadicFa
     for j in pyramid.analysis_scales:
         values.append(_neighbor3_periodic(sub[j], np.maximum))
         valid.append(_boundary_mask(1 << j, include_boundary))
-    return DyadicFamily(pyramid.j_analysis_min, pyramid.J - 1, Window(0.0, 1.0),
+    return DyadicFamily(pyramid.j_analysis_min, pyramid.J - 1,
                         values, valid=valid)
 
 
@@ -243,7 +243,7 @@ def p_leaders(pyramid: WaveletPyramid, p: float,
         s = _neighbor3_periodic(sub[j], np.add)
         values.append(s ** (1.0 / p))
         valid.append(_boundary_mask(1 << j, include_boundary))
-    return DyadicFamily(pyramid.j_analysis_min, pyramid.J - 1, Window(0.0, 1.0),
+    return DyadicFamily(pyramid.j_analysis_min, pyramid.J - 1,
                         values, valid=valid)
 
 

@@ -75,13 +75,15 @@ class TestValidation:
         ["--fit", "3"], ["--fit", "3:x"], ["--windows", "0.5"],
         ["--windows", "0,0.5,1"], ["--p-grid", "abc"], ["--p-grid", "1:x:0.5"],
         ["--radii", "0.25,x"], ["--x-grid", "auto:-1"], ["--x-grid", "auto:1.5"],
-        ["--x-grid", "auto:"],
+        ["--x-grid", "auto:"], ["--p-grid="], ["--p-grid=,"], ["--h-grid="],
+        ["--x-grid=", "--radii", "0.25"], ["--x-grid", "0.5", "--radii="],
     ], ids=lambda o: " ".join(o))
     def test_malformed_option_text_exits_2(self, tmp_path, capsys, option):
         measure = tmp_path / "measure.txt"
         measure.write_text("2,1.0\n" + "0.25\n" * 4)
-        rc = main(["local", "--input", str(measure), "--out",
-                   str(tmp_path / "out")] + option)
+        # a well-formed base run, so that only the option can fail
+        rc = main(["local", "--input", str(measure), "--x-grid", "0.5",
+                   "--radii", "0.25", "--out", str(tmp_path / "out")] + option)
         assert rc == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: validation:") and "\n" not in err
@@ -97,6 +99,7 @@ class TestValidation:
         {"p_grid": "nan,1,2"}, {"p_grid": "-1,inf"}, {"p_grid": [math.nan]},
         {"p_grid": "0:inf:1"}, {"x_grid": "nan"}, {"radii": "nan"},
         {"radii": "0.25,nan"}, {"radii": [math.inf]}, {"H_grid": "nan,0.5,1"},
+        {"p_grid": []}, {"x_grid": ""},
     ], ids=lambda e: json.dumps(e))
     def test_malformed_config_value_exits_2(self, tmp_path, capsys, entry):
         measure = tmp_path / "measure.txt"
@@ -868,8 +871,9 @@ class TestProcess:
         (["analyze", "--family", "leaders", "--j-max", "6", "--input",
           "SIGNAL"], 2),
         (["report", "--input", "SIGNAL", "--x-grid", "0.5"], 2),
+        (["analyze", "--p-grid=", "--spec", "BINOM"], 2),
     ], ids=["non-finite-p-grid", "help", "synth-input", "leaders-j-max",
-            "report-x-grid"])
+            "report-x-grid", "empty-p-grid"])
     def test_exit_code_and_at_most_one_stderr_line(self, tmp_path, argv, code):
         files = {"BINOM": write_spec(tmp_path, "binom.json", {
             "kind": "binomial", "params": {"p": 0.4, "J": 10}})}

@@ -24,10 +24,10 @@ from localmf import (
 from localmf.dyadic import _line_fit
 
 
-def power_law_family(alpha, j_max=12, c=1.0, window=Window(0.0, 1.0)):
-    values = [np.full(window.n_cubes(j), c * 2.0 ** (-alpha * j))
+def power_law_family(alpha, j_max=12, c=1.0):
+    values = [np.full(1 << j, c * 2.0 ** (-alpha * j))
               for j in range(j_max + 1)]
-    return DyadicFamily(0, j_max, window, values)
+    return DyadicFamily(0, j_max, values)
 
 
 def sup_besov(F, w):
@@ -124,7 +124,7 @@ class TestExponents:
             v = np.ones(1 << j)
             v[0] = p ** j
             values.append(v)
-        F = DyadicFamily(0, j_max, Window(0.0, 1.0), values)
+        F = DyadicFamily(0, j_max, values)
         lo = lower_exponent(F, 0.0)
         hi = upper_exponent(F, 0.0)
         assert lo.value == pytest.approx(-math.log2(p), abs=1e-12)
@@ -136,21 +136,22 @@ class TestExponents:
         j_max = 13
         values = [np.full(1 << j, 2.0 ** (-j if j % 2 == 0 else -2 * j))
                   for j in range(j_max + 1)]
-        F = DyadicFamily(0, j_max, Window(0.0, 1.0), values)
+        F = DyadicFamily(0, j_max, values)
         assert lower_exponent(F, 0.4).value == pytest.approx(1.0, abs=1e-12)
         assert upper_exponent(F, 0.4).value == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_family_is_plus_inf(self):
         j_max = 8
         values = [np.zeros(1 << j) for j in range(j_max + 1)]
-        F = DyadicFamily(0, j_max, Window(0.0, 1.0), values)
+        F = DyadicFamily(0, j_max, values)
         assert lower_exponent(F, 0.2).value == math.inf
         assert upper_exponent(F, 0.2).value == math.inf
 
     def test_out_of_window(self):
-        F = power_law_family(0.5, window=Window(0.0, 0.5))
-        with pytest.raises(OutOfWindowError):
-            lower_exponent(F, 0.75)
+        F = power_law_family(0.5)
+        for x in (1.0, math.nan):
+            with pytest.raises(OutOfWindowError):
+                lower_exponent(F, x)
 
     @given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
            st.integers(min_value=0, max_value=2 ** 30))
@@ -159,7 +160,7 @@ class TestExponents:
         rng = np.random.default_rng(seed)
         j_max = 10
         values = [rng.random(1 << j) + 0.01 for j in range(j_max + 1)]
-        F = DyadicFamily(0, j_max, Window(0.0, 1.0), values)
+        F = DyadicFamily(0, j_max, values)
         lo = lower_exponent(F, x)
         hi = upper_exponent(F, x)
         assert lo.value <= hi.value + 1e-12
@@ -175,18 +176,26 @@ class TestExponents:
 class TestFamilyValidation:
     def test_rejects_negative_values(self):
         with pytest.raises(DomainError):
-            DyadicFamily(0, 0, Window(0.0, 1.0), [np.array([-1.0])])
+            DyadicFamily(0, 0, [np.array([-1.0])])
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(Exception):
-            DyadicFamily(0, 1, Window(0.0, 1.0), [np.ones(1), np.ones(3)])
+        with pytest.raises(ScaleError):
+            DyadicFamily(0, 1, [np.ones(1), np.ones(3)])
+
+    @pytest.mark.parametrize("valid", [
+        [np.ones(1 << j, dtype=bool) for j in range(3)],
+        [np.ones(1 << j, dtype=bool) for j in range(3)] + [np.ones((2, 4), bool)],
+    ], ids=["too-few-masks", "2-d-mask"])
+    def test_rejects_misshapen_valid_masks(self, valid):
+        with pytest.raises(ScaleError):
+            DyadicFamily(0, 3, [np.ones(1 << j) for j in range(4)], valid)
 
     @pytest.mark.parametrize("method, j", [("n_cubes", 0), ("valid_at", 0),
                                            ("n_cubes", 6)])
     def test_scale_outside_range_raises(self, method, j):
         # scales 2..5: index j - j_min would wrap at 0 and overrun at 6
         sizes = [1 << s for s in range(2, 6)]
-        F = DyadicFamily(2, 5, Window(0.0, 1.0), [np.ones(n) for n in sizes],
+        F = DyadicFamily(2, 5, [np.ones(n) for n in sizes],
                          valid=[np.ones(n, dtype=bool) for n in sizes])
         with pytest.raises(ScaleError):
             getattr(F, method)(j)
@@ -234,7 +243,6 @@ class TestValidationErrors:
             DyadicCube(0, 0).parent
 
     def test_invalid_window(self):
-        from localmf import WindowError
         with pytest.raises(WindowError):
             Window(0.5, 0.5)
         with pytest.raises(WindowError):
@@ -248,12 +256,5 @@ class TestValidationErrors:
         (math.nan, 0.25), (0.5, math.nan), (math.inf, 0.25), (-math.inf, 0.25),
         (0.5, math.inf)])
     def test_non_finite_ball_raises(self, x, r):
-        from localmf import WindowError
         with pytest.raises(WindowError):
             Window.ball(x, r)
-
-    def test_no_overlap_restrict(self):
-        F = power_law_family(0.5, j_max=8, window=Window(0.0, 0.25))
-        for estimate in (uniform_exponent, sup_besov):
-            with pytest.raises(WindowError):
-                estimate(F, Window(0.5, 1.0))

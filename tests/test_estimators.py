@@ -30,14 +30,12 @@ from localmf import (
     synthesize,
     uniform_exponent,
 )
-from localmf.dyadic import _clip_window
 from localmf.estimators import _BLOCK, FitPolicy, _p_walks, _walk_log2_sums
 
 
-def power_family(alpha, j_max=12, window=Window(0.0, 1.0)):
-    values = [np.full(window.n_cubes(j), 2.0 ** (-alpha * j))
-              for j in range(j_max + 1)]
-    return DyadicFamily(0, j_max, window, values)
+def power_family(alpha, j_max=12):
+    values = [np.full(1 << j, 2.0 ** (-alpha * j)) for j in range(j_max + 1)]
+    return DyadicFamily(0, j_max, values)
 
 
 def binomial_family(p=0.3, J=14):
@@ -82,22 +80,20 @@ class TestStructureFunction:
     def test_negative_p_excludes_zeros(self):
         values = [np.ones(1), np.array([1.0, 0.0]),
                   np.array([1.0, 0.0, 2.0, 4.0])]
-        F = DyadicFamily(0, 2, Window(0.0, 1.0), values)
+        F = DyadicFamily(0, 2, values)
         S, excl = structure_function(F, None, -1.0, return_excluded=True)
         np.testing.assert_array_equal(excl, [0, 1, 1])
         assert S[2] == pytest.approx(1.0 + 0.5 + 0.25)
 
     def test_sum_beyond_double_range_raises(self):
-        F = DyadicFamily(0, 3, Window(0.0, 1.0),
-                         [np.full(1 << j, 1e300) for j in range(4)])
+        F = DyadicFamily(0, 3, [np.full(1 << j, 1e300) for j in range(4)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RangeError, match="scale 0"):
                 structure_function(F, None, 2.0)
             # 2^1023 at every scale: the largest power of two a double holds
-            G = DyadicFamily(0, 3, Window(0.0, 1.0),
-                             [np.full(1 << j, 2.0 ** ((1023 - j) / 2))
-                              for j in range(4)])
+            G = DyadicFamily(0, 3, [np.full(1 << j, 2.0 ** ((1023 - j) / 2))
+                                    for j in range(4)])
             np.testing.assert_array_equal(structure_function(G, None, 2.0),
                                           np.full(4, 2.0 ** 1023))
 
@@ -123,7 +119,7 @@ class TestScalingFunction:
 
     def test_degenerate_all_zero_marks_inf(self):
         values = [np.zeros(1 << j) for j in range(9)]
-        F = DyadicFamily(0, 8, Window(0.0, 1.0), values)
+        F = DyadicFamily(0, 8, values)
         sf = scaling_function(F, None, np.array([1.0, 2.0]))
         assert np.all(np.isinf(sf.tau))
 
@@ -402,7 +398,7 @@ class TestBesov:
 
     def test_zero_family_is_member(self):
         values = [np.zeros(1 << j) for j in range(9)]
-        F = DyadicFamily(0, 8, Window(0.0, 1.0), values)
+        F = DyadicFamily(0, 8, values)
         res = besov_membership(F, 5.0, 2.0)
         assert res.member
         assert res.constant == 0.0
@@ -471,6 +467,20 @@ class TestSmallSurfaces:
         with pytest.raises(DomainError):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: scaling_function(BINOM, None, []),
+        lambda: scaling_function(BINOM, None, [[0.0, 1.0], [2.0, 3.0]]),
+        lambda: structure_function(BINOM, None, [1.0, 2.0]),
+        lambda: local_profile(BINOM, [0.5], [0.25], []),
+        lambda: local_profile(BINOM, [[0.25, 0.5]], [0.25], [1.0]),
+        lambda: local_profile(BINOM, [0.5], [[0.25], [0.125]], [1.0]),
+    ], ids=["scaling-empty-p", "scaling-2d-p", "structure-p-list",
+            "local-empty-p", "local-2d-x", "local-2d-radii"])
+    def test_empty_or_non_1d_grid_is_domain_error(self, call):
+        from localmf import DomainError
+        with pytest.raises(DomainError):
+            call()
+
 
 class TestBoundaryBasePoints:
     def test_local_profile_near_domain_edges(self):
@@ -501,8 +511,7 @@ def rough_family(J=9, masked=False, seed=0):
         v[rng.random(1 << j) < 0.3] = 0.0
         values.append(v)
         valid.append(rng.random(1 << j) >= 0.2)
-    return DyadicFamily(0, J, Window(0.0, 1.0), values,
-                        valid=valid if masked else None)
+    return DyadicFamily(0, J, values, valid=valid if masked else None)
 
 
 def leader_family():
@@ -519,8 +528,7 @@ def direct_sums(family, windows, p_grid):
     n_valid = np.zeros((n_w, n_s), dtype=int)
     for iw, w in enumerate(windows):
         for i, j in enumerate(family.scales):
-            k_lo, k_hi = w.cube_range(j)
-            sl = slice(k_lo - family.k_lo(j), k_hi - family.k_lo(j))
+            sl = slice(*w.cube_range(j))
             v = family.values_at(j)[sl]
             m = family.valid_at(j)
             v = v if m is None else v[m[sl]]
@@ -542,21 +550,21 @@ def largest_top_segment(family, windows):
     """Positive valid cubes of the largest top-scale segment between the
     window edges."""
     j = family.j_max
-    edges = np.unique([w.cube_range(j) for w in windows]) - family.k_lo(j)
+    edges = np.unique([w.cube_range(j) for w in windows])
     keep = (family.values_at(j) > 0) & family.valid_at(j)
     return max(int(keep[a:b].sum()) for a, b in zip(edges[:-1], edges[1:]))
 
 
-def family_on(F, w):
-    """F's cubes inside w, clipped to F's window, as a family of their own,
-    built from F's sliced arrays and masks."""
-    w = _clip_window(F, w)
-    cuts = [slice(*np.subtract(w.cube_range(j), F.k_lo(j))) for j in F.scales]
-    valid = None
-    if F.valid_at(F.j_min) is not None:
-        valid = [F.valid_at(j)[cut] for j, cut in zip(F.scales, cuts)]
-    return DyadicFamily(F.j_min, F.j_max, w, [F.values_at(j)[cut] for j, cut
-                                              in zip(F.scales, cuts)], valid)
+def masked_to(F, w):
+    """F's values with every cube that w does not contain flagged invalid,
+    on top of F's own flags."""
+    valid = []
+    for j in F.scales:
+        m = np.zeros(F.n_cubes(j), dtype=bool)
+        m[slice(*w.cube_range(j))] = True
+        valid.append(m if F.valid_at(j) is None else m & F.valid_at(j))
+    return DyadicFamily(F.j_min, F.j_max, [F.values_at(j) for j in F.scales],
+                        valid)
 
 
 def sample_windows(J):
@@ -573,16 +581,13 @@ class TestWindowSums:
     @pytest.mark.parametrize("make", [
         lambda: rough_family(), lambda: rough_family(masked=True),
         leader_family,
-        lambda: family_on(rough_family(masked=True), Window(0.125, 0.875)),
+        lambda: masked_to(rough_family(masked=True), Window(0.125, 0.875)),
         block_family,
     ], ids=["zeros", "zeros-masked", "leaders", "restricted", "blocks"])
     def test_matches_direct_sums(self, make):
         from localmf.estimators import _window_sums
         F = make()
-        windows = [w for w in sample_windows(F.j_max)
-                   if F.window.intersect(w) is not None
-                   and F.window.intersect(w).n_cubes(F.j_max)]
-        windows = [_clip_window(F, w) for w in windows]
+        windows = [w for w in sample_windows(F.j_max) if w.n_cubes(F.j_max)]
         if make is block_family:
             # two full blocks and a ragged one in a single segment
             n = largest_top_segment(F, windows)
@@ -637,7 +642,7 @@ class TestWindowSums:
             v = 10.0 ** rng.uniform(-300.0, 300.0, 1 << j)
             v[rng.random(1 << j) < 0.2] = 0.0
             values.append(v)
-        F = DyadicFamily(0, J, Window(0.0, 1.0), values)
+        F = DyadicFamily(0, J, values)
         windows = sample_windows(J)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -681,7 +686,7 @@ class TestWindowSums:
         rng = np.random.default_rng(5)
         J = 10
         values = [10.0 ** rng.uniform(-300.0, 300.0, 1 << j) for j in range(J + 1)]
-        F = DyadicFamily(0, J, Window(0.0, 1.0), values)
+        F = DyadicFamily(0, J, values)
         ps = np.arange(-40.0, 40.5, 0.5)
         windows = sample_windows(J)
         with warnings.catch_warnings():
@@ -753,22 +758,20 @@ def outcome(call):
 
 
 def zero_family(J=9):
-    return DyadicFamily(0, J, Window(0.0, 1.0),
-                        [np.zeros(1 << j) for j in range(J + 1)])
+    return DyadicFamily(0, J, [np.zeros(1 << j) for j in range(J + 1)])
 
 
 
 
 class TestWindowReads:
     """The sup-based estimators read a window's cubes in place and give,
-    bit for bit and errors included, what they give on a family of its
-    own holding exactly those cubes."""
+    bit for bit and errors included, what they give on the whole family
+    with every cube outside the window flagged invalid."""
 
     @pytest.mark.parametrize("make", [
         lambda: BINOM, lambda: rough_family(masked=True), leader_family,
         zero_family,
-        lambda: family_on(rough_family(masked=True), Window(0.125, 0.875)),
-    ], ids=["plain", "masked-rough", "leaders", "all-zero", "part-domain"])
+    ], ids=["plain", "masked-rough", "leaders", "all-zero"])
     def test_equal_to_the_family_on_the_window(self, make):
         F = make()
         J = F.j_max
@@ -779,14 +782,14 @@ class TestWindowReads:
                 for fr in fit_ranges:
                     got = outcome(lambda: uniform_exponent(F, w, method, fr))
                     assert got == outcome(lambda: uniform_exponent(
-                        family_on(F, w), None, method, fr)), (w, method, fr)
+                        masked_to(F, w), None, method, fr)), (w, method, fr)
                     outcomes.add(got if isinstance(got, type) else "value")
             for s in (0.3, 1.0):
                 for fr in [None, (0, J)] + fit_ranges[2:]:
                     got = outcome(lambda: besov_membership(
                         F, s, math.inf, window=w, fit_range=fr))
                     assert got == outcome(lambda: besov_membership(
-                        family_on(F, w), s, math.inf, fit_range=fr)), (w, s, fr)
+                        masked_to(F, w), s, math.inf, fit_range=fr)), (w, s, fr)
                     outcomes.add(got if isinstance(got, type) else "value")
         assert {"value", ScaleError} <= outcomes
 
@@ -795,9 +798,8 @@ class TestWindowReads:
         # valid one: a read that kept them would change the sups
         F = rough_family(masked=True)
         masks = [F.valid_at(j) for j in F.scales]
-        G = DyadicFamily(0, F.j_max, F.window,
-                         [np.where(m, F.values_at(j), 4.0)
-                          for j, m in zip(F.scales, masks)], masks)
+        G = DyadicFamily(0, F.j_max, [np.where(m, F.values_at(j), 4.0)
+                                      for j, m in zip(F.scales, masks)], masks)
         for w in sample_windows(F.j_max):
             for estimate in (
                     lambda F: uniform_exponent(F, w, "regression"),
