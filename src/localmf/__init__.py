@@ -17,13 +17,10 @@ from .builders import (
     write_measure,
 )
 from .dyadic import (
-    DyadicCube,
     DyadicFamily,
     ExponentEstimate,
     Window,
-    cube_at,
     lower_exponent,
-    neighborhood,
     upper_exponent,
 )
 from .errors import (

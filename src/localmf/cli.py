@@ -37,7 +37,7 @@ _FAMILIES = {
     "p-leaders": ("signal", ("filter_id", "frac_int")),
     "birkhoff": (None, ("j_max",)),
 }
-_FAMILY_OPTIONS = {"j_max", "osc_order", "filter_id", "frac_int"}
+_FAMILY_OPTIONS = {name for _, names in _FAMILIES.values() for name in names}
 # The options synth and report read; they read no family or analysis option.
 _COMMAND_OPTIONS = {
     "synth": ("model", "seed", "out_dir", "deterministic"),
@@ -269,6 +269,8 @@ class PipelineConfig:
                 raise ConfigError("p-leaders requires p > 0 (family 'p-leaders:p')")
         if self.mode == "local" and (self.x_grid is None or self.radii is None):
             raise ConfigError("local mode requires --x-grid and --radii")
+        if np.unique(self.p_grid).size != self.p_grid.size:
+            raise ConfigError(f"p grid {self.p_grid.tolist()} repeats a value")
         if self.osc_order not in (1, 2):
             raise ConfigError(f"oscillation order must be 1 or 2, got "
                               f"{self.osc_order}")

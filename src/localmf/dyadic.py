@@ -4,7 +4,7 @@ Everything lives on the unit interval [0, 1). A cube of scale j and offset k
 is the half-open interval [k 2^-j, (k+1) 2^-j). A family attaches one
 nonnegative value to every cube of [0, 1) at each scale of a range;
 pointwise exponents are finite-scale log-log surrogates evaluated along the
-chain of cubes containing a point.
+valid cubes of the chain containing a point.
 
 Scaling a float by 2^j is exact in binary floating point, so window/cube
 containment tests below involve no rounding beyond what is already present
@@ -27,46 +27,12 @@ from .errors import (
 )
 
 __all__ = [
-    "DyadicCube",
     "Window",
     "DyadicFamily",
     "ExponentEstimate",
-    "cube_at",
-    "neighborhood",
     "lower_exponent",
     "upper_exponent",
 ]
-
-
-@dataclass(frozen=True, order=True)
-class DyadicCube:
-    """Half-open dyadic interval [k 2^-j, (k+1) 2^-j)."""
-
-    j: int
-    k: int
-
-    def __post_init__(self):
-        if self.j < 0:
-            raise DomainError(f"cube scale must be nonnegative, got {self.j}")
-        if not 0 <= self.k < (1 << self.j):
-            raise DomainError(f"cube offset {self.k} out of range at scale {self.j}")
-
-    @property
-    def lo(self) -> float:
-        return self.k * 2.0 ** -self.j
-
-    @property
-    def hi(self) -> float:
-        return (self.k + 1) * 2.0 ** -self.j
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x < self.hi
-
-    @property
-    def parent(self) -> "DyadicCube":
-        if self.j == 0:
-            raise DomainError("the root cube has no parent")
-        return DyadicCube(self.j - 1, self.k >> 1)
 
 
 @dataclass(frozen=True)
@@ -104,22 +70,6 @@ class Window:
         return Window(max(0.0, x - r), min(1.0, x + r))
 
 
-def cube_at(x: float, j: int) -> DyadicCube:
-    """Unique scale-j cube containing x in [0, 1)."""
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"point {x} outside [0, 1)")
-    if j < 0:
-        raise DomainError(f"scale must be nonnegative, got {j}")
-    k = min(int(math.floor(x * (1 << j))), (1 << j) - 1)
-    return DyadicCube(j, k)
-
-
-def neighborhood(cube: DyadicCube) -> list[DyadicCube]:
-    """Same-scale cubes covering 3*cube, clipped to [0, 1) (no wrap)."""
-    ks = range(max(0, cube.k - 1), min((1 << cube.j) - 1, cube.k + 1) + 1)
-    return [DyadicCube(cube.j, k) for k in ks]
-
-
 class DyadicFamily:
     """Nonnegative quantities attached to the dyadic cubes of [0, 1).
 
@@ -132,9 +82,9 @@ class DyadicFamily:
         the value of the cube with offset k.
     valid : sequence of 1-D bool arrays, optional
         Per-cube flags shaped like the values; invalid cubes are skipped by
-        partition sums, uniform exponents and Besov sups (used e.g. to
-        exclude wrap-around leader cubes, or the cubes outside the part of
-        the domain where data is known).
+        partition sums, pointwise and uniform exponents and Besov sups (used
+        e.g. to exclude wrap-around leader cubes, or the cubes outside the
+        part of the domain where data is known).
 
     All arrays are made read-only; instances are immutable after
     construction and safe to share across threads.
@@ -190,20 +140,6 @@ class DyadicFamily:
         i = self._index(j)
         return None if self._valid is None else self._valid[i]
 
-    def value(self, j: int, k: int) -> float:
-        a = self.values_at(j)
-        if not 0 <= k < a.size:
-            raise OutOfWindowError(f"cube ({j}, {k}) not stored")
-        return float(a[k])
-
-    def point_values(self, x: float) -> np.ndarray:
-        """e over the cube chain of x, one entry per scale: at scale j the
-        value of offset floor(x 2^j)."""
-        if not 0.0 <= x < 1.0:
-            raise OutOfWindowError(f"point {x} outside [0, 1)")
-        return np.array([a[int(x * (1 << j))]
-                         for j, a in zip(self.scales, self._values)])
-
 
 def _clip_window(family: DyadicFamily, w: Window | None) -> Window:
     """w, which must hold a cube of the family's finest scale; the whole
@@ -214,6 +150,23 @@ def _clip_window(family: DyadicFamily, w: Window | None) -> Window:
         raise EmptyWindowError(
             f"no cube of scale {family.j_max} fits inside [{w.lo}, {w.hi})")
     return w
+
+
+def _cube_values(family: DyadicFamily, j: int, a: int, b: int) -> np.ndarray:
+    """Values of the valid scale-j cubes of offsets [a, b), read in place."""
+    v, m = family.values_at(j)[a:b], family.valid_at(j)
+    return v if m is None else v[m[a:b]]
+
+
+def _scale_sups(family: DyadicFamily, scales, cube_range) -> np.ndarray:
+    """The largest value of the valid scale-j cubes of offsets
+    ``cube_range(j)``, for each scale j; NaN at a scale where none of them
+    is valid."""
+    sups = []
+    for j in scales:
+        v = _cube_values(family, j, *cube_range(j))
+        sups.append(v.max() if v.size else math.nan)
+    return np.array(sups)
 
 
 @dataclass(frozen=True)
@@ -314,12 +267,31 @@ def _estimate(js, v, method, tail_max, fit_range):
                             resid if not math.isnan(resid) else 0.0)
 
 
+def _sup_exponent(family, cube_range, method, fit_range, tail_max):
+    """Exponent estimate from the sups of :func:`_scale_sups` over the fit
+    range (default [3, j_max]). A scale without a valid cube leaves the
+    fit; a range left with none raises EmptyWindowError."""
+    j1, j2 = _fit_scales(family, fit_range, family.j_max, 2)
+    sups = _scale_sups(family, range(j1, j2 + 1), cube_range)
+    keep = ~np.isnan(sups)
+    if not keep.any():
+        raise EmptyWindowError(f"no valid cube in the fit range ({j1}, {j2})")
+    js = np.arange(j1, j2 + 1, dtype=float)
+    return _estimate(js[keep], sups[keep], method, tail_max, (j1, j2))
+
+
 def _exponent(family, x, method, fit_range, tail_max):
+    """Estimate over the chain of x: at scale j the cube of offset
+    floor(x 2^j)."""
     if family.n_scales() < 4:
         raise ScaleError("pointwise exponents need a family with >= 4 scales")
-    j1, j2 = _fit_scales(family, fit_range, family.j_max, 2)
-    vals = family.point_values(x)[j1 - family.j_min:j2 - family.j_min + 1]
-    return _estimate(np.arange(j1, j2 + 1), vals, method, tail_max, (j1, j2))
+    if not 0.0 <= x < 1.0:
+        raise OutOfWindowError(f"point {x} outside [0, 1)")
+
+    def chain(j):
+        k = int(x * (1 << j))
+        return k, k + 1
+    return _sup_exponent(family, chain, method, fit_range, tail_max)
 
 
 def lower_exponent(family: DyadicFamily, x: float, method: str = "tail-min",
@@ -331,7 +303,8 @@ def lower_exponent(family: DyadicFamily, x: float, method: str = "tail-min",
     ``regression`` fits a least-squares slope to log2 e against -j, which is
     preferable on noisy data. Cubes with value 0 contribute +inf chords and
     are effectively skipped; if the family vanishes at every scale of the
-    range the estimate is +inf.
+    range the estimate is +inf. Invalid cubes leave the fit; a chain with
+    no valid cube in the range raises EmptyWindowError.
     """
     return _exponent(family, x, method, fit_range, tail_max=False)
 

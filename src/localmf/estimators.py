@@ -29,6 +29,12 @@ Conventions
   alongside); eta(p) = tau(p) - 1. Scaling functions and pointwise and
   uniform exponents share one range rule and one slope/chord routine
   (``dyadic._fit_scales``, ``dyadic._chords``).
+* Every cube is read through one valid-aware reader
+  (``dyadic._cube_values``), and the four sup readers share one per-scale
+  sup (``dyadic._scale_sups``): pointwise lower and upper exponents over
+  the chain cube floor(x 2^j), uniform exponents and Besov p = infinity
+  over the window's cubes. A scale without a valid cube leaves an
+  exponent fit and gives a Besov sup of 0.
 * The Legendre spectrum is the discrete transform L(H) = min_p (H p -
   tau(p)) with endpoint and floor handling for the -infinity directions.
 * Local values tau(x, p) are taken at the smallest admissible radius; the
@@ -59,9 +65,11 @@ from .dyadic import (
     Window,
     _chords,
     _clip_window,
-    _estimate,
+    _cube_values,
     _fit_scales,
     _line_fit,
+    _scale_sups,
+    _sup_exponent,
 )
 from .errors import (
     CoverageError,
@@ -97,12 +105,6 @@ LEGENDRE_FLOOR = -10.0
 
 # ---------------------------------------------------------------------------
 # structure and scaling functions
-
-
-def _cube_values(family: DyadicFamily, j: int, a: int, b: int) -> np.ndarray:
-    """Values of the valid scale-j cubes of offsets [a, b), read in place."""
-    v, m = family.values_at(j)[a:b], family.valid_at(j)
-    return v if m is None else v[m[a:b]]
 
 
 # float64 entries of one kernel block (512 kB): the fastest size from 2^12
@@ -230,8 +232,7 @@ def _window_sums(family: DyadicFamily, windows, scales, p_grid):
     log2_S = np.full((n_w, p_grid.size, len(scales)), -np.inf)
     n_valid = np.zeros((n_w, len(scales)), dtype=int)
     n_pos = np.zeros_like(n_valid)
-    block = min(_BLOCK, max((family.values_at(j).size for j in scales),
-                            default=0))
+    block = min(_BLOCK, max((family.n_cubes(j) for j in scales), default=0))
     d, t = np.empty(block), np.empty(block)
     walks = _p_walks(p_grid)
     for i, j in enumerate(scales):
@@ -383,17 +384,7 @@ def uniform_exponent(family: DyadicFamily, window: Window | None = None,
     h_min to 3 digits there.
     """
     w = _clip_window(family, window)
-    j1, j2 = _fit_scales(family, fit_range, family.j_max, 2)
-    js, sups = [], []
-    for j in range(j1, j2 + 1):
-        v = _cube_values(family, j, *w.cube_range(j))
-        if v.size:
-            js.append(j)
-            sups.append(v.max())
-    if not js:
-        raise EmptyWindowError("window keeps no cube in the fit range")
-    return _estimate(np.array(js, dtype=float), np.array(sups), method,
-                     False, (j1, j2))
+    return _sup_exponent(family, w.cube_range, method, fit_range, False)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +395,8 @@ def discrete_legendre(x_grid, f_values, y_grid, floor: float = LEGENDRE_FLOOR,
                       endpoint_slope_tol: float = 1e-6) -> np.ndarray:
     """Discrete transform g(y) = min_x (x y - f(x)) over the sample grid.
 
-    Non-finite f entries are ignored; a non-finite y raises DomainError.
+    Non-finite f entries are ignored; a non-finite y, or an x repeated
+    among the samples kept, raises DomainError.
     Where the minimum sits on a grid endpoint and the one-sided slope says
     the objective is still strictly decreasing (the unbounded direction),
     or where the value falls below ``floor``, -inf is reported.
@@ -417,6 +409,9 @@ def discrete_legendre(x_grid, f_values, y_grid, floor: float = LEGENDRE_FLOOR,
         raise DomainError("discrete Legendre transform needs >= 2 finite samples")
     order = np.argsort(x)
     x, fv = x[order], fv[order]
+    if np.any(x[1:] == x[:-1]):
+        raise DomainError(f"discrete Legendre transform needs distinct x, "
+                          f"got {x.tolist()}")
     y = np.ascontiguousarray(y_grid, dtype=float)
     if not np.all(np.isfinite(y)):
         raise DomainError("discrete Legendre transform needs a finite y grid")
@@ -692,8 +687,9 @@ def besov_membership(family: DyadicFamily, s: float, p: float,
         raise ScaleError(f"scale range ({j1}, {j2}) holds no scale of the family")
     js = np.arange(j1, j2 + 1, dtype=float)
     if math.isinf(p):
-        sups = [_cube_values(family, j, *w.cube_range(j)).max(initial=0.0)
-                for j in range(j1, j2 + 1)]
+        # a scale without a valid cube in the window has sup 0
+        sups = np.nan_to_num(_scale_sups(family, range(j1, j2 + 1),
+                                         w.cube_range), nan=0.0)
         with np.errstate(divide="ignore"):
             log2_c = s * js + np.log2(sups)
     else:

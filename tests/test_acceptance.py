@@ -228,7 +228,7 @@ def test_criterion_7_structural_properties():
                     kk = (base % (1 << j)) << (jp - j)
                     best = max(best, np.abs(
                         details[jp][kk:kk + (1 << (jp - j))]).max())
-            assert L.value(j, k) == pytest.approx(best, rel=1e-13)
+            assert L.values_at(j)[k] == pytest.approx(best, rel=1e-13)
     notes.append("leaders = brute force")
 
     # (f) p-leaders at p = 64 agree with leaders within 5% per cube

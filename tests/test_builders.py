@@ -44,8 +44,8 @@ class TestMeasureFamilies:
         F1 = plain_measure_family(m, 12)
         for j in (4, 8, 12):
             # mu(lambda_(j,0)) = p^j; 3-lambda adds the right neighbor mass
-            assert F1.value(j, 0) == pytest.approx(p ** j, rel=1e-12)
-            assert F3.value(j, 0) == pytest.approx(
+            assert F1.values_at(j)[0] == pytest.approx(p ** j, rel=1e-12)
+            assert F3.values_at(j)[0] == pytest.approx(
                 p ** j + p ** (j - 1) * (1 - p), rel=1e-12)
 
     def test_probability_total_per_scale(self):
@@ -137,7 +137,7 @@ class TestOscillation:
                 for i in range(a, b):
                     for h in range(1, (b - 1 - i) // 2 + 1):
                         best = max(best, abs(f[i + 2 * h] - 2 * f[i + h] + f[i]))
-                assert F.value(j, k) == pytest.approx(best, abs=1e-12)
+                assert F.values_at(j)[k] == pytest.approx(best, abs=1e-12)
 
     @pytest.mark.parametrize("J", [6, 7])
     @pytest.mark.parametrize("kind", ["walk", "noise", "square"])
@@ -158,7 +158,7 @@ class TestOscillation:
                 for h in range(1, (3 * m - 1) // 2 + 1):
                     for i in range(a, b - 2 * h):
                         best = max(best, abs(f[i + 2 * h] - 2.0 * f[i + h] + f[i]))
-                assert F.value(j, k) == best, (j, k)
+                assert F.values_at(j)[k] == best, (j, k)
 
     def test_second_order_annihilates_affine(self):
         x = np.arange(1 << 8) / 256.0
@@ -225,7 +225,7 @@ class TestBirkhoff:
         expected = max(
             math.exp(-gamma(x) * s - j * theta(x))
             for x in (k * 2.0 ** -j, (k + 0.5) * 2.0 ** -j))
-        assert F.value(j, k) == pytest.approx(expected, rel=1e-12)
+        assert F.values_at(j)[k] == pytest.approx(expected, rel=1e-12)
 
 
 class TestMeasureIO:

@@ -99,7 +99,8 @@ class TestValidation:
         {"p_grid": "nan,1,2"}, {"p_grid": "-1,inf"}, {"p_grid": [math.nan]},
         {"p_grid": "0:inf:1"}, {"x_grid": "nan"}, {"radii": "nan"},
         {"radii": "0.25,nan"}, {"radii": [math.inf]}, {"H_grid": "nan,0.5,1"},
-        {"p_grid": []}, {"x_grid": ""},
+        {"p_grid": []}, {"x_grid": ""}, {"p_grid": [1, 1, 2]},
+        {"p_grid": "1,2,1"},
     ], ids=lambda e: json.dumps(e))
     def test_malformed_config_value_exits_2(self, tmp_path, capsys, entry):
         measure = tmp_path / "measure.txt"
@@ -872,8 +873,9 @@ class TestProcess:
           "SIGNAL"], 2),
         (["report", "--input", "SIGNAL", "--x-grid", "0.5"], 2),
         (["analyze", "--p-grid=", "--spec", "BINOM"], 2),
+        (["analyze", "--p-grid", "1,1,2", "--spec", "BINOM"], 2),
     ], ids=["non-finite-p-grid", "help", "synth-input", "leaders-j-max",
-            "report-x-grid", "empty-p-grid"])
+            "report-x-grid", "empty-p-grid", "repeated-p-grid"])
     def test_exit_code_and_at_most_one_stderr_line(self, tmp_path, argv, code):
         files = {"BINOM": write_spec(tmp_path, "binom.json", {
             "kind": "binomial", "params": {"p": 0.4, "J": 10}})}

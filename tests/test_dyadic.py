@@ -7,17 +7,17 @@ from hypothesis import strategies as st
 
 from localmf import (
     DomainError,
-    DyadicCube,
     DyadicFamily,
     EmptyWindowError,
+    ModelSpec,
     OutOfWindowError,
     ScaleError,
     Window,
     WindowError,
     besov_membership,
-    cube_at,
+    gen_mbm,
+    leaders,
     lower_exponent,
-    neighborhood,
     uniform_exponent,
     upper_exponent,
 )
@@ -33,37 +33,6 @@ def power_law_family(alpha, j_max=12, c=1.0):
 def sup_besov(F, w):
     """Besov membership for p = infinity on the window w."""
     return besov_membership(F, 0.5, math.inf, window=w)
-
-
-class TestCubeAt:
-    def test_examples(self):
-        assert cube_at(0.3, 2) == DyadicCube(2, 1)
-        assert cube_at(0.0, 5) == DyadicCube(5, 0)
-        assert cube_at(0.8125, 4) == DyadicCube(4, 13)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            cube_at(1.0, 3)
-        with pytest.raises(DomainError):
-            cube_at(-0.1, 3)
-
-    @given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-           st.integers(min_value=0, max_value=20))
-    def test_contains_and_child_chain(self, x, j):
-        cube = cube_at(x, j)
-        assert cube.contains(x)
-        child = cube_at(x, j + 1)
-        assert child.parent == cube
-
-
-class TestNeighborhood:
-    def test_interior(self):
-        assert neighborhood(DyadicCube(3, 4)) == [
-            DyadicCube(3, 3), DyadicCube(3, 4), DyadicCube(3, 5)]
-
-    def test_clipped(self):
-        assert neighborhood(DyadicCube(3, 0)) == [DyadicCube(3, 0), DyadicCube(3, 1)]
-        assert neighborhood(DyadicCube(3, 7)) == [DyadicCube(3, 6), DyadicCube(3, 7)]
 
 
 class TestRestrict:
@@ -173,6 +142,69 @@ class TestExponents:
         assert est.slope_fit == pytest.approx(0.7, abs=1e-10)
 
 
+class TestMaskedPointwise:
+    """Pointwise exponents read only the valid cubes of the chain of x, as
+    uniform exponents read only the valid cubes of a window."""
+
+    def test_invalid_chain_raises_like_an_invalid_window(self):
+        # right half invalid, with values whose chords (2) differ from the
+        # valid left half's (1/2)
+        J = 10
+        values = [np.where(np.arange(1 << j) < (1 << j) / 2, 2.0 ** (-j / 2),
+                           2.0 ** (-2 * j)) for j in range(J + 1)]
+        valid = [np.arange(1 << j) < (1 << j) / 2 for j in range(J + 1)]
+        F = DyadicFamily(0, J, values, valid)
+        with pytest.raises(EmptyWindowError):
+            uniform_exponent(F, Window(0.5, 1.0))
+        for exponent in (lower_exponent, upper_exponent):
+            with pytest.raises(EmptyWindowError):
+                exponent(F, 0.75)
+            assert exponent(F, 0.25).value == pytest.approx(0.5, abs=1e-12)
+
+    def test_leader_edge_skips_wrap_around_cubes(self):
+        # at x = 0.01 the chain cube is the wrap-around cube k = 0 up to
+        # scale 6, so the masked family fits the interior scales 7..11
+        _, P = gen_mbm(ModelSpec("mbm", {"H": 0.6, "J": 12}, seed=1))
+        got = lower_exponent(leaders(P), 0.01)
+        want = lower_exponent(leaders(P, include_boundary=True), 0.01,
+                              fit_range=(7, 11))
+        assert got.fit_range == (3, 11)
+        assert (got.value, got.slope_fit) == (want.value, want.slope_fit)
+
+    @given(st.integers(min_value=4, max_value=10),
+           st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+           st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from([0.1, 0.5, 0.9]),
+           st.integers(min_value=0, max_value=2 ** 30))
+    @settings(max_examples=80, deadline=None)
+    def test_estimate_over_the_valid_chain(self, J, x, p_zero, p_valid, seed):
+        rng = np.random.default_rng(seed)
+        values = [np.where(rng.random(1 << j) < p_zero, 0.0,
+                           rng.uniform(0.01, 1.0, 1 << j)) * 2.0 ** -j
+                  for j in range(J + 1)]
+        valid = [rng.random(1 << j) < p_valid for j in range(J + 1)]
+        F = DyadicFamily(0, J, values, valid)
+        chain = [(j, values[j][int(x * (1 << j))]) for j in range(3, J + 1)
+                 if valid[j][int(x * (1 << j))]]
+        nonzero = [(j, v) for j, v in chain if v > 0]
+        chords = [math.log2(v) / -j for j, v in nonzero]
+        for exponent, tail in ((lower_exponent, min), (upper_exponent, max)):
+            for method in ("tail-min", "regression"):
+                if not chain:
+                    with pytest.raises(EmptyWindowError):
+                        exponent(F, x, method)
+                    continue
+                value = exponent(F, x, method).value
+                assert not math.isnan(value)
+                if not nonzero:
+                    assert value == math.inf
+                elif method == "regression" and len(nonzero) >= 2:
+                    js, vs = np.array(nonzero).T
+                    slope = np.polyfit(-js, np.log2(vs), 1)[0]
+                    assert value == pytest.approx(slope, rel=1e-9, abs=1e-9)
+                else:
+                    assert value == pytest.approx(tail(chords), rel=1e-12)
+
+
 class TestFamilyValidation:
     def test_rejects_negative_values(self):
         with pytest.raises(DomainError):
@@ -199,12 +231,6 @@ class TestFamilyValidation:
                          valid=[np.ones(n, dtype=bool) for n in sizes])
         with pytest.raises(ScaleError):
             getattr(F, method)(j)
-
-    def test_point_values_alignment(self):
-        F = power_law_family(0.5, j_max=6)
-        vals = F.point_values(0.3)
-        for i, j in enumerate(F.scales):
-            assert vals[i] == F.value(j, cube_at(0.3, j).k)
 
 
 class TestLineFit:
@@ -234,14 +260,6 @@ class TestLineFit:
 
 
 class TestValidationErrors:
-    def test_invalid_cube(self):
-        with pytest.raises(DomainError):
-            DyadicCube(3, 8)
-        with pytest.raises(DomainError):
-            DyadicCube(-1, 0)
-        with pytest.raises(DomainError):
-            DyadicCube(0, 0).parent
-
     def test_invalid_window(self):
         with pytest.raises(WindowError):
             Window(0.5, 0.5)

@@ -239,6 +239,12 @@ class TestLegendre:
         assert L_max == pytest.approx(-sf.tau[qs == 0.0][0], abs=0.01)
         assert spec.max_convexity() <= 1e-9
 
+    def test_repeated_p_is_domain_error(self):
+        from localmf import DomainError
+        sf = scaling_function(BINOM, None, [1.0, 1.0, 2.0])
+        with pytest.raises(DomainError):
+            legendre(sf, np.arange(0.5, 1.5, 0.1))
+
     def test_double_transform_idempotent(self):
         p = np.arange(-5.0, 5.25, 0.25)
         tau = binom_tau(0.3, p)

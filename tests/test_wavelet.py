@@ -117,7 +117,7 @@ class TestLeaders:
             anc = k0 >> (j0 - j) if j <= j0 else None
             for k in range(1 << j):
                 expect = 1.0 if (j <= j0 and abs(k - anc) <= 1) else 0.0
-                assert L.value(j, k) == expect
+                assert L.values_at(j)[k] == expect
 
     def test_pure_power_law(self):
         J, H = 10, 0.4
@@ -133,7 +133,7 @@ class TestLeaders:
         L = leaders(P, include_boundary=True)
         for j in L.scales:
             for k in range(1 << j):
-                assert L.value(j, k) == pytest.approx(
+                assert L.values_at(j)[k] == pytest.approx(
                     brute_force_leader(P, j, k), rel=1e-14)
 
     def test_boundary_cubes_flagged(self):
@@ -188,7 +188,7 @@ class TestPLeaders:
         P = pyramid_from_details(details)
         for p in (0.7, 1.0, 2.0):
             E = p_leaders(P, p, include_boundary=True)
-            assert E.value(j0, k0) == pytest.approx(1.0, rel=1e-12)
+            assert E.values_at(j0)[k0] == pytest.approx(1.0, rel=1e-12)
 
     def test_geometric_column_closed_form(self):
         # |c| = 2^-j' on the full subtree below one cube, zero elsewhere
@@ -205,7 +205,7 @@ class TestPLeaders:
             closed = 2.0 ** (-p * j0) * (1 - 2.0 ** (-p * (J - j0))) \
                 / (1 - 2.0 ** -p)
             assert brute == pytest.approx(closed, rel=1e-12)
-            assert E.value(j0, k0) == pytest.approx(closed ** (1.0 / p), rel=1e-12)
+            assert E.values_at(j0)[k0] == pytest.approx(closed ** (1.0 / p), rel=1e-12)
 
     def test_matches_brute_force(self):
         P = random_pyramid(7, 9)
@@ -221,7 +221,7 @@ class TestPLeaders:
                         lo = kk << shift
                         block = np.abs(P.details[jp][lo:lo + (1 << shift)])
                         acc += np.sum(block ** p) * 2.0 ** -shift
-                assert E.value(j, k) == pytest.approx(acc ** (1 / p), rel=1e-12)
+                assert E.values_at(j)[k] == pytest.approx(acc ** (1 / p), rel=1e-12)
 
     def test_large_p_approaches_leaders(self):
         P = random_pyramid(8, 17, j_analysis_min=4)
