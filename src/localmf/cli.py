@@ -269,6 +269,9 @@ class PipelineConfig:
                 raise ConfigError("p-leaders requires p > 0 (family 'p-leaders:p')")
         if self.mode == "local" and (self.x_grid is None or self.radii is None):
             raise ConfigError("local mode requires --x-grid and --radii")
+        if self.radii is not None and np.any(np.diff(self.radii) >= 0):
+            raise ConfigError(f"radii {self.radii.tolist()} must be strictly "
+                              f"decreasing")
         if np.unique(self.p_grid).size != self.p_grid.size:
             raise ConfigError(f"p grid {self.p_grid.tolist()} repeats a value")
         if self.osc_order not in (1, 2):

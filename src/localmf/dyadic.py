@@ -158,6 +158,17 @@ def _cube_values(family: DyadicFamily, j: int, a: int, b: int) -> np.ndarray:
     return v if m is None else v[m[a:b]]
 
 
+def _segment_values(family: DyadicFamily, j: int, edges) -> tuple:
+    """:func:`_cube_values` of the scale-j cubes of offsets [edges[0],
+    edges[-1]), and how many of those values each segment [edges[i],
+    edges[i + 1]) holds; ``edges`` (an int array) must increase strictly."""
+    a, b = int(edges[0]), int(edges[-1])
+    m = family.valid_at(j)
+    counts = (np.diff(edges) if m is None else
+              np.add.reduceat(m[a:b], edges[:-1] - a, dtype=np.intp))
+    return _cube_values(family, j, a, b), counts
+
+
 def _scale_sups(family: DyadicFamily, scales, cube_range) -> np.ndarray:
     """The largest value of the valid scale-j cubes of offsets
     ``cube_range(j)``, for each scale j; NaN at a scale where none of them
@@ -191,7 +202,9 @@ def _line_fit(x, Y):
     Each row is fitted over its finite entries only (x is shared, along
     the last axis). Returns (slopes, intercepts, RMS residuals), each of
     Y's shape without its last axis; rows keeping fewer than 2 points get
-    NaN throughout.
+    NaN throughout. The residuals are divided by the power of two that
+    brings their largest finite magnitude into [1, 2) before squaring, so
+    the RMS does not overflow and is otherwise unchanged.
     """
     x = np.asarray(x, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -207,7 +220,10 @@ def _line_fit(x, Y):
     slope = (dx * dy).sum(axis=-1) / np.where(few, 1.0, sxx)
     intercept = y_mean - slope * x_mean
     r = dy - slope[..., None] * dx
-    rms = np.sqrt((r * r).sum(axis=-1) / nn)
+    scale = np.ldexp(1.0, np.frexp(np.where(np.isfinite(r), np.abs(r), 0.0)
+                                   .max(axis=-1, initial=0.0))[1] - 1)
+    r /= scale[..., None]
+    rms = np.sqrt((r * r).sum(axis=-1) / nn) * scale
     return (np.where(few, np.nan, slope), np.where(few, np.nan, intercept),
             np.where(few, np.nan, rms))
 

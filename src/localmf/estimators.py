@@ -13,10 +13,12 @@ Conventions
   for any finite p. A scale enters a fit when it holds a nonzero cube.
 * One kernel (``_window_sums``) takes every partition sum, for a list of
   windows at once. At each scale it cuts the cubes at every window edge
-  into shared segments, sums each segment once per p, and combines each
-  window's segment sums in the log domain with the largest one factored
-  out. Each cube's term is thus computed once per (scale, p) however many
-  windows overlap it, and a window's cost is its number of segments.
+  into shared segments and sums all the segments of a block of cubes in
+  one pass per p. A pairwise log-domain pyramid over the segment sums
+  then gives each window its sum from the O(log) nodes that tile it. Each
+  cube's term is thus computed once per (scale, p) however many windows
+  overlap it, a scale costs O(n_p) numpy calls per block of cubes, and a
+  window costs O(log) nodes per p however many segments it spans.
 * A fit range defaults to [3, j_max - 1] for scaling functions and to
   [3, j_max] for uniform exponents, is clipped to the family's scales and
   never includes scale 0, where the anchored chord log2 S_j / (-j) is
@@ -30,7 +32,9 @@ Conventions
   uniform exponents share one range rule and one slope/chord routine
   (``dyadic._fit_scales``, ``dyadic._chords``).
 * Every cube is read through one valid-aware reader
-  (``dyadic._cube_values``), and the four sup readers share one per-scale
+  (``dyadic._cube_values``; the partition sums call it through
+  ``dyadic._segment_values``, which also counts the valid cubes of each
+  segment), and the four sup readers share one per-scale
   sup (``dyadic._scale_sups``): pointwise lower and upper exponents over
   the chain cube floor(x 2^j), uniform exponents and Besov p = infinity
   over the window's cubes. A scale without a valid cube leaves an
@@ -40,16 +44,22 @@ Conventions
 * Local values tau(x, p) are taken at the smallest admissible radius; the
   full per-radius sequence is retained so convergence can be judged.
 
-Each segment is summed one cache block of ``_BLOCK`` terms at a time:
-numpy's pairwise summation within a block, then pairwise over the block
-sums. Within a block the p of each sign are walked outward from 0 by a
-ratio recurrence, t(p + s) = t(p) 2^(s (log2 e - x_top)) with every ratio
-at most 1, so a p costs one multiply and one sum per term; the exp2 is
-paid once per block for each run of consecutive p reached by one step s
-(a run of one p takes its terms directly). Blocks and segment sums
-combine in a fixed order on one thread, so results are order-stable
-across repeated runs; a window made of a single segment (such as a lone
-window) gets exactly that segment's sum.
+The segments are summed one cache block of ``_BLOCK`` terms at a time:
+each segment's largest (p > 0) or smallest (p < 0) log2 e is subtracted
+from its terms, and ``np.add.reduceat`` sums the pieces of every segment
+in the block (a block inside one segment takes numpy's pairwise ``sum``),
+then a segment's block sums are added pairwise. Within a block the p of
+each sign are walked outward from 0 by a ratio recurrence, t(p + s) =
+t(p) 2^(s (log2 e - x_top)) with every ratio at most 1, so a p costs one
+multiply and one sum per term; the exp2 is paid once per block for each
+run of consecutive p reached by one step s (a run of one p takes its
+terms directly). A step joins a run when it is within 2^-46 relative of
+the run's first step, so a linspace grid, whose steps differ in their
+last bits, walks in one run per sign, while a grid of exactly equal steps
+keeps its exact runs. Blocks, segment sums and pyramid nodes combine in a
+fixed order on one thread, so results are order-stable across repeated
+runs; a window made of a single segment (such as a lone window) gets
+exactly that segment's sum.
 """
 
 from __future__ import annotations
@@ -65,7 +75,7 @@ from .dyadic import (
     Window,
     _chords,
     _clip_window,
-    _cube_values,
+    _segment_values,
     _fit_scales,
     _line_fit,
     _scale_sups,
@@ -111,94 +121,156 @@ LEGENDRE_FLOOR = -10.0
 # to 2^17 on a 2-core Xeon with 2 MB of L2 per core
 _BLOCK = 1 << 16
 
+# a step continues a walk's run while it is within this fraction of the
+# run's first step s (64 to 128 ulps of s): a linspace grid, whose steps
+# differ in their last bits, walks in one run per sign, and the p a run
+# reaches stays within 2^-46 relative of the grid's p
+_STEP_TOL = 2.0 ** -46
+
 
 def _p_walks(p_grid) -> list:
     """The walk of each sign of a p grid, p > 0 then p < 0: the indices of
     its p in order of increasing |p|, cut into runs of consecutive p
-    reached by one step s (exact float equality), the first p's step being
-    taken from 0. Each run is given as (s, indices of its p)."""
+    reached by one step s, the first p's step being taken from 0. A run's
+    s is its first step, and a later step joins the run while it differs
+    from s by at most ``_STEP_TOL`` |s|, so a grid of exactly equal steps
+    walks in runs of exactly equal steps. Each run is given as (s,
+    indices of its p)."""
     walks = []
     for ips in (np.flatnonzero(p_grid > 0), np.flatnonzero(p_grid < 0)):
         ips = ips[np.argsort(np.abs(p_grid[ips]), kind="stable")]
-        steps = np.diff(p_grid[ips], prepend=0.0)
-        firsts = np.flatnonzero(np.diff(steps, prepend=np.nan) != 0)
-        walks.append((ips, [(steps[a], ips[a:b].tolist()) for a, b
-                            in zip(firsts, [*firsts[1:], ips.size])]))
+        runs = []
+        for ip, step in zip(ips.tolist(),
+                            np.diff(p_grid[ips], prepend=0.0).tolist()):
+            if runs and abs(step - runs[-1][0]) <= _STEP_TOL * abs(runs[-1][0]):
+                runs[-1][1].append(ip)
+            else:
+                runs.append((step, [ip]))
+        walks.append((ips, runs))
     return walks
 
 
-def _walk_log2_sums(log2e, p_grid, walks, d, t) -> np.ndarray:
+def _walk_log2_sums(log2e, p_grid, walks, d, t, starts=None) -> np.ndarray:
     """log2 sum_i exp2(p log2e_i) for every p of the grid, whose walk
-    :func:`_p_walks` gives; ``d`` and ``t`` are scratch arrays of at least
-    min(_BLOCK, log2e.size) entries and the only ones of block size.
+    :func:`_p_walks` gives: over all of ``log2e`` (an array of n_p), or
+    with ``starts`` over each segment log2e[starts[k]:starts[k + 1]] (the
+    last one to the end; n_p x n_segments). ``d`` and ``t`` are scratch
+    arrays of at least min(_BLOCK, log2e.size) entries.
 
     Each sum is formed as top + log2 sum t_i(p), t_i(p) = exp2(p (log2e_i
-    - x_top)), x_top being the largest log2e for p > 0 and the smallest
-    for p < 0 and top = p x_top, so every term is at most 1 and no sum can
-    overflow. The p of one sign are walked in order of increasing |p|. In
-    a run of p reached by one step s the terms follow the recurrence
-    t(p + s) = t(p) r, r = exp2(s (log2e - x_top)) <= 1, so terms only
-    shrink: r is formed once in ``d`` and each p of the run costs one
-    multiply and one sum per term. A run of one p (an irregular grid is
-    all such runs) takes its terms directly, one multiply and one exp2, so
-    a grid costs one exp2 per run. A sum differs from a direct exp2 by the
-    rounding of the ratios and multiplies, about n eps for the n-th p of a
-    sign. The terms are taken one block of ``_BLOCK`` entries at a time,
-    so the block stays in cache; each p's block sums are added pairwise.
-    At p = 0 the sum is the count of entries.
+    - x_top)), x_top being the segment's largest log2e for p > 0 and its
+    smallest for p < 0 and top = p x_top, so every term is at most 1 and
+    no sum can overflow. The p of one sign are walked in order of
+    increasing |p|. In a run of p reached by one step s the terms follow
+    the recurrence t(p + s) = t(p) r, r = exp2(s (log2e - x_top)) <= 1, so
+    terms only shrink: r is formed once in ``d`` and each p of the run
+    costs one multiply and one sum per term. A run of one p (an irregular
+    grid is all such runs) takes its terms directly, one multiply and one
+    exp2, so a grid costs one exp2 per run. A sum differs from a direct
+    exp2 by the rounding of the ratios and multiplies, about n eps for the
+    n-th p of a sign. The terms are taken one block of ``_BLOCK`` entries
+    at a time, so the block stays in cache, and every segment of a block
+    is walked at once: the block's segment tops are repeated over their
+    terms (a block-sized array) and ``np.add.reduceat`` sums each piece
+    of a segment. A block inside one segment subtracts its top and takes
+    one ``sum``, as a lone segment does. A segment's block sums are added
+    pairwise. At p = 0 the sum is the count of entries.
     """
-    lo, hi = log2e.min(), log2e.max()
-    starts = range(0, log2e.size, _BLOCK)
-    partial = np.empty((p_grid.size, len(starts)))
-    for ib, a in enumerate(starts):
+    squeeze = starts is None
+    starts = np.zeros(1, dtype=np.intp) if squeeze else np.asarray(starts)
+    tops = (np.maximum.reduceat(log2e, starts), np.minimum.reduceat(log2e, starts))
+    # pieces: the segments cut at the block starts
+    blocks = np.arange(0, log2e.size, _BLOCK)
+    cuts = np.union1d(starts, blocks)
+    seg = np.searchsorted(starts, cuts, side="right") - 1
+    bounds = np.append(np.searchsorted(cuts, blocks), cuts.size).tolist()
+    partial = np.empty((p_grid.size, cuts.size))
+    for ib, a in enumerate(blocks.tolist()):
         x = log2e[a:a + _BLOCK]
         dx, tx = d[:x.size], t[:x.size]
-        for (_, runs), x_top in zip(walks, (hi, lo)):
+        pa, pb = bounds[ib], bounds[ib + 1]
+        pieces = cuts[pa:pb] - a
+        one = pieces.size == 1          # the block lies inside one segment
+        cols = pa if one else slice(pa, pb)
+        for (_, runs), top in zip(walks, tops):
             for k, (s, run) in enumerate(runs):
                 # d holds log2e - x_top unless the last run left its ratio
                 if k == 0 or len(runs[k - 1][1]) > 1:
-                    np.subtract(x, x_top, out=dx)
+                    np.subtract(x, top[seg[pa]] if one else np.repeat(
+                        top[seg[pa:pb]], np.diff(pieces, append=x.size)), out=dx)
                 if len(run) == 1:
                     np.multiply(dx, p_grid[run[0]], out=tx)
                     np.exp2(tx, out=tx)
-                    partial[run[0], ib] = tx.sum()
+                    partial[run[0], cols] = (tx.sum() if one else
+                                             np.add.reduceat(tx, pieces))
                     continue
                 np.multiply(dx, s, out=dx)
                 np.exp2(dx, out=dx)
                 for m, ip in enumerate(run):
                     np.multiply(tx if k or m else 1.0, dx, out=tx)
-                    partial[ip, ib] = tx.sum()
-    out = np.full(p_grid.size, np.nan)
-    out[p_grid == 0] = np.log2(float(log2e.size))
-    for (ips, _), x_top in zip(walks, (hi, lo)):
-        out[ips] = p_grid[ips] * x_top + np.log2(partial[ips].sum(axis=1))
-    return out
+                    partial[ip, cols] = (tx.sum() if one else
+                                         np.add.reduceat(tx, pieces))
+    out = np.full((p_grid.size, starts.size), np.nan)
+    out[p_grid == 0] = np.log2(np.diff(starts, append=log2e.size).astype(float))
+    firsts = np.searchsorted(cuts, starts)
+    for (ips, _), top in zip(walks, tops):
+        sums = (partial[ips].sum(axis=1, keepdims=True) if starts.size == 1
+                else np.add.reduceat(partial[ips], firsts, axis=1))
+        out[ips] = p_grid[ips, None] * top + np.log2(sums)
+    return out[:, 0] if squeeze else out
 
 
 _WORK = 1 << 17     # float64 entries of one work array (1 MB)
+# float64 entries of one temporary of a batched fit (32 kB), so a fit's
+# memory does not grow with the number of windows; peak RSS follows heap
+# layout, and on local_dense this size read 90.5 MB against 97-98 MB at
+# 2^13 and 2^17 (97.7 MB with one fit per window)
+_FIT_WORK = 1 << 12
 
 
-def _log2_runs(seg_S, runs) -> np.ndarray:
+def _log2_pyramid_sums(seg_S, runs) -> np.ndarray:
     """log2 of the sum of the segment sums 2^seg_S[:, a:b] over each run
     [a, b) of ``runs`` (n_runs x 2), one row per run.
 
-    The largest segment sum of a run is factored out, so no term exceeds
-    1; a run without a finite segment sum gets -inf. The last column of
-    seg_S must be -inf: it pads runs shorter than the longest one.
+    The segment sums are added pairwise into a log-domain pyramid, a node
+    of one level being log2(2^left + 2^right) of two nodes of the level
+    below. A run reads the O(log) nodes that tile it, and the largest of
+    them is factored out, so no term exceeds 1; a run of one segment gets
+    its segment sum unchanged, and a run without a finite segment sum
+    gets -inf.
     """
-    n_p, pad = seg_S.shape[0], seg_S.shape[1] - 1
-    width = max(1, int((runs[:, 1] - runs[:, 0]).max()))
+    n_p = seg_S.shape[0]
+    levels = [seg_S]
+    while levels[-1].shape[1] > 1:
+        L = levels[-1]
+        if L.shape[1] % 2:
+            L = np.concatenate([L, np.full((n_p, 1), -np.inf)], axis=1)
+        levels.append(np.logaddexp2(L[:, ::2], L[:, 1::2]))
+    nodes = np.concatenate(levels + [np.full((n_p, 1), -np.inf)], axis=1)
+    pad = nodes.shape[1] - 1
+    # the nodes tiling [a, b): at each level take a if odd, b - 1 if b is odd
+    a, b = runs[:, 0].copy(), runs[:, 1].copy()
+    idx, offset = [], 0
+    for L in levels:
+        left = (a < b) & (a % 2 == 1)
+        idx.append(np.where(left, offset + a, pad))
+        a += left
+        right = (a < b) & (b % 2 == 1)
+        b -= right
+        idx.append(np.where(right, offset + b, pad))
+        a //= 2
+        b //= 2
+        offset += L.shape[1]
+    idx = np.sort(np.stack(idx, axis=1), axis=1)
+    idx = idx[:, :max(1, int((idx < pad).sum(axis=1).max(initial=0)))]
     out = np.empty((runs.shape[0], n_p))
-    step = max(1, _WORK // (n_p * width))
+    step = max(1, _WORK // (n_p * idx.shape[1]))
     for a in range(0, runs.shape[0], step):
-        r = runs[a:a + step]
-        idx = r[:, :1] + np.arange(width)
-        idx[idx >= r[:, 1:]] = pad
-        L = seg_S[:, idx]                       # n_p x runs x width
-        top = L.max(axis=-1)
+        N = nodes[:, idx[a:a + step]]               # n_p x runs x nodes
+        top = N.max(axis=-1)
         fin = np.isfinite(top)
         top[~fin] = 0.0
-        total = np.exp2(L - top[..., None]).sum(axis=-1)
+        total = np.exp2(N - top[..., None]).sum(axis=-1)
         log2 = np.full(total.shape, -np.inf)
         np.log2(total, out=log2, where=fin)
         out[a:a + step] = (top + log2).T
@@ -213,14 +285,18 @@ def _window_sums(family: DyadicFamily, windows, scales, p_grid):
     of each sum (same shape, nonzero only for p <= 0) and the count of
     valid cubes of each window at each scale (n_windows x n_scales).
 
-    At each scale the cubes are cut at the edges of every window into
-    segments. Each segment a window covers is read in place by
-    :func:`_cube_values` and summed once per p by
-    :func:`_walk_log2_sums`, over one walk of the p grid and block by block
-    in two scratch blocks, both shared by every segment of the call, and
-    every window combines the sums of its segments by :func:`_log2_runs`.
-    A window made of one segment gets that segment's sum unchanged. A p
-    grid that is empty, not 1-D or holds a non-finite p raises DomainError.
+    The windows' cube ranges at every scale are array arithmetic on their
+    ends. At each scale the cubes are cut at the edges of every window
+    into segments. The segments some window covers are read in groups of
+    consecutive segments by :func:`_segment_values`, a new group starting
+    after a gap and at each multiple of ``_BLOCK`` cubes, and each group's
+    segments are summed together by :func:`_walk_log2_sums`, over one walk
+    of the p grid and in two scratch blocks shared by the whole call. So
+    a scale costs O(n_p) numpy calls per block of cubes, however many
+    segments it has. Every window then combines its segments' sums from a
+    pyramid (:func:`_log2_pyramid_sums`). A window made of one segment,
+    such as a lone window, gets that segment's sum unchanged. A p grid
+    that is empty, not 1-D or holds a non-finite p raises DomainError.
     """
     p_grid = np.asarray(p_grid, dtype=float)
     if p_grid.ndim != 1 or not p_grid.size:
@@ -228,35 +304,58 @@ def _window_sums(family: DyadicFamily, windows, scales, p_grid):
             f"partition sums need a non-empty 1-D p grid, got {p_grid.tolist()}")
     if not np.all(np.isfinite(p_grid)):
         raise DomainError(f"partition sums need finite p, got {p_grid.tolist()}")
+    scales = np.asarray(scales, dtype=int)
     n_w = len(windows)
-    log2_S = np.full((n_w, p_grid.size, len(scales)), -np.inf)
-    n_valid = np.zeros((n_w, len(scales)), dtype=int)
+    log2_S = np.full((n_w, p_grid.size, scales.size), -np.inf)
+    n_valid = np.zeros((n_w, scales.size), dtype=int)
     n_pos = np.zeros_like(n_valid)
     block = min(_BLOCK, max((family.n_cubes(j) for j in scales), default=0))
     d, t = np.empty(block), np.empty(block)
     walks = _p_walks(p_grid)
-    for i, j in enumerate(scales):
-        ends = np.array([w.cube_range(j) for w in windows])
-        edges, runs = np.unique(ends, return_inverse=True)
+    # Window.cube_range of every window at every scale: ends * 2^j is exact
+    ends = np.outer([w.lo for w in windows] + [w.hi for w in windows],
+                    np.ldexp(1.0, scales))
+    k_lo = np.ceil(ends[:n_w]).astype(np.int64)
+    k_hi = np.maximum(k_lo, np.floor(ends[n_w:]).astype(np.int64))
+    for i, j in enumerate(scales.tolist()):
+        edges, runs = np.unique(np.stack([k_lo[:, i], k_hi[:, i]], axis=1),
+                                return_inverse=True)
         runs = runs.reshape(n_w, 2)
         # depth > 0 marks the segments some window covers
         depth = np.zeros(edges.size, dtype=int)
         np.add.at(depth, runs[:, 0], 1)
         np.add.at(depth, runs[:, 1], -1)
+        covered = np.flatnonzero(np.cumsum(depth)[:-1] > 0)
         seg_S = np.full((p_grid.size, edges.size), -np.inf)
         seg_valid = np.zeros(edges.size, dtype=int)   # counts of segment s at s + 1
         seg_pos = np.zeros_like(seg_valid)
-        for s in np.flatnonzero(np.cumsum(depth)[:-1] > 0):
-            sv = _cube_values(family, j, edges[s], edges[s + 1])
+        # groups of covered segments [a, b): a group starts after a gap and
+        # at the first segment starting in each _BLOCK of cubes
+        new = ((np.diff(covered, prepend=-2) > 1)
+               | (np.diff(edges[covered] // _BLOCK, prepend=-1) > 0))
+        groups = np.append(np.flatnonzero(new), covered.size).tolist()
+        for u, v in zip(groups[:-1], groups[1:]):
+            a, b = covered[u], covered[v - 1] + 1
+            sv, nv = _segment_values(family, j, edges[a:b + 1])
             log2e = sv[sv > 0]
-            seg_valid[s + 1], seg_pos[s + 1] = sv.size, log2e.size
-            if log2e.size:
+            seg_valid[a + 1:b + 1] = nv
+            if b - a == 1:
+                seg_pos[b] = log2e.size
+            else:
+                # nonzero values up to each segment's end: valid ones less zeros
+                cv = np.cumsum(nv)
+                seg_pos[a + 1:b + 1] = np.diff(
+                    cv - np.searchsorted(np.flatnonzero(sv == 0), cv), prepend=0)
+            npos = seg_pos[a + 1:b + 1]
+            some = np.flatnonzero(npos)
+            if some.size:
                 np.log2(log2e, out=log2e)
-                seg_S[:, s] = _walk_log2_sums(log2e, p_grid, walks, d, t)
+                seg_S[:, a + some] = _walk_log2_sums(
+                    log2e, p_grid, walks, d, t, (np.cumsum(npos) - npos)[some])
         for counts, out in ((seg_valid, n_valid), (seg_pos, n_pos)):
             c = np.cumsum(counts)
             out[:, i] = c[runs[:, 1]] - c[runs[:, 0]]
-        log2_S[:, :, i] = _log2_runs(seg_S, runs)
+        log2_S[:, :, i] = _log2_pyramid_sums(seg_S, runs)
     excluded = np.where((p_grid <= 0)[:, None], (n_valid - n_pos)[:, None, :], 0)
     return log2_S, excluded, n_valid
 
@@ -341,31 +440,52 @@ def _scaling_functions(family: DyadicFamily, windows, p_grid, fit_ranges,
                        min_cubes: int = 1) -> list[ScalingFunction]:
     """:func:`scaling_function` on every window of a list (None: the
     whole domain), ``windows[i]`` fitted over ``fit_ranges[i]``, with
-    the partition sums of all windows taken by one kernel call."""
+    the partition sums of all windows taken by one kernel call and the
+    windows that share a fit range and a set of usable scales fitted
+    together by :func:`_chords`, ``_FIT_WORK`` entries at a time."""
     if not windows:
         return []
     p_grid = np.ascontiguousarray(p_grid, dtype=float)
     clipped = [_clip_window(family, w) for w in windows]
-    ranges = [_fit_scales(family, fr, family.j_max - 1, 4) for fr in fit_ranges]
-    scales = np.arange(min(r[0] for r in ranges), max(r[1] for r in ranges) + 1)
+    ranges = np.array([_fit_scales(family, fr, family.j_max - 1, 4)
+                       for fr in fit_ranges])
+    scales = np.arange(ranges[:, 0].min(), ranges[:, 1].max() + 1)
     log2_S, excluded, n_valid = _window_sums(family, clipped, scales, p_grid)
-    out = []
-    for w, (j1, j2), S, excl, nv in zip(clipped, ranges, log2_S, excluded,
-                                        n_valid):
-        use = (scales >= j1) & (scales <= j2) & (nv >= max(1, min_cubes))
-        if use.sum() < 2:
-            raise EmptyWindowError(
-                f"window [{w.lo}, {w.hi}) keeps fewer than 2 usable "
-                f"scales in ({j1}, {j2})")
-        S = np.ascontiguousarray(S[:, use])
-        S[~np.isfinite(S)] = np.nan
-        slope, resid, tail, _ = _chords(scales[use].astype(float), S)
-        fitted = ~np.isnan(slope)
-        tau = np.where(fitted, slope, tail)
-        residuals = np.where(fitted, resid, 0.0)
-        out.append(ScalingFunction(p_grid, tau, tail, tau - 1.0, (j1, j2),
-                                   residuals, w, scales[use], S,
-                                   np.ascontiguousarray(excl[:, use])))
+    use = ((scales >= ranges[:, :1]) & (scales <= ranges[:, 1:])
+           & (n_valid >= max(1, min_cubes)))
+    few = use.sum(axis=1) < 2
+    if few.any():
+        i = int(np.argmax(few))
+        raise EmptyWindowError(
+            f"window [{clipped[i].lo}, {clipped[i].hi}) keeps fewer than 2 "
+            f"usable scales in ({ranges[i, 0]}, {ranges[i, 1]})")
+    keys, group = np.unique(np.hstack([ranges, use]), axis=0,
+                            return_inverse=True)
+    group = group.ravel()
+    groups = np.split(np.argsort(group, kind="stable"),
+                      np.cumsum(np.bincount(group))[:-1])
+    out = [None] * len(windows)
+    for key, group in zip(keys, groups):
+        u = key[2:].astype(bool)
+        js = scales[u]
+        # a few windows per call, so no temporary of the fit exceeds
+        # _FIT_WORK entries however many windows share the group
+        step = max(1, _FIT_WORK // (p_grid.size * js.size))
+        for members in np.split(group, range(step, group.size, step)):
+            S = np.ascontiguousarray(log2_S[members][:, :, u])
+            S[~np.isfinite(S)] = np.nan
+            slope, resid, tail, _ = _chords(js.astype(float), S)
+            fitted = ~np.isnan(slope)
+            tau = np.where(fitted, slope, tail)
+            residuals = np.where(fitted, resid, 0.0)
+            eta = tau - 1.0
+            excl = np.ascontiguousarray(excluded[members][:, :, u])
+            # each result owns its arrays: keeping one keeps no other's
+            for row, i in enumerate(members.tolist()):
+                out[i] = ScalingFunction(
+                    p_grid, tau[row].copy(), tail[row].copy(), eta[row].copy(),
+                    (int(key[0]), int(key[1])), residuals[row].copy(), clipped[i],
+                    js.copy(), S[row].copy(), excl[row].copy())
     return out
 
 

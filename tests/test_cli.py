@@ -874,8 +874,15 @@ class TestProcess:
         (["report", "--input", "SIGNAL", "--x-grid", "0.5"], 2),
         (["analyze", "--p-grid=", "--spec", "BINOM"], 2),
         (["analyze", "--p-grid", "1,1,2", "--spec", "BINOM"], 2),
+        (["local", "--spec", "BINOM", "--x-grid", "0.5", "--radii",
+          "0.125,0.25"], 2),
+        (["local", "--spec", "BINOM", "--x-grid", "0.5", "--radii",
+          "0.25,0.25"], 2),
+        (["analyze", "--p-grid", "1e300,1", "--h-grid", "0.5,1", "--spec",
+          "BINOM"], 0),
     ], ids=["non-finite-p-grid", "help", "synth-input", "leaders-j-max",
-            "report-x-grid", "empty-p-grid", "repeated-p-grid"])
+            "report-x-grid", "empty-p-grid", "repeated-p-grid",
+            "increasing-radii", "repeated-radii", "huge-p"])
     def test_exit_code_and_at_most_one_stderr_line(self, tmp_path, argv, code):
         files = {"BINOM": write_spec(tmp_path, "binom.json", {
             "kind": "binomial", "params": {"p": 0.4, "J": 10}})}

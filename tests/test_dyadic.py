@@ -258,6 +258,17 @@ class TestLineFit:
             n_fitted += 1
         assert n_fitted >= 290
 
+    def test_residuals_of_huge_values_scale_exactly(self):
+        # values near 1e300 square to inf; a fit of Y / 2^1000 scales back
+        # exactly, so the residuals must be the same bits times 2^1000
+        rng = np.random.default_rng(6)
+        x = -np.arange(3.0, 15.0)
+        Y = (rng.normal(size=(20, x.size)) + x) * 1e300
+        got = _line_fit(x, Y)
+        for a, b in zip(got, _line_fit(x, Y / 2.0 ** 1000)):
+            np.testing.assert_array_equal(a, b * 2.0 ** 1000)
+        assert np.all(np.isfinite(got[2])) and np.all(got[2] > 1e299)
+
 
 class TestValidationErrors:
     def test_invalid_window(self):

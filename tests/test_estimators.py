@@ -30,7 +30,13 @@ from localmf import (
     synthesize,
     uniform_exponent,
 )
-from localmf.estimators import _BLOCK, FitPolicy, _p_walks, _walk_log2_sums
+from localmf.estimators import (
+    _BLOCK,
+    FitPolicy,
+    _p_walks,
+    _walk_log2_sums,
+    _window_sums,
+)
 
 
 def power_family(alpha, j_max=12):
@@ -142,6 +148,12 @@ class TestScalingFunction:
             sf = scaling_function(F, None, np.array([-30.0]))
         assert np.all(np.isfinite(sf.log2_S))
         assert sf.tau[0] == pytest.approx(binom_tau(0.1, -30.0), abs=1e-9)
+
+    def test_huge_p_keeps_a_finite_residual(self):
+        # log2 S_j(1e300) is about 5e299 j: squared residuals would overflow
+        sf = scaling_function(BINOM, None, np.array([1e300, 1.0]))
+        assert sf.tau[0] == pytest.approx(-1e300 * math.log2(0.7), rel=1e-12)
+        assert np.all(np.isfinite(sf.residuals)) and sf.residuals[0] > 0
 
     def test_scale_zero_leaves_the_fit(self):
         # the chord log2 S_0 / -0 is undefined: (0, 10) must fit (1, 10)
@@ -752,6 +764,136 @@ class TestWindowSums:
         assert peak < _BLOCK * 8 // 4
         ref = np.logaddexp2.reduce(np.outer(ps, log2e), axis=1)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def exact_step_walks(p_grid):
+    """The walk of each sign with runs cut wherever two consecutive steps
+    differ at all: the runs that grids of exactly equal steps keep."""
+    walks = []
+    for ips in (np.flatnonzero(p_grid > 0), np.flatnonzero(p_grid < 0)):
+        ips = ips[np.argsort(np.abs(p_grid[ips]), kind="stable")]
+        steps = np.diff(p_grid[ips], prepend=0.0)
+        firsts = np.flatnonzero(np.diff(steps, prepend=np.nan) != 0)
+        walks.append((ips, [(steps[a], ips[a:b].tolist()) for a, b
+                            in zip(firsts, [*firsts[1:], ips.size])]))
+    return walks
+
+
+class TestPWalks:
+    def test_linspace_grid_walks_in_one_run_per_sign(self):
+        # its steps differ in the last bits: exact equality cut 25 runs
+        ps = np.linspace(-3.0, 3.0, 41)
+        assert sum(len(runs) for _, runs in exact_step_walks(ps)) == 25
+        for ips, runs in _p_walks(ps):
+            assert len(runs) == 1
+            s, run = runs[0]
+            assert run == ips.tolist() and len(run) == 20
+            assert s == ps[ips[0]]          # the first step, taken from 0
+
+    @pytest.mark.parametrize("ps", [
+        np.arange(-5.0, 5.5, 0.5), np.linspace(-10.0, 10.0, 41),
+        np.r_[-np.geomspace(0.01, 40.0, 20), np.geomspace(0.01, 40.0, 20)],
+        np.array([0.5, 1.0, 1.5, 3.0, 4.5, 4.75, 5.0, -1.0, -3.0]),
+    ], ids=["arange", "linspace-exact", "geometric", "mixed"])
+    def test_other_grids_keep_the_exact_step_runs(self, ps):
+        for (ips, runs), (ref_ips, ref_runs) in zip(_p_walks(ps),
+                                                    exact_step_walks(ps)):
+            np.testing.assert_array_equal(ips, ref_ips)
+            assert [r for _, r in runs] == [r for _, r in ref_runs]
+            assert all(s == ref_s for (s, _), (ref_s, _) in zip(runs, ref_runs))
+
+    def test_multi_segment_scratch_stays_block_sized(self):
+        # 300 segments over three blocks and a ragged one: beyond d and t
+        # only one block of repeated tops and arrays the size of the sums
+        import tracemalloc
+        rng = np.random.default_rng(8)
+        n = 3 * _BLOCK + 5
+        log2e = rng.uniform(-50.0, 50.0, n)
+        starts = np.r_[0, np.sort(rng.choice(np.arange(1, n), 299, replace=False))]
+        ps = np.linspace(-3.0, 3.0, 41)
+        walks = _p_walks(ps)
+        d, t = np.empty(_BLOCK), np.empty(_BLOCK)
+        _walk_log2_sums(log2e[:10], ps, walks, d, t, [0, 5])   # warm numpy up
+        tracemalloc.start()
+        try:
+            got = _walk_log2_sums(log2e, ps, walks, d, t, starts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (ps.size, starts.size)
+        assert peak < _BLOCK * 8 + 4 * got.nbytes
+        for k, (a, b) in enumerate(zip(starts, [*starts[1:], n])):
+            ref = np.logaddexp2.reduce(np.outer(ps, log2e[a:b]), axis=1)
+            assert np.all(np.abs(got[:, k] - ref)
+                          <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    def test_window_sums_read_a_scale_in_groups(self):
+        # 192 balls cut the top scale (2^20 cubes) into 8192-cube segments:
+        # scratch stays far below the 16 blocks of the scale's log2 values
+        import tracemalloc
+        F = block_family()
+        windows = [Window.ball(x, r) for x in (np.arange(64) + 0.5) / 64
+                   for r in (1 / 8, 1 / 16, 1 / 32)]
+        ps = np.linspace(-3.0, 3.0, 41)
+        _window_sums(F, windows[:2], [F.j_max], ps)             # warm numpy up
+        tracemalloc.start()
+        try:
+            _window_sums(F, windows, [F.j_max], ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert F.n_cubes(F.j_max) == 16 * _BLOCK
+        assert peak < 8 * _BLOCK * 8
+
+
+@st.composite
+def window_lists(draw):
+    """Windows with random and dyadic ends, each maybe followed by a window
+    nested in it and one beside it."""
+    def end():
+        return draw(st.one_of(st.floats(0.0, 1.0),
+                              st.integers(0, 64).map(lambda k: k / 64)))
+    windows = []
+    for _ in range(draw(st.integers(1, 5))):
+        a, b = sorted([end(), end()])
+        if a == b:
+            continue
+        windows.append(Window(a, b))
+        quarter = (b - a) / 4
+        if draw(st.booleans()) and a + quarter < b - quarter:
+            windows.append(Window(a + quarter, b - quarter))
+        beside = min(1.0, b + 2 * quarter)
+        if draw(st.booleans()) and b < beside:
+            windows.append(Window(b, beside))
+    return windows or [Window(0.0, 1.0)]
+
+
+P_GRIDS = st.one_of(
+    st.builds(np.linspace, st.floats(-20.0, 20.0), st.floats(-20.0, 20.0),
+              st.integers(1, 41)),
+    st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=12).map(np.array),
+    st.builds(lambda k, n, step: (k + np.arange(n)) * step,
+              st.integers(-20, 0), st.integers(1, 41),
+              st.sampled_from([0.125, 0.25, 0.5, 1.0])),
+)
+
+
+class TestBatchedEqualsOneByOne:
+    @given(st.integers(1, 10), st.booleans(), st.integers(0, 2 ** 32 - 1),
+           window_lists(), P_GRIDS)
+    @settings(max_examples=60, deadline=None)
+    def test_window_sums_of_a_list(self, J, masked, seed, windows, ps):
+        F = rough_family(J, masked, seed)
+        log2_S, excl, n_valid = _window_sums(F, windows, F.scales, ps)
+        for iw, w in enumerate(windows):
+            ref, ref_excl, ref_valid = _window_sums(F, [w], F.scales, ps)
+            np.testing.assert_array_equal(np.isneginf(log2_S[iw]),
+                                          np.isneginf(ref[0]))
+            fin = np.isfinite(ref[0])
+            assert np.all(np.abs(log2_S[iw][fin] - ref[0][fin])
+                          <= 1e-12 * np.maximum(1.0, np.abs(ref[0][fin])))
+            np.testing.assert_array_equal(excl[iw], ref_excl[0])
+            np.testing.assert_array_equal(n_valid[iw], ref_valid[0])
 
 
 def outcome(call):
