@@ -30,7 +30,8 @@ Conventions
   range (the liminf-faithful tail-min chord estimate is reported
   alongside); eta(p) = tau(p) - 1. Scaling functions and pointwise and
   uniform exponents share one range rule and one slope/chord routine
-  (``dyadic._fit_scales``, ``dyadic._chords``).
+  (``dyadic._fit_scales``, ``dyadic._chords``). A list of windows is
+  fitted as one padded array, NaN at the scales a window does not use.
 * Every cube is read through one valid-aware reader
   (``dyadic._cube_values``; the partition sums call it through
   ``dyadic._segment_values``, which also counts the valid cubes of each
@@ -150,12 +151,11 @@ def _p_walks(p_grid) -> list:
     return walks
 
 
-def _walk_log2_sums(log2e, p_grid, walks, d, t, starts=None) -> np.ndarray:
+def _walk_log2_sums(log2e, p_grid, walks, d, t, starts) -> np.ndarray:
     """log2 sum_i exp2(p log2e_i) for every p of the grid, whose walk
-    :func:`_p_walks` gives: over all of ``log2e`` (an array of n_p), or
-    with ``starts`` over each segment log2e[starts[k]:starts[k + 1]] (the
-    last one to the end; n_p x n_segments). ``d`` and ``t`` are scratch
-    arrays of at least min(_BLOCK, log2e.size) entries.
+    :func:`_p_walks` gives, over each segment log2e[starts[k]:starts[k +
+    1]] (the last one to the end; n_p x n_segments). ``d`` and ``t`` are
+    scratch arrays of at least min(_BLOCK, log2e.size) entries.
 
     Each sum is formed as top + log2 sum t_i(p), t_i(p) = exp2(p (log2e_i
     - x_top)), x_top being the segment's largest log2e for p > 0 and its
@@ -176,8 +176,7 @@ def _walk_log2_sums(log2e, p_grid, walks, d, t, starts=None) -> np.ndarray:
     one ``sum``, as a lone segment does. A segment's block sums are added
     pairwise. At p = 0 the sum is the count of entries.
     """
-    squeeze = starts is None
-    starts = np.zeros(1, dtype=np.intp) if squeeze else np.asarray(starts)
+    starts = np.asarray(starts)
     tops = (np.maximum.reduceat(log2e, starts), np.minimum.reduceat(log2e, starts))
     # pieces: the segments cut at the block starts
     blocks = np.arange(0, log2e.size, _BLOCK)
@@ -217,14 +216,12 @@ def _walk_log2_sums(log2e, p_grid, walks, d, t, starts=None) -> np.ndarray:
         sums = (partial[ips].sum(axis=1, keepdims=True) if starts.size == 1
                 else np.add.reduceat(partial[ips], firsts, axis=1))
         out[ips] = p_grid[ips, None] * top + np.log2(sums)
-    return out[:, 0] if squeeze else out
+    return out
 
 
 _WORK = 1 << 17     # float64 entries of one work array (1 MB)
 # float64 entries of one temporary of a batched fit (32 kB), so a fit's
-# memory does not grow with the number of windows; peak RSS follows heap
-# layout, and on local_dense this size read 90.5 MB against 97-98 MB at
-# 2^13 and 2^17 (97.7 MB with one fit per window)
+# memory does not grow with the number of windows
 _FIT_WORK = 1 << 12
 
 
@@ -339,13 +336,10 @@ def _window_sums(family: DyadicFamily, windows, scales, p_grid):
             sv, nv = _segment_values(family, j, edges[a:b + 1])
             log2e = sv[sv > 0]
             seg_valid[a + 1:b + 1] = nv
-            if b - a == 1:
-                seg_pos[b] = log2e.size
-            else:
-                # nonzero values up to each segment's end: valid ones less zeros
-                cv = np.cumsum(nv)
-                seg_pos[a + 1:b + 1] = np.diff(
-                    cv - np.searchsorted(np.flatnonzero(sv == 0), cv), prepend=0)
+            # nonzero values up to each segment's end: valid ones less zeros
+            cv = np.cumsum(nv)
+            seg_pos[a + 1:b + 1] = np.diff(
+                cv - np.searchsorted(np.flatnonzero(sv == 0), cv), prepend=0)
             npos = seg_pos[a + 1:b + 1]
             some = np.flatnonzero(npos)
             if some.size:
@@ -439,10 +433,12 @@ def scaling_function(family: DyadicFamily, window: Window | None,
 def _scaling_functions(family: DyadicFamily, windows, p_grid, fit_ranges,
                        min_cubes: int = 1) -> list[ScalingFunction]:
     """:func:`scaling_function` on every window of a list (None: the
-    whole domain), ``windows[i]`` fitted over ``fit_ranges[i]``, with
-    the partition sums of all windows taken by one kernel call and the
-    windows that share a fit range and a set of usable scales fitted
-    together by :func:`_chords`, ``_FIT_WORK`` entries at a time."""
+    whole domain), ``windows[i]`` fitted over ``fit_ranges[i]``. One
+    kernel call takes the sums of all windows over the union of their
+    scales; a scale a window does not use (outside its fit range, short of
+    ``min_cubes`` valid cubes, or without a nonzero cube) is NaN in its
+    row, and :func:`_chords` fits ``_FIT_WORK`` entries at a time, each
+    row over its finite entries."""
     if not windows:
         return []
     p_grid = np.ascontiguousarray(p_grid, dtype=float)
@@ -459,33 +455,21 @@ def _scaling_functions(family: DyadicFamily, windows, p_grid, fit_ranges,
         raise EmptyWindowError(
             f"window [{clipped[i].lo}, {clipped[i].hi}) keeps fewer than 2 "
             f"usable scales in ({ranges[i, 0]}, {ranges[i, 1]})")
-    keys, group = np.unique(np.hstack([ranges, use]), axis=0,
-                            return_inverse=True)
-    group = group.ravel()
-    groups = np.split(np.argsort(group, kind="stable"),
-                      np.cumsum(np.bincount(group))[:-1])
-    out = [None] * len(windows)
-    for key, group in zip(keys, groups):
-        u = key[2:].astype(bool)
-        js = scales[u]
-        # a few windows per call, so no temporary of the fit exceeds
-        # _FIT_WORK entries however many windows share the group
-        step = max(1, _FIT_WORK // (p_grid.size * js.size))
-        for members in np.split(group, range(step, group.size, step)):
-            S = np.ascontiguousarray(log2_S[members][:, :, u])
-            S[~np.isfinite(S)] = np.nan
-            slope, resid, tail, _ = _chords(js.astype(float), S)
-            fitted = ~np.isnan(slope)
-            tau = np.where(fitted, slope, tail)
-            residuals = np.where(fitted, resid, 0.0)
-            eta = tau - 1.0
-            excl = np.ascontiguousarray(excluded[members][:, :, u])
-            # each result owns its arrays: keeping one keeps no other's
-            for row, i in enumerate(members.tolist()):
-                out[i] = ScalingFunction(
-                    p_grid, tau[row].copy(), tail[row].copy(), eta[row].copy(),
-                    (int(key[0]), int(key[1])), residuals[row].copy(), clipped[i],
-                    js.copy(), S[row].copy(), excl[row].copy())
+    log2_S[~use[:, None, :] | np.isneginf(log2_S)] = np.nan
+    js = scales.astype(float)
+    step = max(1, _FIT_WORK // (p_grid.size * scales.size))
+    spans = [tuple(r) for r in ranges.tolist()]
+    out = []
+    for a in range(0, len(windows), step):
+        slope, resid, tail, _ = _chords(js, log2_S[a:a + step])
+        fitted = ~np.isnan(slope)
+        tau = np.where(fitted, slope, tail)
+        rows = zip(tau, tail, tau - 1.0, np.where(fitted, resid, 0.0))
+        for i, (t, t_min, eta, res) in enumerate(rows, a):
+            u = use[i]
+            out.append(ScalingFunction(
+                p_grid, t, t_min, eta, spans[i], res, clipped[i], scales[u],
+                log2_S[i][:, u], excluded[i][:, u]))
     return out
 
 
@@ -617,15 +601,15 @@ class LocalProfile:
         functions. It checks the liminf-faithful tail-min estimate, which
         satisfies the monotonicity exactly on a common fit range; the
         regression estimate can exceed it transiently on windows where the
-        structure sums are strongly curved in log-log."""
-        worst = 0.0
-        for per_x in self.profiles:
-            taus = np.array([sf.tau_tailmin for sf in per_x])   # radii x p
-            fin = np.isfinite(taus[:-1]) & np.isfinite(taus[1:])
-            if np.any(fin):
-                diffs = (taus[:-1] - taus[1:])[fin]
-                worst = max(worst, float(diffs.max()))
-        return worst
+        structure sums are strongly curved in log-log. Pairs with a
+        non-finite estimate are left out, and 0.0 is the floor."""
+        taus = np.reshape([[sf.tau_tailmin for sf in per_x]
+                           for per_x in self.profiles],
+                          (len(self.profiles), self.radii.size, self.p_grid.size))
+        fin = np.isfinite(taus[:, :-1]) & np.isfinite(taus[:, 1:])
+        diffs = np.subtract(taus[:, :-1], taus[:, 1:], where=fin,
+                            out=np.zeros(fin.shape))
+        return float(diffs.max(initial=0.0))
 
 
 def local_profile(family: DyadicFamily, x_grid, radii, p_grid,
@@ -670,9 +654,8 @@ def local_profile(family: DyadicFamily, x_grid, radii, p_grid,
     sfs = _scaling_functions(family, windows, p_grid, fit_ranges,
                              policy.min_cubes)
     profiles = [sfs[i:i + radii.size] for i in range(0, len(sfs), radii.size)]
-    tau_local = np.empty((x_grid.size, p_grid.size))
-    for ix, per_x in enumerate(profiles):
-        tau_local[ix] = per_x[-1].tau
+    tau_local = np.reshape([per_x[-1].tau for per_x in profiles],
+                           (x_grid.size, p_grid.size))
 
     spectra = None
     if H_grid is not None:

@@ -44,7 +44,7 @@ import numpy as np
 
 from ._textio import format_rows
 from .builders import BinnedMeasure
-from .errors import DomainError, ModelError, ScaleError
+from .errors import DomainError, ModelError, RangeError, ScaleError
 from .estimators import discrete_legendre
 from .wavelet import DEFAULT_FILTER, WaveletPyramid, inverse_dwt
 
@@ -145,7 +145,9 @@ def gen_localized_bernoulli(spec: ModelSpec) -> BinnedMeasure:
 
     Generation n splits each interval I of generation n-1 with ratio
     p(midpoint of I): the left child receives mass(I) * p, the right child
-    the rest. A constant p recovers the usual binomial measure.
+    the rest. A constant p recovers the usual binomial measure. A mass
+    below 2^-1022, whose bits the doubles lose (to 0 when it underflows,
+    which reads as outside the support), raises :class:`RangeError`.
     """
     params = spec.params
     J = int(params["J"])
@@ -153,15 +155,24 @@ def gen_localized_bernoulli(spec: ModelSpec) -> BinnedMeasure:
         raise ScaleError(f"localized Bernoulli needs 4 <= J <= 24, got {J}")
     p_fn = _as_function(params["p"])
     masses = np.array([1.0])
+    bound = 1.0
     for n in range(1, J + 1):
         width = 2.0 ** -(n - 1)
         mids = (np.arange(masses.size) + 0.5) * width
         ratios = p_fn(mids)
-        if np.any(ratios <= 0) or np.any(ratios >= 0.5):
+        r_min = ratios.min()
+        if not (r_min > 0 and ratios.max() < 0.5):     # NaN fails too
             raise DomainError("the splitting map p(.) must take values in (0, 1/2)")
         children = np.empty(2 * masses.size)
         np.multiply(masses, ratios, out=children[0::2])
         np.multiply(masses, 1.0 - ratios, out=children[1::2])
+        # no mass is below the product of the smallest ratios, so only a
+        # bound near 2^-1022 (2^-1000 covers its rounding) reads the left
+        # children, the smaller of each pair as m p(.) < m (1 - p(.))
+        bound *= r_min
+        if bound < 2.0 ** -1000 and (low := children[0::2].min()) < 2.0 ** -1022:
+            raise RangeError(f"localized Bernoulli generation {n} has a mass of "
+                             f"{low:.6g}, below the smallest normal double 2^-1022")
         masses = children
     return BinnedMeasure(masses)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -10,6 +11,7 @@ from localmf import (
     AnalysisError,
     CoverageError,
     DyadicFamily,
+    EmptyWindowError,
     ModelSpec,
     RadiusError,
     RangeError,
@@ -34,6 +36,7 @@ from localmf.estimators import (
     _BLOCK,
     FitPolicy,
     _p_walks,
+    _scaling_functions,
     _walk_log2_sums,
     _window_sums,
 )
@@ -299,6 +302,36 @@ class TestLocalProfile:
         lp = local_profile(F, [0.25, 0.5, 0.75], radii, qs,
                            FitPolicy(3, 15, 8))
         assert lp.radius_monotone_violation() <= 1e-9
+
+    def test_radius_monotone_violation_equals_the_per_point_loop(self):
+        # balls at x = 0.25 and 0.75 of radius <= 1/8 lie in gaps of the
+        # support and give +inf at every p, beside finite estimates
+        F = plain_measure_family(gen_cantor_pair(12), 12)
+        xs = [0.02, 0.0625, 0.25, 0.4, 0.51, 0.75, 0.99]
+        lp = local_profile(F, xs, np.array([0.25, 0.125, 0.0625]),
+                           np.arange(-3.0, 3.5, 0.5), FitPolicy(3, 11, 8))
+        taus = np.array([[sf.tau_tailmin for sf in per_x]
+                         for per_x in lp.profiles])
+        assert np.isposinf(taus).all(axis=2).sum() == 4
+        assert np.isfinite(taus).any()
+        # the radii reversed turn every finite pair into a violation
+        rev = dataclasses.replace(lp, radii=lp.radii[::-1],
+                                  profiles=[per_x[::-1] for per_x in lp.profiles])
+        for prof in (lp, rev):
+            worst = 0.0
+            for per_x in prof.profiles:
+                t = np.array([sf.tau_tailmin for sf in per_x])
+                fin = np.isfinite(t[:-1]) & np.isfinite(t[1:])
+                if np.any(fin):
+                    worst = max(worst, float((t[:-1] - t[1:])[fin].max()))
+            assert prof.radius_monotone_violation() == worst
+        assert rev.radius_monotone_violation() > 0.0
+
+    def test_radius_monotone_violation_of_no_base_point(self):
+        F = binomial_family(0.3, 10)
+        lp = local_profile(F, [], np.array([0.25, 0.125]), np.array([1.0, 2.0]))
+        assert lp.tau_local.shape == (0, 2)
+        assert lp.radius_monotone_violation() == 0.0
 
     def test_radius_too_small(self):
         F = binomial_family(0.3, 10)
@@ -693,7 +726,7 @@ class TestWindowSums:
         d, t = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = _walk_log2_sums(log2e, ps, _p_walks(ps), d, t)
+            got = _walk_log2_sums(log2e, ps, _p_walks(ps), d, t, [0])[:, 0]
         ref = np.logaddexp2.reduce(np.outer(ps, log2e), axis=1)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
         assert got[ps == 0] == np.log2(float(n))
@@ -744,7 +777,7 @@ class TestWindowSums:
         d, t = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = _walk_log2_sums(log2e, ps, _p_walks(ps), d, t)
+            got = _walk_log2_sums(log2e, ps, _p_walks(ps), d, t, [0])[:, 0]
         ref = np.logaddexp2.reduce(np.outer(ps, log2e), axis=1)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
         assert np.all(got[ps == 0] == np.log2(float(n)))
@@ -757,7 +790,7 @@ class TestWindowSums:
         d, t = np.empty(_BLOCK), np.empty(_BLOCK)
         tracemalloc.start()
         try:
-            got = _walk_log2_sums(log2e, ps, _p_walks(ps), d, t)
+            got = _walk_log2_sums(log2e, ps, _p_walks(ps), d, t, [0])[:, 0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -894,6 +927,47 @@ class TestBatchedEqualsOneByOne:
                           <= 1e-12 * np.maximum(1.0, np.abs(ref[0][fin])))
             np.testing.assert_array_equal(excl[iw], ref_excl[0])
             np.testing.assert_array_equal(n_valid[iw], ref_valid[0])
+
+    @given(st.integers(4, 10), st.booleans(), st.integers(0, 2 ** 32 - 1),
+           window_lists(), P_GRIDS, st.sampled_from([1, 4, 8]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_scaling_functions_of_a_list(self, J, masked, seed, windows, ps,
+                                         min_cubes, data):
+        F = rough_family(J, masked, seed)
+        # windows without a finest-scale cube fail before any sum is taken
+        windows = [w for w in windows if w.n_cubes(J)] or [Window(0.0, 1.0)]
+        # a fit range per window, of at least the 4 scales a fit needs
+        ranges = st.integers(1, J - 3).flatmap(
+            lambda j1: st.tuples(st.just(j1), st.integers(j1 + 3, J)))
+        if J >= 7:                      # the default (3, J - 1) holds 4
+            ranges = st.one_of(st.none(), ranges)
+        fit_ranges = [data.draw(ranges) for _ in windows]
+        singles = []
+        for w, fr in zip(windows, fit_ranges):
+            try:
+                singles.append(scaling_function(F, w, ps, fr, min_cubes))
+            except EmptyWindowError as exc:
+                singles.append(exc)
+        errors = [str(e) for e in singles if isinstance(e, EmptyWindowError)]
+        if errors:
+            # the list raises on its first window left with < 2 scales
+            with pytest.raises(EmptyWindowError) as info:
+                _scaling_functions(F, windows, ps, fit_ranges, min_cubes)
+            assert str(info.value) == errors[0]
+            return
+        batched = _scaling_functions(F, windows, ps, fit_ranges, min_cubes)
+        assert len(batched) == len(singles)
+        for got, want in zip(batched, singles):
+            assert got.fit_range == want.fit_range and got.window == want.window
+            np.testing.assert_array_equal(got.scales, want.scales)
+            np.testing.assert_array_equal(got.excluded_counts,
+                                          want.excluded_counts)
+            for name in ("tau", "tau_tailmin", "residuals"):
+                a, b = getattr(got, name), getattr(want, name)
+                fin = np.isfinite(b)
+                np.testing.assert_array_equal(a[~fin], b[~fin])
+                assert np.all(np.abs(a[fin] - b[fin])
+                              <= 1e-12 * np.maximum(1.0, np.abs(b[fin]))), name
 
 
 def outcome(call):

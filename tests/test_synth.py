@@ -8,12 +8,15 @@ from localmf import (
     DomainError,
     ModelError,
     ModelSpec,
+    RangeError,
     ScaleError,
     gen_cantor_pair,
     gen_localized_bernoulli,
     gen_markov_jump,
     gen_mbm,
     oracle,
+    plain_measure_family,
+    scaling_function,
     synthesize,
 )
 from localmf.synth import _CHUNK, _as_function, _substream, neglected_mass_rate, write_jumps
@@ -87,6 +90,26 @@ class TestLocalizedBernoulli:
         with pytest.raises(ScaleError):
             gen_localized_bernoulli(
                 ModelSpec("localized_bernoulli", {"p": 0.3, "J": 25}))
+
+    @pytest.mark.parametrize("p, J, generation", [
+        (1e-30, 14, 11),        # p^11 = 1e-330 underflows to 0
+        (1e-20, 18, 16),        # p^16 = 1e-320 is subnormal
+    ])
+    def test_masses_below_normal_doubles_raise_range_error(self, p, J,
+                                                            generation):
+        with pytest.raises(RangeError, match=f"generation {generation} "):
+            gen_localized_bernoulli(
+                ModelSpec("localized_bernoulli", {"p": p, "J": J}))
+
+    def test_smallest_normal_masses_stay_exact(self):
+        # p^22 = 1e-264 stays a normal double: tau matches the oracle
+        spec = ModelSpec("binomial", {"p": 1e-12, "J": 22})
+        m = synthesize(spec)["measure"]
+        assert m.masses[0] == pytest.approx(1e-12 ** 22, rel=1e-12)
+        qs = np.arange(-5.0, 5.5, 1.0)
+        sf = scaling_function(plain_measure_family(m, 22), None, qs)
+        np.testing.assert_allclose(sf.tau, oracle(spec).tau(0.5, qs),
+                                   rtol=0.0, atol=1e-9)
 
     def test_dyadic_exponent_formula(self):
         # h at x with digit pattern 0111... (x = 1/8 side) matches the
