@@ -158,17 +158,6 @@ def _cube_values(family: DyadicFamily, j: int, a: int, b: int) -> np.ndarray:
     return v if m is None else v[m[a:b]]
 
 
-def _segment_values(family: DyadicFamily, j: int, edges) -> tuple:
-    """:func:`_cube_values` of the scale-j cubes of offsets [edges[0],
-    edges[-1]), and how many of those values each segment [edges[i],
-    edges[i + 1]) holds; ``edges`` (an int array) must increase strictly."""
-    a, b = int(edges[0]), int(edges[-1])
-    m = family.valid_at(j)
-    counts = (np.diff(edges) if m is None else
-              np.add.reduceat(m[a:b], edges[:-1] - a, dtype=np.intp))
-    return _cube_values(family, j, a, b), counts
-
-
 def _scale_sups(family: DyadicFamily, scales, cube_range) -> np.ndarray:
     """The largest value of the valid scale-j cubes of offsets
     ``cube_range(j)``, for each scale j; NaN at a scale where none of them

@@ -13,12 +13,13 @@ Conventions
   for any finite p. A scale enters a fit when it holds a nonzero cube.
 * One kernel (``_window_sums``) takes every partition sum, for a list of
   windows at once. At each scale it cuts the cubes at every window edge
-  into shared segments and sums all the segments of a block of cubes in
-  one pass per p. A pairwise log-domain pyramid over the segment sums
-  then gives each window its sum from the O(log) nodes that tile it. Each
-  cube's term is thus computed once per (scale, p) however many windows
-  overlap it, a scale costs O(n_p) numpy calls per block of cubes, and a
-  window costs O(log) nodes per p however many segments it spans.
+  and at every multiple of ``_BLOCK`` cubes into shared leaves, and sums
+  all the leaves of a block of cubes in one pass per p. A pairwise
+  log-domain pyramid over the leaf sums then gives each window its sum
+  from the O(log) nodes that tile it. Each cube's term is thus computed
+  once per (scale, p) however many windows overlap it, a scale costs
+  O(n_p) numpy calls per block of cubes, and a window costs O(log) nodes
+  per p however many leaves it spans.
 * A fit range defaults to [3, j_max - 1] for scaling functions and to
   [3, j_max] for uniform exponents, is clipped to the family's scales and
   never includes scale 0, where the anchored chord log2 S_j / (-j) is
@@ -32,11 +33,10 @@ Conventions
   uniform exponents share one range rule and one slope/chord routine
   (``dyadic._fit_scales``, ``dyadic._chords``). A list of windows is
   fitted as one padded array, NaN at the scales a window does not use.
-* Every cube is read through one valid-aware reader
-  (``dyadic._cube_values``; the partition sums call it through
-  ``dyadic._segment_values``, which also counts the valid cubes of each
-  segment), and the four sup readers share one per-scale
-  sup (``dyadic._scale_sups``): pointwise lower and upper exponents over
+* The partition sums read a block's values and valid flags in place,
+  and the four sup readers share one valid-aware cube reader
+  (``dyadic._cube_values``) and one per-scale sup
+  (``dyadic._scale_sups``): pointwise lower and upper exponents over
   the chain cube floor(x 2^j), uniform exponents and Besov p = infinity
   over the window's cubes. A scale without a valid cube leaves an
   exponent fit and gives a Besov sup of 0.
@@ -45,22 +45,20 @@ Conventions
 * Local values tau(x, p) are taken at the smallest admissible radius; the
   full per-radius sequence is retained so convergence can be judged.
 
-The segments are summed one cache block of ``_BLOCK`` terms at a time:
-each segment's largest (p > 0) or smallest (p < 0) log2 e is subtracted
-from its terms, and ``np.add.reduceat`` sums the pieces of every segment
-in the block (a block inside one segment takes numpy's pairwise ``sum``),
-then a segment's block sums are added pairwise. Within a block the p of
-each sign are walked outward from 0 by a ratio recurrence, t(p + s) =
-t(p) 2^(s (log2 e - x_top)) with every ratio at most 1, so a p costs one
-multiply and one sum per term; the exp2 is paid once per block for each
-run of consecutive p reached by one step s (a run of one p takes its
-terms directly). A step joins a run when it is within 2^-46 relative of
-the run's first step, so a linspace grid, whose steps differ in their
+The leaves of one block are summed in one pass per p: each leaf's
+largest (p > 0) or smallest (p < 0) log2 e is subtracted from its terms,
+and one ``np.add.reduceat`` sums the terms of every leaf of the block.
+The p of each sign are walked outward from 0 by a ratio recurrence,
+t(p + s) = t(p) 2^(s (log2 e - x_top)) with every ratio at most 1, so a p
+costs one multiply and one sum per term; the exp2 is paid once per block
+for each run of consecutive p reached by one step s (a run of one p takes
+its terms directly). A step joins a run when it is within 2^-46 relative
+of the run's first step, so a linspace grid, whose steps differ in their
 last bits, walks in one run per sign, while a grid of exactly equal steps
-keeps its exact runs. Blocks, segment sums and pyramid nodes combine in a
-fixed order on one thread, so results are order-stable across repeated
-runs; a window made of a single segment (such as a lone window) gets
-exactly that segment's sum.
+keeps its exact runs. Leaf sums and pyramid nodes combine in a fixed
+order on one thread, so results are order-stable across repeated runs. A
+lone window is a window whose leaves are its blocks: its scratch is a
+few blocks, not a copy of its scale.
 """
 
 from __future__ import annotations
@@ -76,7 +74,6 @@ from .dyadic import (
     Window,
     _chords,
     _clip_window,
-    _segment_values,
     _fit_scales,
     _line_fit,
     _scale_sups,
@@ -153,12 +150,12 @@ def _p_walks(p_grid) -> list:
 
 def _walk_log2_sums(log2e, p_grid, walks, d, t, starts) -> np.ndarray:
     """log2 sum_i exp2(p log2e_i) for every p of the grid, whose walk
-    :func:`_p_walks` gives, over each segment log2e[starts[k]:starts[k +
-    1]] (the last one to the end; n_p x n_segments). ``d`` and ``t`` are
-    scratch arrays of at least min(_BLOCK, log2e.size) entries.
+    :func:`_p_walks` gives, over each leaf log2e[starts[k]:starts[k + 1]]
+    (the last one to the end; n_p x n_leaves). ``d`` and ``t`` are scratch
+    arrays of at least log2e.size entries.
 
     Each sum is formed as top + log2 sum t_i(p), t_i(p) = exp2(p (log2e_i
-    - x_top)), x_top being the segment's largest log2e for p > 0 and its
+    - x_top)), x_top being the leaf's largest log2e for p > 0 and its
     smallest for p < 0 and top = p x_top, so every term is at most 1 and
     no sum can overflow. The p of one sign are walked in order of
     increasing |p|. In a run of p reached by one step s the terms follow
@@ -168,54 +165,34 @@ def _walk_log2_sums(log2e, p_grid, walks, d, t, starts) -> np.ndarray:
     grid is all such runs) takes its terms directly, one multiply and one
     exp2, so a grid costs one exp2 per run. A sum differs from a direct
     exp2 by the rounding of the ratios and multiplies, about n eps for the
-    n-th p of a sign. The terms are taken one block of ``_BLOCK`` entries
-    at a time, so the block stays in cache, and every segment of a block
-    is walked at once: the block's segment tops are repeated over their
-    terms (a block-sized array) and ``np.add.reduceat`` sums each piece
-    of a segment. A block inside one segment subtracts its top and takes
-    one ``sum``, as a lone segment does. A segment's block sums are added
-    pairwise. At p = 0 the sum is the count of entries.
+    n-th p of a sign. Every leaf is walked at once: the leaf tops are
+    repeated over their terms (an array the size of log2e; a single leaf
+    subtracts its top by broadcasting) and one ``np.add.reduceat`` sums
+    the terms of every leaf. At p = 0 the sum is the count of entries.
     """
     starts = np.asarray(starts)
-    tops = (np.maximum.reduceat(log2e, starts), np.minimum.reduceat(log2e, starts))
-    # pieces: the segments cut at the block starts
-    blocks = np.arange(0, log2e.size, _BLOCK)
-    cuts = np.union1d(starts, blocks)
-    seg = np.searchsorted(starts, cuts, side="right") - 1
-    bounds = np.append(np.searchsorted(cuts, blocks), cuts.size).tolist()
-    partial = np.empty((p_grid.size, cuts.size))
-    for ib, a in enumerate(blocks.tolist()):
-        x = log2e[a:a + _BLOCK]
-        dx, tx = d[:x.size], t[:x.size]
-        pa, pb = bounds[ib], bounds[ib + 1]
-        pieces = cuts[pa:pb] - a
-        one = pieces.size == 1          # the block lies inside one segment
-        cols = pa if one else slice(pa, pb)
-        for (_, runs), top in zip(walks, tops):
-            for k, (s, run) in enumerate(runs):
-                # d holds log2e - x_top unless the last run left its ratio
-                if k == 0 or len(runs[k - 1][1]) > 1:
-                    np.subtract(x, top[seg[pa]] if one else np.repeat(
-                        top[seg[pa:pb]], np.diff(pieces, append=x.size)), out=dx)
-                if len(run) == 1:
-                    np.multiply(dx, p_grid[run[0]], out=tx)
-                    np.exp2(tx, out=tx)
-                    partial[run[0], cols] = (tx.sum() if one else
-                                             np.add.reduceat(tx, pieces))
-                    continue
-                np.multiply(dx, s, out=dx)
-                np.exp2(dx, out=dx)
-                for m, ip in enumerate(run):
-                    np.multiply(tx if k or m else 1.0, dx, out=tx)
-                    partial[ip, cols] = (tx.sum() if one else
-                                         np.add.reduceat(tx, pieces))
-    out = np.full((p_grid.size, starts.size), np.nan)
-    out[p_grid == 0] = np.log2(np.diff(starts, append=log2e.size).astype(float))
-    firsts = np.searchsorted(cuts, starts)
-    for (ips, _), top in zip(walks, tops):
-        sums = (partial[ips].sum(axis=1, keepdims=True) if starts.size == 1
-                else np.add.reduceat(partial[ips], firsts, axis=1))
-        out[ips] = p_grid[ips, None] * top + np.log2(sums)
+    sizes = np.diff(starts, append=log2e.size)
+    dx, tx = d[:log2e.size], t[:log2e.size]
+    out = np.empty((p_grid.size, starts.size))
+    out[p_grid == 0] = np.log2(sizes.astype(float))
+    for (ips, runs), top in zip(walks, (np.maximum.reduceat(log2e, starts),
+                                        np.minimum.reduceat(log2e, starts))):
+        for k, (s, run) in enumerate(runs):
+            # d holds log2e - x_top unless the last run left its ratio
+            if k == 0 or len(runs[k - 1][1]) > 1:
+                np.subtract(log2e, top if starts.size == 1
+                            else np.repeat(top, sizes), out=dx)
+            if len(run) == 1:
+                np.multiply(dx, p_grid[run[0]], out=tx)
+                np.exp2(tx, out=tx)
+                out[run[0]] = np.add.reduceat(tx, starts)
+                continue
+            np.multiply(dx, s, out=dx)
+            np.exp2(dx, out=dx)
+            for m, ip in enumerate(run):
+                np.multiply(tx if k or m else 1.0, dx, out=tx)
+                out[ip] = np.add.reduceat(tx, starts)
+        out[ips] = p_grid[ips, None] * top + np.log2(out[ips])
     return out
 
 
@@ -225,19 +202,18 @@ _WORK = 1 << 17     # float64 entries of one work array (1 MB)
 _FIT_WORK = 1 << 12
 
 
-def _log2_pyramid_sums(seg_S, runs) -> np.ndarray:
-    """log2 of the sum of the segment sums 2^seg_S[:, a:b] over each run
+def _log2_pyramid_sums(leaf_S, runs) -> np.ndarray:
+    """log2 of the sum of the leaf sums 2^leaf_S[:, a:b] over each run
     [a, b) of ``runs`` (n_runs x 2), one row per run.
 
-    The segment sums are added pairwise into a log-domain pyramid, a node
-    of one level being log2(2^left + 2^right) of two nodes of the level
+    The leaf sums are added pairwise into a log-domain pyramid, a node of
+    one level being log2(2^left + 2^right) of two nodes of the level
     below. A run reads the O(log) nodes that tile it, and the largest of
-    them is factored out, so no term exceeds 1; a run of one segment gets
-    its segment sum unchanged, and a run without a finite segment sum
-    gets -inf.
+    them is factored out, so no term exceeds 1; a run of one leaf gets its
+    leaf sum unchanged, and a run without a finite leaf sum gets -inf.
     """
-    n_p = seg_S.shape[0]
-    levels = [seg_S]
+    n_p = leaf_S.shape[0]
+    levels = [leaf_S]
     while levels[-1].shape[1] > 1:
         L = levels[-1]
         if L.shape[1] % 2:
@@ -283,17 +259,19 @@ def _window_sums(family: DyadicFamily, windows, scales, p_grid):
     valid cubes of each window at each scale (n_windows x n_scales).
 
     The windows' cube ranges at every scale are array arithmetic on their
-    ends. At each scale the cubes are cut at the edges of every window
-    into segments. The segments some window covers are read in groups of
-    consecutive segments by :func:`_segment_values`, a new group starting
-    after a gap and at each multiple of ``_BLOCK`` cubes, and each group's
-    segments are summed together by :func:`_walk_log2_sums`, over one walk
-    of the p grid and in two scratch blocks shared by the whole call. So
-    a scale costs O(n_p) numpy calls per block of cubes, however many
-    segments it has. Every window then combines its segments' sums from a
-    pyramid (:func:`_log2_pyramid_sums`). A window made of one segment,
-    such as a lone window, gets that segment's sum unchanged. A p grid
-    that is empty, not 1-D or holds a non-finite p raises DomainError.
+    ends. At each scale the cubes are cut into leaves at the edges of
+    every window and at every multiple of ``_BLOCK`` cubes, and each group
+    of consecutive leaves some window covers inside one block is read in
+    one pass: its values, valid flags and nonzero flags, the valid and the
+    nonzero count of each leaf (one ``np.add.reduceat`` each), and the
+    log2 of its nonzero valid values, at most one block-sized copy.
+    :func:`_walk_log2_sums` sums every leaf of the group over one walk of
+    the p grid, in two scratch blocks shared by the whole call. So a scale
+    costs O(n_p) numpy calls per block of cubes however many leaves it
+    has, and its scratch stays within a few blocks however many cubes a
+    window holds. Every window then combines its leaves' sums from a
+    pyramid (:func:`_log2_pyramid_sums`). A p grid that is empty, not 1-D
+    or holds a non-finite p raises DomainError.
     """
     p_grid = np.asarray(p_grid, dtype=float)
     if p_grid.ndim != 1 or not p_grid.size:
@@ -315,41 +293,47 @@ def _window_sums(family: DyadicFamily, windows, scales, p_grid):
     k_lo = np.ceil(ends[:n_w]).astype(np.int64)
     k_hi = np.maximum(k_lo, np.floor(ends[n_w:]).astype(np.int64))
     for i, j in enumerate(scales.tolist()):
-        edges, runs = np.unique(np.stack([k_lo[:, i], k_hi[:, i]], axis=1),
-                                return_inverse=True)
-        runs = runs.reshape(n_w, 2)
-        # depth > 0 marks the segments some window covers
-        depth = np.zeros(edges.size, dtype=int)
+        values, valid = family.values_at(j), family.valid_at(j)
+        cuts, inverse = np.unique(np.concatenate(
+            [k_lo[:, i], k_hi[:, i], np.arange(_BLOCK, values.size, _BLOCK)]),
+            return_inverse=True)
+        runs = inverse[:2 * n_w].reshape(2, n_w).T     # each window's leaves
+        # depth > 0 marks the leaves some window covers
+        depth = np.zeros(cuts.size, dtype=int)
         np.add.at(depth, runs[:, 0], 1)
         np.add.at(depth, runs[:, 1], -1)
         covered = np.flatnonzero(np.cumsum(depth)[:-1] > 0)
-        seg_S = np.full((p_grid.size, edges.size), -np.inf)
-        seg_valid = np.zeros(edges.size, dtype=int)   # counts of segment s at s + 1
-        seg_pos = np.zeros_like(seg_valid)
-        # groups of covered segments [a, b): a group starts after a gap and
-        # at the first segment starting in each _BLOCK of cubes
-        new = ((np.diff(covered, prepend=-2) > 1)
-               | (np.diff(edges[covered] // _BLOCK, prepend=-1) > 0))
+        leaf_S = np.full((p_grid.size, cuts.size), -np.inf)
+        leaf_valid = np.zeros(cuts.size, dtype=int)   # counts of leaf s at s + 1
+        leaf_pos = np.zeros_like(leaf_valid)
+        # groups of consecutive covered leaves [a, b) inside one block: a
+        # group starts after a gap and at each multiple of _BLOCK
+        new = (np.diff(covered, prepend=-2) > 1) | (cuts[covered] % _BLOCK == 0)
         groups = np.append(np.flatnonzero(new), covered.size).tolist()
         for u, v in zip(groups[:-1], groups[1:]):
             a, b = covered[u], covered[v - 1] + 1
-            sv, nv = _segment_values(family, j, edges[a:b + 1])
-            log2e = sv[sv > 0]
-            seg_valid[a + 1:b + 1] = nv
-            # nonzero values up to each segment's end: valid ones less zeros
-            cv = np.cumsum(nv)
-            seg_pos[a + 1:b + 1] = np.diff(
-                cv - np.searchsorted(np.flatnonzero(sv == 0), cv), prepend=0)
-            npos = seg_pos[a + 1:b + 1]
+            lo, hi = cuts[a], cuts[b]
+            starts = cuts[a:b] - lo
+            x = values[lo:hi]
+            keep = x > 0
+            if valid is None:
+                leaf_valid[a + 1:b + 1] = np.diff(cuts[a:b + 1])
+            else:
+                leaf_valid[a + 1:b + 1] = np.add.reduceat(
+                    valid[lo:hi], starts, dtype=np.intp)
+                keep &= valid[lo:hi]
+            npos = np.add.reduceat(keep, starts, dtype=np.intp)
+            leaf_pos[a + 1:b + 1] = npos
             some = np.flatnonzero(npos)
             if some.size:
+                log2e = x[keep]
                 np.log2(log2e, out=log2e)
-                seg_S[:, a + some] = _walk_log2_sums(
+                leaf_S[:, a + some] = _walk_log2_sums(
                     log2e, p_grid, walks, d, t, (np.cumsum(npos) - npos)[some])
-        for counts, out in ((seg_valid, n_valid), (seg_pos, n_pos)):
+        for counts, out in ((leaf_valid, n_valid), (leaf_pos, n_pos)):
             c = np.cumsum(counts)
             out[:, i] = c[runs[:, 1]] - c[runs[:, 0]]
-        log2_S[:, :, i] = _log2_pyramid_sums(seg_S, runs)
+        log2_S[:, :, i] = _log2_pyramid_sums(leaf_S, runs)
     excluded = np.where((p_grid <= 0)[:, None], (n_valid - n_pos)[:, None, :], 0)
     return log2_S, excluded, n_valid
 

@@ -81,16 +81,33 @@ def _as_function(param) -> Callable[[np.ndarray], np.ndarray]:
     callable; return a vectorized callable."""
     if callable(param):
         return lambda x: np.asarray(param(np.asarray(x, dtype=float)), dtype=float)
-    if np.isscalar(param):
-        c = float(param)
-        return lambda x: np.full_like(np.asarray(x, dtype=float), c)
-    table = np.asarray(param, dtype=float)
+    try:
+        if np.isscalar(param):
+            c = float(param)
+            return lambda x: np.full_like(np.asarray(x, dtype=float), c)
+        table = np.asarray(param, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"expected a number, a table [[x, y], ...] or a "
+                         f"callable, got {param!r}") from exc
     if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] < 2:
         raise ModelError("piecewise-linear tables need shape (n >= 2, 2)")
     xs, ys = table[:, 0], table[:, 1]
     if np.any(np.diff(xs) <= 0):
         raise ModelError("table abscissae must be strictly increasing")
     return lambda x: np.interp(np.asarray(x, dtype=float), xs, ys)
+
+
+def _param(params: dict, key: str, kind: str, convert, default=None):
+    """convert(params[key]), or convert(default) when the key is absent and
+    a default is given. A missing key, or a value that ``convert`` rejects
+    (``_as_int`` a float with a fraction or a string, ``float`` a
+    non-numeric string), raises ModelError."""
+    if key not in params and default is None:
+        raise ModelError(f"model {kind!r} needs parameter {key!r}")
+    try:
+        return convert(params.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"model {kind!r} parameter {key!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -149,11 +166,10 @@ def gen_localized_bernoulli(spec: ModelSpec) -> BinnedMeasure:
     below 2^-1022, whose bits the doubles lose (to 0 when it underflows,
     which reads as outside the support), raises :class:`RangeError`.
     """
-    params = spec.params
-    J = int(params["J"])
+    J = _param(spec.params, "J", spec.kind, _as_int)
     if not 4 <= J <= 24:
         raise ScaleError(f"localized Bernoulli needs 4 <= J <= 24, got {J}")
-    p_fn = _as_function(params["p"])
+    p_fn = _param(spec.params, "p", spec.kind, _as_function)
     masses = np.array([1.0])
     bound = 1.0
     for n in range(1, J + 1):
@@ -196,7 +212,7 @@ def _cantor_component(bins: np.ndarray, start: int, n_bins: int, mass: float,
 def gen_cantor_pair(J: int) -> BinnedMeasure:
     """Barycenter of uniform Cantor measures of dimensions 1/2 (left half)
     and 1/4 (right half), binned at scale J (J >= 8)."""
-    J = int(J)
+    J = _param({"J": J}, "J", "cantor_pair", _as_int)
     if J < 8:
         raise ScaleError(f"the Cantor pair needs J >= 8, got {J}")
     bins = np.zeros(1 << J)
@@ -221,15 +237,23 @@ def gen_mbm(spec: ModelSpec) -> tuple[np.ndarray, WaveletPyramid]:
 
     Coefficients are drawn per scale from seeded substreams as c_{j,k} =
     eps_{j,k} 2^{-H(k 2^-j) j}; the signal is the inverse transform of the
-    pyramid (zero coarse component).
+    pyramid (zero coarse component). Its 2^J samples are set by the scale
+    J, or by a sample count N that must be a power of two.
     """
     params = spec.params
-    if "J" not in params and "N" not in params:
+    if "J" in params:
+        J = _param(params, "J", spec.kind, _as_int)
+    elif "N" in params:
+        N = _param(params, "N", spec.kind, _as_int)
+        if N < 1 or N & (N - 1):
+            raise ModelError(f"mbm needs a sample count N that is a power of "
+                             f"two, got {N}")
+        J = N.bit_length() - 1
+    else:
         raise ModelError("mbm needs a scale J or a sample count N")
-    J = int(params.get("J") or round(math.log2(params["N"])))
     if not 7 <= J <= 20:
         raise ScaleError(f"mbm needs 7 <= J <= 20, got {J}")
-    H_fn = _as_function(params["H"])
+    H_fn = _param(params, "H", spec.kind, _as_function)
     _check_hurst(H_fn)
     details = []
     for j in range(J):
@@ -306,15 +330,15 @@ def gen_markov_jump(spec: ModelSpec) -> MarkovPath:
     taken by runs may differ from one-jump sizes in the last bit (array
     and scalar ``pow`` round differently); times and drift do not.
     """
-    params = spec.params
-    T = float(params.get("T", 1.0))
-    N = int(params.get("N", 1 << 12))
-    eps = float(params.get("eps_trunc", 2.0 ** -20))
+    params, kind = spec.params, spec.kind
+    T = _param(params, "T", kind, float, 1.0)
+    N = _param(params, "N", kind, _as_int, 1 << 12)
+    eps = _param(params, "eps_trunc", kind, float, 2.0 ** -20)
     if T <= 0 or N < 2:
         raise ModelError("markov_jump needs T > 0 and N >= 2")
     if not 0 < eps < 1:
         raise DomainError(f"truncation threshold must lie in (0, 1), got {eps}")
-    gamma_fn = _as_function(params["gamma"])
+    gamma_fn = _param(params, "gamma", kind, _as_function)
     probe_y = np.linspace(0.0, 64.0, 8193)
     probe = gamma_fn(probe_y)
     if probe.min() <= 0 or probe.max() >= 1:
@@ -441,12 +465,6 @@ class OracleSpectrum:
     pointwise: Callable | None = None
 
 
-def _require(params: dict, key: str, kind: str):
-    if key not in params:
-        raise ModelError(f"model {kind!r} needs parameter {key!r}")
-    return params[key]
-
-
 def oracle(spec: ModelSpec, realization=None) -> OracleSpectrum:
     """Oracle bundle for a model spec; every theoretical value used by the
     acceptance suite flows through here.
@@ -458,8 +476,7 @@ def oracle(spec: ModelSpec, realization=None) -> OracleSpectrum:
     params = spec.params
 
     if kind in ("binomial", "localized_bernoulli"):
-        p_par = _require(params, "p", kind)
-        p_fn = _as_function(p_par)
+        p_fn = _param(params, "p", kind, _as_function)
 
         def tau(x, q):
             px = float(p_fn(np.asarray(x, dtype=float)))
@@ -507,7 +524,7 @@ def oracle(spec: ModelSpec, realization=None) -> OracleSpectrum:
                               pointwise=lambda x: dims[0] if x < 0.5 else dims[1])
 
     if kind in ("mbm", "fbm"):
-        H_fn = _as_function(_require(params, "H", kind))
+        H_fn = _param(params, "H", kind, _as_function)
         _check_hurst(H_fn)
         fine_x = np.linspace(0.0, 1.0, 2049)
         H_vals = H_fn(fine_x)
@@ -534,9 +551,9 @@ def oracle(spec: ModelSpec, realization=None) -> OracleSpectrum:
                               pointwise=lambda x: float(H_fn(np.asarray(x))))
 
     if kind == "birkhoff":
-        a, b = float(_require(params, "a", kind)), float(_require(params, "b", kind))
-        gamma_fn = _as_function(params.get("gamma", 1.0))
-        theta_fn = _as_function(params.get("theta", 0.0))
+        a, b = (_param(params, key, kind, float) for key in ("a", "b"))
+        gamma_fn = _param(params, "gamma", kind, _as_function, 1.0)
+        theta_fn = _param(params, "theta", kind, _as_function, 0.0)
 
         def pressure(q):
             return np.logaddexp(np.asarray(q, dtype=float) * a,
@@ -564,7 +581,7 @@ def oracle(spec: ModelSpec, realization=None) -> OracleSpectrum:
         if realization is None or not isinstance(realization, MarkovPath):
             raise ModelError("the markov_jump oracle is conditional on a "
                              "generated MarkovPath; pass realization=path")
-        gamma_fn = _as_function(_require(params, "gamma", kind))
+        gamma_fn = _param(params, "gamma", kind, _as_function)
         path = realization
 
         def gamma_at(t):
@@ -605,13 +622,12 @@ def synthesize(spec: ModelSpec) -> dict:
     """Generate a model realization; returns a dict with kind-specific
     products ('measure', 'signal' + 'pyramid', or 'path')."""
     if spec.kind in ("binomial", "localized_bernoulli"):
-        params = dict(spec.params)
-        if spec.kind == "binomial" and not np.isscalar(params.get("p")):
+        if spec.kind == "binomial" and not np.isscalar(spec.params.get("p")):
             raise ModelError("binomial needs a scalar splitting ratio p")
-        return {"measure": gen_localized_bernoulli(
-            ModelSpec("localized_bernoulli", params, spec.seed))}
+        return {"measure": gen_localized_bernoulli(spec)}
     if spec.kind == "cantor_pair":
-        return {"measure": gen_cantor_pair(int(_require(spec.params, "J", spec.kind)))}
+        return {"measure": gen_cantor_pair(
+            _param(spec.params, "J", spec.kind, _as_int))}
     if spec.kind in ("mbm", "fbm"):
         signal, pyramid = gen_mbm(spec)
         return {"signal": signal, "pyramid": pyramid}

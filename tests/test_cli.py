@@ -881,15 +881,18 @@ class TestProcess:
         (["analyze", "--p-grid", "1e300,1", "--h-grid", "0.5,1", "--spec",
           "BINOM"], 0),
         (["analyze", "--spec", "UNDERFLOW"], 3),
+        (["synth", "--spec", "FRACTIONAL_J"], 3),
     ], ids=["non-finite-p-grid", "help", "synth-input", "leaders-j-max",
             "report-x-grid", "empty-p-grid", "repeated-p-grid",
             "increasing-radii", "repeated-radii", "huge-p",
-            "underflowing-cascade"])
+            "underflowing-cascade", "fractional-J"])
     def test_exit_code_and_at_most_one_stderr_line(self, tmp_path, argv, code):
         files = {"BINOM": write_spec(tmp_path, "binom.json", {
             "kind": "binomial", "params": {"p": 0.4, "J": 10}})}
         files["UNDERFLOW"] = write_spec(tmp_path, "underflow.json", {
             "kind": "binomial", "params": {"p": 1e-30, "J": 14}})
+        files["FRACTIONAL_J"] = write_spec(tmp_path, "fractional.json", {
+            "kind": "binomial", "params": {"p": 0.4, "J": 12.5}})
         files["SIGNAL"] = str(tmp_path / "sig.txt")
         Path(files["SIGNAL"]).write_text("0.0\n" * 1024)
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -900,3 +903,4 @@ class TestProcess:
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == code
         assert len(proc.stderr.splitlines()) <= 1
+        assert code != 3 or proc.stderr.startswith("error: runtime:")

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localmf import (
@@ -565,6 +565,19 @@ def rough_family(J=9, masked=False, seed=0):
     return DyadicFamily(0, J, values, valid=valid if masked else None)
 
 
+def one_scale_family(J, masked, seed, log2_range=None, zeros=0.3):
+    """rough_family's values at scale J alone, or, given log2_range, values
+    2^u with u uniform in [-log2_range, log2_range]; a share ``zeros`` of
+    the cubes is zero."""
+    rng = np.random.default_rng(seed)
+    n = 1 << J
+    v = (rng.uniform(0.5, 2.0, n) if log2_range is None
+         else np.exp2(rng.uniform(-log2_range, log2_range, n)))
+    v[rng.random(n) < zeros] = 0.0
+    valid = rng.random(n) >= 0.2
+    return DyadicFamily(J, J, [v], valid=[valid] if masked else None)
+
+
 def leader_family():
     _, P = gen_mbm(ModelSpec("mbm", {"H": 0.6, "J": 10}, seed=4))
     return leaders(P)
@@ -723,7 +736,7 @@ class TestWindowSums:
         rng = np.random.default_rng(seed)
         log2e = rng.uniform(min(e1, e2), max(e1, e2), n) * math.log2(10.0)
         ps = np.union1d(P_EXTREME, [0.0])
-        d, t = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+        d, t = np.empty(n), np.empty(n)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = _walk_log2_sums(log2e, ps, _p_walks(ps), d, t, [0])[:, 0]
@@ -774,7 +787,7 @@ class TestWindowSums:
     def test_segment_sums_on_any_p_grid(self, n, ps, e1, e2, seed):
         rng = np.random.default_rng(seed)
         log2e = rng.uniform(min(e1, e2), max(e1, e2), n) * math.log2(10.0)
-        d, t = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+        d, t = np.empty(n), np.empty(n)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = _walk_log2_sums(log2e, ps, _p_walks(ps), d, t, [0])[:, 0]
@@ -787,7 +800,7 @@ class TestWindowSums:
         import tracemalloc
         log2e = np.random.default_rng(7).uniform(-50.0, 50.0, _BLOCK + 1)
         ps = np.r_[-np.geomspace(0.01, 40.0, 200), np.geomspace(0.01, 40.0, 200)]
-        d, t = np.empty(_BLOCK), np.empty(_BLOCK)
+        d, t = np.empty(log2e.size), np.empty(log2e.size)
         tracemalloc.start()
         try:
             got = _walk_log2_sums(log2e, ps, _p_walks(ps), d, t, [0])[:, 0]
@@ -836,11 +849,11 @@ class TestPWalks:
             assert all(s == ref_s for (s, _), (ref_s, _) in zip(runs, ref_runs))
 
     def test_multi_segment_scratch_stays_block_sized(self):
-        # 300 segments over three blocks and a ragged one: beyond d and t
-        # only one block of repeated tops and arrays the size of the sums
+        # 300 leaves on one block: beyond d and t only one block of
+        # repeated tops and arrays the size of the sums
         import tracemalloc
         rng = np.random.default_rng(8)
-        n = 3 * _BLOCK + 5
+        n = _BLOCK
         log2e = rng.uniform(-50.0, 50.0, n)
         starts = np.r_[0, np.sort(rng.choice(np.arange(1, n), 299, replace=False))]
         ps = np.linspace(-3.0, 3.0, 41)
@@ -878,6 +891,25 @@ class TestPWalks:
         assert F.n_cubes(F.j_max) == 16 * _BLOCK
         assert peak < 8 * _BLOCK * 8
 
+    @pytest.mark.parametrize("masked", [False, True], ids=["plain", "masked"])
+    def test_lone_window_scratch_stays_block_sized(self, masked):
+        # [0, 1) on a scale of 16 blocks: its leaves are the blocks, so
+        # scratch is d, t and one block of log2 values, not a copy of the
+        # scale
+        import tracemalloc
+        J = _BLOCK.bit_length() + 3
+        F = one_scale_family(J, masked, seed=9)
+        ps = np.linspace(-3.0, 3.0, 41)
+        _window_sums(F, [Window(0.0, 2.0 ** -10)], [J], ps)     # warm numpy up
+        tracemalloc.start()
+        try:
+            _window_sums(F, [Window(0.0, 1.0)], [J], ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert F.n_cubes(J) == 16 * _BLOCK
+        assert peak < 6 * _BLOCK * 8
+
 
 @st.composite
 def window_lists(draw):
@@ -909,6 +941,45 @@ P_GRIDS = st.one_of(
               st.integers(-20, 0), st.integers(1, 41),
               st.sampled_from([0.125, 0.25, 0.5, 1.0])),
 )
+
+
+class TestLeafCuts:
+    @given(st.booleans(), st.sampled_from([0.0, 0.3]),
+           st.integers(0, 2 ** 32 - 1),
+           st.lists(st.tuples(st.integers(0, 4), st.sampled_from([-1, 0, 1])),
+                    min_size=2, max_size=6),
+           st.booleans(), P_GRIDS)
+    # a lone window without zeros, whose leaves each fill a block of
+    # scratch, and one-cube leaves in the blocks of block-long ones
+    @example(False, 0.0, 0, [(0, 0), (4, 0)], False, np.linspace(-3.0, 3.0, 41))
+    @example(True, 0.3, 0, [(1, -1), (1, 1), (3, 1), (2, -1)], True,
+             np.array([-3.0, 0.0, 3.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_window_ends_beside_block_multiples(self, masked, zeros, seed,
+                                                ends, whole, ps):
+        # ends one cube before, at and after k _BLOCK on a scale of 4
+        # blocks cut one-cube leaves beside block-long ones, and [0, 1)
+        # adds leaves that are whole blocks, each read in scratch of one
+        # block; values 2^u, |u| |p| <= 1000 (as wide as the direct sums
+        # stay finite), make a leaf's sum underflow if it is taken from
+        # another leaf's top
+        J = _BLOCK.bit_length() + 1
+        n = 1 << J
+        F = one_scale_family(J, masked, seed, zeros=zeros,
+                             log2_range=1000.0 / max(3.0, np.abs(ps).max()))
+        ks = [min(n, max(0, k * _BLOCK + e)) for k, e in ends]
+        windows = [Window(min(a, b) / n, max(a, b) / n)
+                   for a, b in zip(ks[::2], ks[1::2]) if a != b]
+        if whole or not windows:
+            windows.append(Window(0.0, 1.0))
+        ref, ref_excl, ref_valid = direct_sums(F, windows, ps)
+        log2_S, excl, n_valid = _window_sums(F, windows, F.scales, ps)
+        np.testing.assert_array_equal(np.isneginf(log2_S), np.isneginf(ref))
+        fin = np.isfinite(ref)
+        assert np.all(np.abs(log2_S[fin] - ref[fin])
+                      <= 1e-12 * np.maximum(1.0, np.abs(ref[fin])))
+        np.testing.assert_array_equal(excl, ref_excl)
+        np.testing.assert_array_equal(n_valid, ref_valid)
 
 
 class TestBatchedEqualsOneByOne:

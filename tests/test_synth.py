@@ -48,6 +48,55 @@ class TestModelSpec:
             ModelSpec.from_json(text)
 
 
+class TestModelParameters:
+    """Every generator reads its parameters through one checked reader: a
+    missing key, a non-integral or string integer and a non-numeric value
+    raise ModelError instead of being truncated or failing untyped."""
+
+    @pytest.mark.parametrize("kind, params", [
+        ("binomial", {"p": 0.3, "J": 12.5}),
+        ("binomial", {"p": 0.3, "J": "12"}),
+        ("binomial", {"p": "abc", "J": 10}),
+        ("localized_bernoulli", {"p": [[0.0, "a"], [1.0, 0.3]], "J": 10}),
+        ("localized_bernoulli", {"J": 10}),
+        ("cantor_pair", {"J": 10.9}),
+        ("cantor_pair", {}),
+        ("mbm", {"J": 10}),
+        ("mbm", {"H": 0.6, "N": 1000}),
+        ("mbm", {"H": 0.6, "N": 1024.5}),
+        ("fbm", {"H": "abc", "J": 10}),
+        ("markov_jump", {"gamma": 0.5, "N": 1000.5}),
+        ("markov_jump", {"N": 1000}),
+        ("markov_jump", {"gamma": 0.5, "T": "abc"}),
+    ], ids=["float-J", "string-J", "string-p", "string-table", "missing-p",
+            "cantor-float-J", "cantor-missing-J", "missing-H",
+            "mbm-N-not-a-power-of-two", "mbm-float-N", "string-H",
+            "markov-float-N", "missing-gamma", "string-T"])
+    def test_malformed_parameter_is_model_error(self, kind, params):
+        with pytest.raises(ModelError):
+            synthesize(ModelSpec(kind, params))
+
+    def test_cantor_pair_takes_an_integral_J_only(self):
+        with pytest.raises(ModelError):
+            gen_cantor_pair(10.9)
+        np.testing.assert_array_equal(gen_cantor_pair(10.0).masses,
+                                      gen_cantor_pair(10).masses)
+
+    def test_mbm_N_is_its_sample_count(self):
+        signal, _ = gen_mbm(ModelSpec("mbm", {"H": 0.6, "N": 1024}))
+        assert signal.size == 1024
+        with pytest.raises(ScaleError):
+            gen_mbm(ModelSpec("mbm", {"H": 0.6, "J": 0}))
+
+    @pytest.mark.parametrize("kind, params", [
+        ("binomial", {"J": 10}), ("mbm", {"J": 10}),
+        ("birkhoff", {"a": "abc", "b": 0.2}),
+    ], ids=["missing-p", "missing-H", "string-a"])
+    def test_oracle_of_a_malformed_spec_is_model_error(self, kind, params):
+        with pytest.raises(ModelError):
+            oracle(ModelSpec(kind, params))
+
+
 class TestLocalizedBernoulli:
     def test_constant_p_is_binomial(self):
         spec = ModelSpec("localized_bernoulli", {"p": 0.3, "J": 10})
