@@ -152,19 +152,15 @@ def _clip_window(family: DyadicFamily, w: Window | None) -> Window:
     return w
 
 
-def _cube_values(family: DyadicFamily, j: int, a: int, b: int) -> np.ndarray:
-    """Values of the valid scale-j cubes of offsets [a, b), read in place."""
-    v, m = family.values_at(j)[a:b], family.valid_at(j)
-    return v if m is None else v[m[a:b]]
-
-
 def _scale_sups(family: DyadicFamily, scales, cube_range) -> np.ndarray:
     """The largest value of the valid scale-j cubes of offsets
-    ``cube_range(j)``, for each scale j; NaN at a scale where none of them
-    is valid."""
+    ``cube_range(j)``, read in place, for each scale j; NaN at a scale
+    where none of them is valid."""
     sups = []
     for j in scales:
-        v = _cube_values(family, j, *cube_range(j))
+        a, b = cube_range(j)
+        v, m = family.values_at(j)[a:b], family.valid_at(j)
+        v = v if m is None else v[m[a:b]]
         sups.append(v.max() if v.size else math.nan)
     return np.array(sups)
 
@@ -234,69 +230,64 @@ def _fit_scales(family, fit_range, top, min_scales):
 
 
 def _chords(js, log2v):
-    """Log-log summary of every row of log2v against the scales js.
-
-    Rows keep their finite entries only. Returns the least-squares slope
-    of log2 v against -j, its RMS residual (both NaN below 2 entries), and
-    the smallest and largest anchored chord log2 v / (-j) (+inf and -inf
-    for a row without a finite entry).
+    """Log-log estimates of every row of log2v against the scales js, each
+    row over its finite entries: the least-squares slope of log2 v against
+    -j (NaN below 2 entries), the estimate (that slope, or the smallest
+    chord below 2 entries), the slope's RMS residual (0 below 2 entries),
+    and the smallest and largest anchored chord log2 v / (-j), both +inf
+    in a row without a finite entry (values vanishing at every scale).
     """
     slope, _, resid = _line_fit(-js, log2v)
     ok = np.isfinite(log2v)
     chords = log2v / -js
-    return (slope, resid, np.where(ok, chords, math.inf).min(axis=-1),
-            np.where(ok, chords, -math.inf).max(axis=-1))
+    lo = np.where(ok, chords, math.inf).min(axis=-1)
+    hi = np.where(ok.any(axis=-1),
+                  np.where(ok, chords, -math.inf).max(axis=-1), math.inf)
+    fitted = ~np.isnan(slope)
+    return (slope, np.where(fitted, slope, lo), np.where(fitted, resid, 0.0),
+            lo, hi)
 
 
-def _estimate(js, v, method, tail_max, fit_range):
-    """Exponent estimate from the values v >= 0 at the scales js.
-
-    ``regression`` takes the log-log slope, or the single chord when only
-    one value is nonzero; ``tail-min`` takes the smallest chord, or the
-    largest with ``tail_max``. Zero values leave the fit; if every value
-    is zero the estimate is +inf.
-    """
+def _sup_exponents(sups, fit_range, method, tail_max) -> list[ExponentEstimate]:
+    """One exponent estimate per row of sups (n_rows x n_scales), the sups
+    at the scales of ``fit_range``, NaN where a scale has no valid cube.
+    ``regression`` takes the estimate of :func:`_chords`, ``tail-min`` the
+    smallest chord, or the largest with ``tail_max``. NaN and zero sups
+    leave the fit, a row of zero sups gets +inf, and a row without a valid
+    cube raises EmptyWindowError."""
+    j1, j2 = fit_range
+    if np.isnan(sups).all(axis=-1).any():
+        raise EmptyWindowError(f"no valid cube in the fit range ({j1}, {j2})")
     if method not in ("tail-min", "regression"):
         raise DomainError(f"unknown exponent method {method!r}")
-    if not np.any(v > 0):
-        # support convention: the family vanishes on every scale
-        return ExponentEstimate(math.inf, math.nan, fit_range, 0.0)
     with np.errstate(divide="ignore"):
-        log2v = np.log2(v)                  # v == 0 -> -inf, skipped
-    slope, resid, lo, hi = map(float, _chords(js, log2v))
-    if method == "regression" and not math.isnan(slope):
-        value = slope
-    else:
-        value = hi if tail_max else lo
-    return ExponentEstimate(value, slope, fit_range,
-                            resid if not math.isnan(resid) else 0.0)
+        log2v = np.log2(sups)               # v == 0 -> -inf, skipped
+    slope, tau, resid, lo, hi = _chords(np.arange(j1, j2 + 1, dtype=float),
+                                        log2v)
+    value = tau if method == "regression" else hi if tail_max else lo
+    return [ExponentEstimate(v, s, fit_range, r) for v, s, r
+            in zip(value.tolist(), slope.tolist(), resid.tolist())]
 
 
-def _sup_exponent(family, cube_range, method, fit_range, tail_max):
-    """Exponent estimate from the sups of :func:`_scale_sups` over the fit
-    range (default [3, j_max]). A scale without a valid cube leaves the
-    fit; a range left with none raises EmptyWindowError."""
+def _chain_exponents(family, xs, method, fit_range, tail_max):
+    """:func:`_sup_exponents` over the chains of the points xs, one estimate
+    per point: at scale j the point's sup is its cube of offset
+    floor(x 2^j), NaN if that cube is invalid, gathered for every point at
+    once. The fit range defaults to [3, j_max]; a point outside [0, 1)
+    raises OutOfWindowError."""
+    xs = np.asarray(xs, dtype=float)
+    outside = ~((xs >= 0.0) & (xs < 1.0))
+    if outside.any():
+        raise OutOfWindowError(f"point {xs[outside][0]} outside [0, 1)")
     j1, j2 = _fit_scales(family, fit_range, family.j_max, 2)
-    sups = _scale_sups(family, range(j1, j2 + 1), cube_range)
-    keep = ~np.isnan(sups)
-    if not keep.any():
-        raise EmptyWindowError(f"no valid cube in the fit range ({j1}, {j2})")
-    js = np.arange(j1, j2 + 1, dtype=float)
-    return _estimate(js[keep], sups[keep], method, tail_max, (j1, j2))
-
-
-def _exponent(family, x, method, fit_range, tail_max):
-    """Estimate over the chain of x: at scale j the cube of offset
-    floor(x 2^j)."""
-    if family.n_scales() < 4:
-        raise ScaleError("pointwise exponents need a family with >= 4 scales")
-    if not 0.0 <= x < 1.0:
-        raise OutOfWindowError(f"point {x} outside [0, 1)")
-
-    def chain(j):
-        k = int(x * (1 << j))
-        return k, k + 1
-    return _sup_exponent(family, chain, method, fit_range, tail_max)
+    sups = np.empty((xs.size, j2 - j1 + 1))
+    for i, j in enumerate(range(j1, j2 + 1)):
+        k = (xs * (1 << j)).astype(np.intp)
+        sups[:, i] = family.values_at(j)[k]
+        m = family.valid_at(j)
+        if m is not None:
+            sups[~m[k], i] = math.nan
+    return _sup_exponents(sups, (j1, j2), method, tail_max)
 
 
 def lower_exponent(family: DyadicFamily, x: float, method: str = "tail-min",
@@ -311,7 +302,7 @@ def lower_exponent(family: DyadicFamily, x: float, method: str = "tail-min",
     range the estimate is +inf. Invalid cubes leave the fit; a chain with
     no valid cube in the range raises EmptyWindowError.
     """
-    return _exponent(family, x, method, fit_range, tail_max=False)
+    return _chain_exponents(family, [x], method, fit_range, False)[0]
 
 
 def upper_exponent(family: DyadicFamily, x: float, method: str = "tail-min",
@@ -321,4 +312,4 @@ def upper_exponent(family: DyadicFamily, x: float, method: str = "tail-min",
     In ``regression`` mode the estimate coincides with the lower one; only
     the tail method distinguishes the two at finite scales.
     """
-    return _exponent(family, x, method, fit_range, tail_max=True)
+    return _chain_exponents(family, [x], method, fit_range, True)[0]

@@ -31,15 +31,15 @@ Conventions
   range (the liminf-faithful tail-min chord estimate is reported
   alongside); eta(p) = tau(p) - 1. Scaling functions and pointwise and
   uniform exponents share one range rule and one slope/chord routine
-  (``dyadic._fit_scales``, ``dyadic._chords``). A list of windows is
-  fitted as one padded array, NaN at the scales a window does not use.
-* The partition sums read a block's values and valid flags in place,
-  and the four sup readers share one valid-aware cube reader
-  (``dyadic._cube_values``) and one per-scale sup
-  (``dyadic._scale_sups``): pointwise lower and upper exponents over
-  the chain cube floor(x 2^j), uniform exponents and Besov p = infinity
-  over the window's cubes. A scale without a valid cube leaves an
-  exponent fit and gives a Besov sup of 0.
+  (``dyadic._fit_scales``; ``dyadic._chords``, which also takes the
+  smallest chord below 2 finite scales). A list of windows is fitted as
+  one padded array, NaN at the scales a window does not use.
+* The partition sums read a block's values and valid flags in place.
+  Every exponent is fitted from rows of per-scale sups of valid cubes
+  (``dyadic._sup_exponents``): a window's sups (``dyadic._scale_sups``,
+  also read by Besov p = infinity) or a batch of chain cubes floor(x 2^j).
+  A scale without a valid cube leaves an exponent fit and gives a Besov
+  sup of 0.
 * The Legendre spectrum is the discrete transform L(H) = min_p (H p -
   tau(p)) with endpoint and floor handling for the -infinity directions.
 * Local values tau(x, p) are taken at the smallest admissible radius; the
@@ -77,7 +77,7 @@ from .dyadic import (
     _fit_scales,
     _line_fit,
     _scale_sups,
-    _sup_exponent,
+    _sup_exponents,
 )
 from .errors import (
     CoverageError,
@@ -445,10 +445,8 @@ def _scaling_functions(family: DyadicFamily, windows, p_grid, fit_ranges,
     spans = [tuple(r) for r in ranges.tolist()]
     out = []
     for a in range(0, len(windows), step):
-        slope, resid, tail, _ = _chords(js, log2_S[a:a + step])
-        fitted = ~np.isnan(slope)
-        tau = np.where(fitted, slope, tail)
-        rows = zip(tau, tail, tau - 1.0, np.where(fitted, resid, 0.0))
+        _, tau, resid, tail, _ = _chords(js, log2_S[a:a + step])
+        rows = zip(tau, tail, tau - 1.0, resid)
         for i, (t, t_min, eta, res) in enumerate(rows, a):
             u = use[i]
             out.append(ScalingFunction(
@@ -472,7 +470,9 @@ def uniform_exponent(family: DyadicFamily, window: Window | None = None,
     h_min to 3 digits there.
     """
     w = _clip_window(family, window)
-    return _sup_exponent(family, w.cube_range, method, fit_range, False)
+    j1, j2 = _fit_scales(family, fit_range, family.j_max, 2)
+    sups = _scale_sups(family, range(j1, j2 + 1), w.cube_range)
+    return _sup_exponents(sups[None], (j1, j2), method, False)[0]
 
 
 # ---------------------------------------------------------------------------

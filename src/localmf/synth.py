@@ -238,7 +238,8 @@ def gen_mbm(spec: ModelSpec) -> tuple[np.ndarray, WaveletPyramid]:
     Coefficients are drawn per scale from seeded substreams as c_{j,k} =
     eps_{j,k} 2^{-H(k 2^-j) j}; the signal is the inverse transform of the
     pyramid (zero coarse component). Its 2^J samples are set by the scale
-    J, or by a sample count N that must be a power of two.
+    J, or by a sample count N that must be a power of two; given both, N
+    must equal 2^J.
     """
     params = spec.params
     if "J" in params:
@@ -253,6 +254,10 @@ def gen_mbm(spec: ModelSpec) -> tuple[np.ndarray, WaveletPyramid]:
         raise ModelError("mbm needs a scale J or a sample count N")
     if not 7 <= J <= 20:
         raise ScaleError(f"mbm needs 7 <= J <= 20, got {J}")
+    N = _param(params, "N", spec.kind, _as_int) if "N" in params else 1 << J
+    if N != 1 << J:
+        raise ModelError(f"mbm sample count N = {N} disagrees with scale "
+                         f"J = {J} (2^J = {1 << J})")
     H_fn = _param(params, "H", spec.kind, _as_function)
     _check_hurst(H_fn)
     details = []

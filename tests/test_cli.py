@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from localmf import (ModelSpec, gen_mbm, read_measure, read_signal,
-                     synthesize, write_measure)
+from localmf import (ModelSpec, gen_mbm, lower_exponent, oscillation_family,
+                     read_measure, read_signal, synthesize, write_measure)
 from localmf.cli import _table, main
 from localmf.synth import write_jumps
 
@@ -320,6 +320,25 @@ class TestCheckOracle:
         ref = tmp_path / "ref.csv"
         write_jumps(ref, path)
         assert (out / "jumps.csv").read_bytes() == ref.read_bytes()
+
+    def test_markov_estimates_are_the_one_point_exponents(self, tmp_path):
+        # N = 2^J samples: order-1 oscillations up to scale J - 1, fitted
+        # over (5, min(13, J - 2)) at 100 sorted times drawn with --seed 0
+        payload = {"kind": "markov_jump", "seed": 3,
+                   "params": {"gamma": [[0.0, 0.5], [1.6, 0.9], [50.0, 0.9]],
+                              "T": 1.0, "N": 4096, "eps_trunc": 2.0 ** -14}}
+        spec = write_spec(tmp_path, "markov.json", payload)
+        out = tmp_path / "out"
+        assert main(["check-oracle", "--spec", spec, "--out", str(out)]) == 0
+        J, T = 12, 1.0
+        path = synthesize(ModelSpec.from_json(json.dumps(payload)))["path"]
+        family = oscillation_family(path.grid_M, 1, J - 1)
+        ts = np.sort(np.random.default_rng(0).uniform(0.0, T, 100))
+        rows = (out / "oracle_vs_estimate.csv").read_text().splitlines()
+        assert rows[0] == "t,h_hat,h_oracle" and len(rows) == 101
+        for t, row in zip(ts, rows[1:]):
+            est = lower_exponent(family, t / T, "regression", (5, min(13, J - 2)))
+            assert row.split(",")[:2] == [f"{t:.12g}", f"{est.value:.12g}"]
 
 
 class TestSynthCommand:
@@ -882,10 +901,11 @@ class TestProcess:
           "BINOM"], 0),
         (["analyze", "--spec", "UNDERFLOW"], 3),
         (["synth", "--spec", "FRACTIONAL_J"], 3),
+        (["synth", "--spec", "MBM_N_NOT_2_TO_J"], 3),
     ], ids=["non-finite-p-grid", "help", "synth-input", "leaders-j-max",
             "report-x-grid", "empty-p-grid", "repeated-p-grid",
             "increasing-radii", "repeated-radii", "huge-p",
-            "underflowing-cascade", "fractional-J"])
+            "underflowing-cascade", "fractional-J", "mbm-N-not-2-to-J"])
     def test_exit_code_and_at_most_one_stderr_line(self, tmp_path, argv, code):
         files = {"BINOM": write_spec(tmp_path, "binom.json", {
             "kind": "binomial", "params": {"p": 0.4, "J": 10}})}
@@ -893,6 +913,8 @@ class TestProcess:
             "kind": "binomial", "params": {"p": 1e-30, "J": 14}})
         files["FRACTIONAL_J"] = write_spec(tmp_path, "fractional.json", {
             "kind": "binomial", "params": {"p": 0.4, "J": 12.5}})
+        files["MBM_N_NOT_2_TO_J"] = write_spec(tmp_path, "mbm.json", {
+            "kind": "mbm", "N": 4096, "params": {"H": 0.6, "J": 10}})
         files["SIGNAL"] = str(tmp_path / "sig.txt")
         Path(files["SIGNAL"]).write_text("0.0\n" * 1024)
         src = str(Path(__file__).resolve().parents[1] / "src")

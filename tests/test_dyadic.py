@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localmf import (
+    AnalysisError,
     DomainError,
     DyadicFamily,
     EmptyWindowError,
@@ -21,7 +22,7 @@ from localmf import (
     uniform_exponent,
     upper_exponent,
 )
-from localmf.dyadic import _line_fit
+from localmf.dyadic import _chain_exponents, _line_fit
 
 
 def power_law_family(alpha, j_max=12, c=1.0):
@@ -203,6 +204,86 @@ class TestMaskedPointwise:
                     assert value == pytest.approx(slope, rel=1e-9, abs=1e-9)
                 else:
                     assert value == pytest.approx(tail(chords), rel=1e-12)
+
+
+def random_family(J, masked, zeros, seed):
+    """Values u 2^-j, u uniform in [0.01, 1], with a share ``zeros`` of them
+    0; with ``masked`` about a fifth of the cubes flagged invalid."""
+    rng = np.random.default_rng(seed)
+    values = [np.where(rng.random(1 << j) < zeros, 0.0,
+                       rng.uniform(0.01, 1.0, 1 << j)) * 2.0 ** -j
+              for j in range(J + 1)]
+    valid = [rng.random(1 << j) >= 0.2 for j in range(J + 1)]
+    return DyadicFamily(0, J, values, valid if masked else None)
+
+
+def outcome(call):
+    """The repr of call()'s result, exact for every float in it, or the
+    type of the AnalysisError it raises."""
+    try:
+        return repr(call())
+    except AnalysisError as exc:
+        return type(exc)
+
+
+class TestChainBatch:
+    """One batch of chains gives, row for row and bit for bit, what the
+    one-point calls give."""
+
+    @given(st.integers(4, 10), st.booleans(), st.sampled_from([0.0, 0.3]),
+           st.integers(0, 2 ** 32 - 1),
+           st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1,
+                    max_size=64),
+           st.sampled_from(["tail-min", "regression"]), st.booleans(),
+           st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_equal_one_point_calls(self, J, masked, zeros, seed, xs,
+                                        method, upper, data):
+        F = random_family(J, masked, zeros, seed)
+        fit_range = data.draw(st.one_of(st.none(), st.integers(1, J - 1).flatmap(
+            lambda j1: st.tuples(st.just(j1), st.integers(j1 + 1, J)))))
+        one_point = upper_exponent if upper else lower_exponent
+        singles = [outcome(lambda: one_point(F, x, method, fit_range))
+                   for x in xs]
+        if EmptyWindowError in singles:
+            # a batch holding an empty chain raises; the others still fit
+            with pytest.raises(EmptyWindowError):
+                _chain_exponents(F, xs, method, fit_range, upper)
+            xs = [x for x, s in zip(xs, singles) if s is not EmptyWindowError]
+            singles = [s for s in singles if s is not EmptyWindowError]
+        assert all(isinstance(s, str) for s in singles)
+        if xs:
+            batch = _chain_exponents(F, xs, method, fit_range, upper)
+            assert [repr(e) for e in batch] == singles
+
+    def test_one_empty_chain_fails_the_batch(self):
+        # the right half is invalid at every scale
+        J = 8
+        values = [np.full(1 << j, 2.0 ** -j) for j in range(J + 1)]
+        valid = [np.arange(1 << j) < (1 << j) / 2 for j in range(J + 1)]
+        F = DyadicFamily(0, J, values, valid)
+        for method in ("tail-min", "regression"):
+            assert len(_chain_exponents(F, [0.1, 0.3], method, None, False)) == 2
+            with pytest.raises(EmptyWindowError):
+                _chain_exponents(F, [0.1, 0.75, 0.3], method, None, False)
+
+    @pytest.mark.parametrize("x", [-2.0 ** -20, 1.0, 2.0, math.inf, math.nan])
+    def test_point_outside_the_domain(self, x):
+        F = power_law_family(0.5)
+        with pytest.raises(OutOfWindowError):
+            _chain_exponents(F, [0.25, x, 0.5], "tail-min", None, False)
+
+    def test_three_scale_family_fits_its_two_chain_values(self):
+        rng = np.random.default_rng(3)
+        values = [rng.uniform(0.1, 1.0, 1 << j) for j in range(3)]
+        F = DyadicFamily(0, 2, values)
+        js = np.array([1.0, 2.0])
+        for x in (0.1, 0.3, 0.6, 0.9):
+            v = [values[j][int(x * (1 << j))] for j in (1, 2)]
+            want = np.polyfit(-js, np.log2(v), 1)[0]
+            est = lower_exponent(F, x, "regression", fit_range=(1, 2))
+            assert est.fit_range == (1, 2)
+            assert est.value == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestFamilyValidation:

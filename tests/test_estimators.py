@@ -552,14 +552,14 @@ class TestBoundaryBasePoints:
 P_EXTREME = np.array([-30.0, -1.0, 0.0, 1.0, 30.0])
 
 
-def rough_family(J=9, masked=False, seed=0):
-    """Values in [0.5, 2] with about a third of the cubes zero, and with
+def rough_family(J=9, masked=False, seed=0, zeros=0.3):
+    """Values in [0.5, 2] with a share ``zeros`` of the cubes zero, and with
     masked=True about a fifth of the cubes flagged invalid."""
     rng = np.random.default_rng(seed)
     values, valid = [], []
     for j in range(J + 1):
         v = rng.uniform(0.5, 2.0, 1 << j)
-        v[rng.random(1 << j) < 0.3] = 0.0
+        v[rng.random(1 << j) < zeros] = 0.0
         values.append(v)
         valid.append(rng.random(1 << j) >= 0.2)
     return DyadicFamily(0, J, values, valid=valid if masked else None)
@@ -1039,6 +1039,87 @@ class TestBatchedEqualsOneByOne:
                 np.testing.assert_array_equal(a[~fin], b[~fin])
                 assert np.all(np.abs(a[fin] - b[fin])
                               <= 1e-12 * np.maximum(1.0, np.abs(b[fin]))), name
+
+
+def assert_same_fit(got, want):
+    """Equal scales, fit ranges and excluded counts; tau, tau_tailmin and
+    residuals within 1e-12 relative (1e-12 absolute near 0), with equal
+    non-finite entries."""
+    assert got.fit_range == want.fit_range
+    np.testing.assert_array_equal(got.scales, want.scales)
+    np.testing.assert_array_equal(got.excluded_counts, want.excluded_counts)
+    for name in ("tau", "tau_tailmin", "residuals"):
+        a, b = getattr(got, name), getattr(want, name)
+        fin = np.isfinite(b)
+        np.testing.assert_array_equal(a[~fin], b[~fin])
+        assert np.all(np.abs(a[fin] - b[fin])
+                      <= 1e-12 * np.maximum(1.0, np.abs(b[fin]))), name
+
+
+class TestRelations:
+    """Relations that follow from the definitions, on small random
+    families: a wrong window edge or chain cube breaks them even where
+    the batched and the one-by-one paths share it."""
+
+    @given(st.integers(5, 10), st.booleans(), st.integers(0, 2 ** 32 - 1),
+           st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1,
+                    max_size=6),
+           st.integers(1, 3), st.sampled_from([1, 4]), P_GRIDS)
+    @settings(max_examples=40, deadline=None)
+    def test_local_profile_equals_one_point_calls(self, J, masked, seed, xs,
+                                                  n_r, min_cubes, ps):
+        # the smallest radius keeps the 64 cubes local_profile asks for
+        F = rough_family(J, masked, seed, zeros=0.2)
+        radii = 2.0 ** (5 - J) * 2.0 ** np.arange(n_r - 1, -1, -1)
+        policy = FitPolicy(1, J, min_cubes)
+        singles, errors = [], set()
+        for x in xs:
+            try:
+                singles.append(local_profile(F, [x], radii, ps, policy))
+            except (EmptyWindowError, ScaleError) as exc:
+                errors.add(type(exc))
+        if errors:
+            # every window's fit range is checked before any sum is taken
+            with pytest.raises(ScaleError if ScaleError in errors
+                               else EmptyWindowError):
+                local_profile(F, xs, radii, ps, policy)
+            return
+        lp = local_profile(F, xs, radii, ps, policy)
+        for ix, one in enumerate(singles):
+            for got, want in zip(lp.profiles[ix], one.profiles[0]):
+                assert got.window == want.window
+                assert_same_fit(got, want)
+
+    @given(st.integers(5, 10), st.booleans(), st.integers(0, 2 ** 32 - 1),
+           st.lists(st.integers(0, 16), min_size=2, max_size=2, unique=True),
+           P_GRIDS, st.sampled_from([1, 4, 8]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mirror_maps_a_window_to_its_reflection(self, J, masked, seed,
+                                                    ends, ps, min_cubes, data):
+        # cube k of scale j is cube 2^j - 1 - k of the reversed family,
+        # and [a, b) holds it exactly when [1 - b, 1 - a) holds its mirror
+        F = rough_family(J, masked, seed, zeros=0.2)
+        R = DyadicFamily(0, J, [F.values_at(j)[::-1] for j in F.scales],
+                         [F.valid_at(j)[::-1] for j in F.scales] if masked
+                         else None)
+        lo, hi = min(ends) / 16, max(ends) / 16
+        # a fit range of at least the 4 scales a fit needs, up to the
+        # finest scale, where a narrow window holds the cubes it needs
+        ranges = st.integers(1, J - 3).map(lambda j1: (j1, J))
+        if J >= 7:                      # the default (3, J - 1) holds 4
+            ranges = st.one_of(st.none(), ranges)
+        fit_range = data.draw(ranges)
+        try:
+            want = scaling_function(F, Window(lo, hi), ps, fit_range, min_cubes)
+        except EmptyWindowError:
+            with pytest.raises(EmptyWindowError):
+                scaling_function(R, Window(1 - hi, 1 - lo), ps, fit_range,
+                                 min_cubes)
+            return
+        got = scaling_function(R, Window(1 - hi, 1 - lo), ps, fit_range,
+                               min_cubes)
+        assert got.window == Window(1 - hi, 1 - lo)
+        assert_same_fit(got, want)
 
 
 def outcome(call):

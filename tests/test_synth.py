@@ -88,6 +88,15 @@ class TestModelParameters:
         with pytest.raises(ScaleError):
             gen_mbm(ModelSpec("mbm", {"H": 0.6, "J": 0}))
 
+    def test_mbm_N_must_equal_two_to_the_J(self):
+        # a spec file's top-level N joins the params beside J
+        spec = ModelSpec.from_json(
+            '{"kind": "mbm", "N": 4096, "params": {"H": 0.6, "J": 10}}')
+        with pytest.raises(ModelError, match="N = 4096.*J = 10"):
+            gen_mbm(spec)
+        signal, _ = gen_mbm(ModelSpec("mbm", {"H": 0.6, "J": 10, "N": 1024}))
+        assert signal.size == 1024
+
     @pytest.mark.parametrize("kind, params", [
         ("binomial", {"J": 10}), ("mbm", {"J": 10}),
         ("birkhoff", {"a": "abc", "b": 0.2}),
