@@ -21,7 +21,7 @@ import numpy as np
 
 from . import builders, dyadic, estimators, synth, wavelet
 from .dyadic import Window
-from .errors import AnalysisError
+from .errors import AnalysisError, ScaleError
 from .estimators import FitPolicy
 from .synth import ModelSpec
 
@@ -317,11 +317,10 @@ class PipelineConfig:
                 raise ConfigError(f"{who} reads no " + ", ".join(ignored))
         if (self.mode == "local" and self.windows
                 and not isinstance(self.x_grid, int)):
-            outside = [float(x) for x in self.x_grid
-                       if not any(w.contains(x) for w in self.windows)]
-            if outside:
-                raise ConfigError(f"base points {outside} lie outside "
-                                  f"every window")
+            outside = ~_inside(self.x_grid, self.windows).any(axis=1)
+            if outside.any():
+                raise ConfigError(f"base points {self.x_grid[outside].tolist()} "
+                                  f"lie outside every window")
         if self.input_path is not None and not Path(self.input_path).exists():
             raise ConfigError(f"unreadable input {self.input_path!r}")
 
@@ -380,12 +379,18 @@ def _family_from_config(cfg: PipelineConfig
     return wavelet.p_leaders(pyramid, cfg.p_value), path
 
 
-def _auto_H_grid(sf: estimators.ScalingFunction) -> np.ndarray:
-    fin = np.isfinite(sf.tau)
+def _inside(xs: np.ndarray, windows: list[Window]) -> np.ndarray:
+    """(n_x, n_windows) mask of the base points xs that each window holds."""
+    lo, hi = np.array([[w.lo, w.hi] for w in windows]).T
+    return (xs[:, None] >= lo) & (xs[:, None] < hi)
+
+
+def _auto_H_grid(p_grid, tau) -> np.ndarray:
+    fin = np.isfinite(tau)
     if fin.sum() < 2:
         raise ConfigError("scaling function is degenerate; pass --h-grid "
                           "explicitly")
-    p, t = sf.p_grid[fin], sf.tau[fin]
+    p, t = p_grid[fin], tau[fin]
     slopes = np.diff(t) / np.diff(p)
     lo, hi = float(slopes.min()), float(slopes.max())
     pad = 0.25 * max(hi - lo, 0.2)
@@ -404,20 +409,21 @@ def _base_points(cfg: PipelineConfig, family: dyadic.DyadicFamily,
                           f"family's finest scale {family.j_max}")
     n = 1 << cfg.x_grid
     centres = (np.arange(n) + 0.5) / n
-    return np.array([x for x in centres if any(w.contains(x) for w in windows)])
+    return centres[_inside(centres, windows).any(axis=1)]
 
 
-def _window_entry(sf: estimators.ScalingFunction,
+def _window_entry(fits: estimators._Fits, i: int,
                   spectrum: estimators.LegendreSpectrum) -> dict:
-    """One ``windows`` entry of results.json, without its local points."""
+    """The ``windows`` entry of results.json of window i of the fits,
+    without its local points."""
+    j1, j2 = fits.fit_ranges[i].tolist()
     return {
-        "window": [sf.window.lo, sf.window.hi],
-        "p_grid": sf.p_grid.tolist(),
-        "tau": sf.tau.tolist(),
-        "eta": sf.eta.tolist(),
-        "tau_tailmin": sf.tau_tailmin.tolist(),
-        "fit": {"j1": sf.fit_range[0], "j2": sf.fit_range[1],
-                "residuals": sf.residuals.tolist()},
+        "window": fits.ends[i].tolist(),
+        "p_grid": fits.p_grid.tolist(),
+        "tau": fits.tau[i].tolist(),
+        "eta": (fits.tau[i] - 1.0).tolist(),
+        "tau_tailmin": fits.tau_tailmin[i].tolist(),
+        "fit": {"j1": j1, "j2": j2, "residuals": fits.residuals[i].tolist()},
         "legendre": {"H": spectrum.H_grid.tolist(), "L": spectrum.L.tolist()},
     }
 
@@ -427,33 +433,36 @@ def run(cfg: PipelineConfig) -> dict:
     writes results.json plus the plot CSVs into cfg.out_dir."""
     t0 = time.time()
     family, path = _family_from_config(cfg)
-    windows = cfg.windows or [Window(0.0, 1.0)]
+    windows = [dyadic._clip_window(family, w) for w in cfg.windows or [None]]
 
     results: dict = {"command": cfg.command, "windows": []}
     if not cfg.deterministic:
         results["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     results["config"] = _config_echo(cfg)
 
-    sfs = estimators._scaling_functions(family, windows, cfg.p_grid,
-                                        [cfg.fit_range] * len(windows))
-    points = None
+    fits = estimators._scaling_functions(
+        family, [[w.lo, w.hi] for w in windows], cfg.p_grid,
+        [cfg.fit_range] * len(windows))
+    lp = None
     if cfg.mode == "local":
         policy = FitPolicy(*(cfg.fit_range or ()), min_cubes=cfg.min_cubes)
         lp = estimators.local_profile(family, _base_points(cfg, family, windows),
                                       cfg.radii, cfg.p_grid, policy)
         alphas = estimators.monohoelder_detect(lp).alpha
-        points = list(zip(lp.x_grid, lp.profiles, alphas))
-    for sf in sfs:
-        H_grid = cfg.H_grid if cfg.H_grid is not None else _auto_H_grid(sf)
-        entry = _window_entry(sf, estimators.legendre(sf, H_grid))
-        if points is not None:
+        inside = _inside(lp.x_grid, windows)
+    for i, tau in enumerate(fits.tau):
+        H_grid = (cfg.H_grid if cfg.H_grid is not None
+                  else _auto_H_grid(cfg.p_grid, tau))
+        entry = _window_entry(fits, i,
+                              estimators._legendre(cfg.p_grid, tau, H_grid))
+        if lp is not None:
             # each point under every window holding it, on that window's H grid
             entry["local"] = [
-                {"x": float(x), "tau": [s.tau.tolist() for s in per_x],
-                 "legendre": {
-                     "L": estimators.legendre(per_x[-1], H_grid).L.tolist()},
-                 "alpha": float(alpha)}
-                for x, per_x, alpha in points if sf.window.contains(x)]
+                {"x": float(lp.x_grid[ix]), "tau": lp.tau[ix].tolist(),
+                 "legendre": {"L": estimators._legendre(
+                     lp.p_grid, lp.tau_local[ix], H_grid).L.tolist()},
+                 "alpha": float(alphas[ix])}
+                for ix in np.flatnonzero(inside[:, i])]
         results["windows"].append(entry)
 
     results["runtime_s"] = time.time() - t0 if not cfg.deterministic else None
@@ -592,18 +601,20 @@ def _check_oracle_markov(cfg: PipelineConfig) -> dict:
     orc = synth.oracle(cfg.model, realization=path)
     n = path.grid_M.size
     j_max = cfg.j_max or (n.bit_length() - 1 - 1)
+    # the default (5, min(13, j_max - 1)), with j1 lowered to keep 2 scales
+    j2 = min(13, j_max - 1)
+    if cfg.fit_range is None and j2 < 2:
+        raise ScaleError(f"a markov_jump path of N = {n} samples has "
+                         f"oscillation scales 0 to {j_max}, too few for a "
+                         f"fit over 2 scales below the finest")
+    fit = cfg.fit_range or (min(5, j2 - 1), j2)
     family = builders.oscillation_family(path.grid_M, 1, j_max)
-    fit = cfg.fit_range or (5, min(13, j_max - 1))
     rng = np.random.default_rng(cfg.seed)
     ts = np.sort(rng.uniform(0.0, path.T, 100))
-    ests = dyadic._chain_exponents(family, ts / path.T, "regression", fit,
-                                   False)
-    rows = []
-    hits = 0
-    for t, est in zip(ts, ests):
-        h_o = float(orc.pointwise(float(t)))
-        rows.append((t, est.value, h_o))
-        hits += abs(est.value - h_o) <= 0.2
+    h_hat = dyadic._chain_exponents(family, ts / path.T, "regression", fit,
+                                    False).value
+    h_or = np.array([float(orc.pointwise(float(t))) for t in ts])
+    rows = list(zip(ts, h_hat, h_or))
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "oracle_vs_estimate.csv").write_text(_table("t,h_hat,h_oracle", rows))
@@ -611,7 +622,7 @@ def _check_oracle_markov(cfg: PipelineConfig) -> dict:
     summary = {
         "kind": "markov_jump",
         "mode": "pointwise",
-        "fraction_within_0.2": hits / 100.0,
+        "fraction_within_0.2": np.count_nonzero(abs(h_hat - h_or) <= 0.2) / 100.0,
         "monotone": bool(np.all(np.diff(path.grid_M) >= 0)),
         "drift_bound": path.drift_bound,
         "drift_rate_max": path.drift_rate_max,

@@ -46,9 +46,6 @@ class Window:
         if not (0.0 <= self.lo < self.hi <= 1.0):
             raise WindowError(f"invalid window [{self.lo}, {self.hi})")
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x < self.hi
-
     def cube_range(self, j: int) -> tuple[int, int]:
         """Offsets [k_lo, k_hi) of the scale-j cubes contained in the window."""
         k_lo = math.ceil(self.lo * (1 << j))
@@ -229,6 +226,11 @@ def _fit_scales(family, fit_range, top, min_scales):
     return j1, j2
 
 
+# float64 entries of the rows one fit takes at a time (32 kB), so a fit's
+# temporaries do not grow with the number of rows
+_FIT_WORK = 1 << 12
+
+
 def _chords(js, log2v):
     """Log-log estimates of every row of log2v against the scales js, each
     row over its finite entries: the least-squares slope of log2 v against
@@ -236,25 +238,49 @@ def _chords(js, log2v):
     chord below 2 entries), the slope's RMS residual (0 below 2 entries),
     and the smallest and largest anchored chord log2 v / (-j), both +inf
     in a row without a finite entry (values vanishing at every scale).
+    Rows are fitted ``_FIT_WORK`` entries at a time.
     """
-    slope, _, resid = _line_fit(-js, log2v)
-    ok = np.isfinite(log2v)
-    chords = log2v / -js
-    lo = np.where(ok, chords, math.inf).min(axis=-1)
-    hi = np.where(ok.any(axis=-1),
-                  np.where(ok, chords, -math.inf).max(axis=-1), math.inf)
-    fitted = ~np.isnan(slope)
-    return (slope, np.where(fitted, slope, lo), np.where(fitted, resid, 0.0),
-            lo, hi)
+    shape = log2v.shape[:-1]
+    Y = log2v.reshape(math.prod(shape), js.size)
+    out = [np.empty(Y.shape[0]) for _ in range(5)]
+    step = max(1, _FIT_WORK // max(1, js.size))
+    for a in range(0, Y.shape[0], step):
+        y = Y[a:a + step]
+        slope, _, resid = _line_fit(-js, y)
+        ok = np.isfinite(y)
+        chords = y / -js
+        lo = np.where(ok, chords, math.inf).min(axis=-1)
+        hi = np.where(ok.any(axis=-1),
+                      np.where(ok, chords, -math.inf).max(axis=-1), math.inf)
+        fitted = ~np.isnan(slope)
+        for o, v in zip(out, (slope, np.where(fitted, slope, lo),
+                              np.where(fitted, resid, 0.0), lo, hi)):
+            o[a:a + step] = v
+    return tuple(o.reshape(shape) for o in out)
 
 
-def _sup_exponents(sups, fit_range, method, tail_max) -> list[ExponentEstimate]:
-    """One exponent estimate per row of sups (n_rows x n_scales), the sups
-    at the scales of ``fit_range``, NaN where a scale has no valid cube.
-    ``regression`` takes the estimate of :func:`_chords`, ``tail-min`` the
-    smallest chord, or the largest with ``tail_max``. NaN and zero sups
-    leave the fit, a row of zero sups gets +inf, and a row without a valid
-    cube raises EmptyWindowError."""
+@dataclass(frozen=True)
+class _Exponents:
+    """Exponent estimates of a batch of rows over one fit range: the
+    estimate, the regression slope and its RMS residual of each row."""
+
+    value: np.ndarray
+    slope_fit: np.ndarray
+    residual: np.ndarray
+    fit_range: tuple[int, int]
+
+    def row(self, i: int) -> ExponentEstimate:
+        return ExponentEstimate(float(self.value[i]), float(self.slope_fit[i]),
+                                self.fit_range, float(self.residual[i]))
+
+
+def _sup_exponents(sups, fit_range, method, tail_max) -> _Exponents:
+    """The exponent estimates of the rows of sups (n_rows x n_scales), the
+    sups at the scales of ``fit_range``, NaN where a scale has no valid
+    cube. ``regression`` takes the estimate of :func:`_chords`,
+    ``tail-min`` the smallest chord, or the largest with ``tail_max``. NaN
+    and zero sups leave the fit, a row of zero sups gets +inf, and a row
+    without a valid cube raises EmptyWindowError."""
     j1, j2 = fit_range
     if np.isnan(sups).all(axis=-1).any():
         raise EmptyWindowError(f"no valid cube in the fit range ({j1}, {j2})")
@@ -265,16 +291,15 @@ def _sup_exponents(sups, fit_range, method, tail_max) -> list[ExponentEstimate]:
     slope, tau, resid, lo, hi = _chords(np.arange(j1, j2 + 1, dtype=float),
                                         log2v)
     value = tau if method == "regression" else hi if tail_max else lo
-    return [ExponentEstimate(v, s, fit_range, r) for v, s, r
-            in zip(value.tolist(), slope.tolist(), resid.tolist())]
+    return _Exponents(value, slope, resid, fit_range)
 
 
-def _chain_exponents(family, xs, method, fit_range, tail_max):
-    """:func:`_sup_exponents` over the chains of the points xs, one estimate
-    per point: at scale j the point's sup is its cube of offset
-    floor(x 2^j), NaN if that cube is invalid, gathered for every point at
-    once. The fit range defaults to [3, j_max]; a point outside [0, 1)
-    raises OutOfWindowError."""
+def _chain_exponents(family, xs, method, fit_range, tail_max) -> _Exponents:
+    """:func:`_sup_exponents` over the chains of the points xs, one row per
+    point: at scale j the point's sup is its cube of offset floor(x 2^j),
+    NaN if that cube is invalid, gathered for every point at once. The fit
+    range defaults to [3, j_max]; a point outside [0, 1) raises
+    OutOfWindowError."""
     xs = np.asarray(xs, dtype=float)
     outside = ~((xs >= 0.0) & (xs < 1.0))
     if outside.any():
@@ -302,7 +327,7 @@ def lower_exponent(family: DyadicFamily, x: float, method: str = "tail-min",
     range the estimate is +inf. Invalid cubes leave the fit; a chain with
     no valid cube in the range raises EmptyWindowError.
     """
-    return _chain_exponents(family, [x], method, fit_range, False)[0]
+    return _chain_exponents(family, [x], method, fit_range, False).row(0)
 
 
 def upper_exponent(family: DyadicFamily, x: float, method: str = "tail-min",
@@ -312,4 +337,4 @@ def upper_exponent(family: DyadicFamily, x: float, method: str = "tail-min",
     In ``regression`` mode the estimate coincides with the lower one; only
     the tail method distinguishes the two at finite scales.
     """
-    return _chain_exponents(family, [x], method, fit_range, True)[0]
+    return _chain_exponents(family, [x], method, fit_range, True).row(0)

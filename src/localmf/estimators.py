@@ -43,7 +43,10 @@ Conventions
 * The Legendre spectrum is the discrete transform L(H) = min_p (H p -
   tau(p)) with endpoint and floor handling for the -infinity directions.
 * Local values tau(x, p) are taken at the smallest admissible radius; the
-  full per-radius sequence is retained so convergence can be judged.
+  full per-radius sequence is retained so convergence can be judged:
+  ``LocalProfile.tau`` and ``tau_tailmin`` are (n_x, n_radii, n_p) arrays,
+  and the per-ball ``ScalingFunction`` objects are built only when
+  ``profiles`` is read.
 
 The leaves of one block are summed in one pass per p: each leaf's
 largest (p > 0) or smallest (p < 0) log2 e is subtracted from its terms,
@@ -65,6 +68,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -197,9 +201,6 @@ def _walk_log2_sums(log2e, p_grid, walks, d, t, starts) -> np.ndarray:
 
 
 _WORK = 1 << 17     # float64 entries of one work array (1 MB)
-# float64 entries of one temporary of a batched fit (32 kB), so a fit's
-# memory does not grow with the number of windows
-_FIT_WORK = 1 << 12
 
 
 def _log2_pyramid_sums(leaf_S, runs) -> np.ndarray:
@@ -250,8 +251,9 @@ def _log2_pyramid_sums(leaf_S, runs) -> np.ndarray:
     return out
 
 
-def _window_sums(family: DyadicFamily, windows, scales, p_grid):
-    """Partition sums of the family on every window of a list at once.
+def _window_sums(family: DyadicFamily, ends, scales, p_grid):
+    """Partition sums of the family on every window [lo, hi) of ``ends``
+    (n_windows x 2) at once.
 
     Returns log2 S_j(w, p) (n_windows x n_p x n_scales; -inf where the
     window holds no nonzero valid cube), the count of zero cubes left out
@@ -280,18 +282,17 @@ def _window_sums(family: DyadicFamily, windows, scales, p_grid):
     if not np.all(np.isfinite(p_grid)):
         raise DomainError(f"partition sums need finite p, got {p_grid.tolist()}")
     scales = np.asarray(scales, dtype=int)
-    n_w = len(windows)
+    # Window.cube_range of every window at every scale: ends * 2^j is exact
+    scaled = np.outer(np.reshape(ends, (-1, 2)).T, np.ldexp(1.0, scales))
+    n_w = scaled.shape[0] // 2
+    k_lo = np.ceil(scaled[:n_w]).astype(np.int64)
+    k_hi = np.maximum(k_lo, np.floor(scaled[n_w:]).astype(np.int64))
     log2_S = np.full((n_w, p_grid.size, scales.size), -np.inf)
     n_valid = np.zeros((n_w, scales.size), dtype=int)
     n_pos = np.zeros_like(n_valid)
     block = min(_BLOCK, max((family.n_cubes(j) for j in scales), default=0))
     d, t = np.empty(block), np.empty(block)
     walks = _p_walks(p_grid)
-    # Window.cube_range of every window at every scale: ends * 2^j is exact
-    ends = np.outer([w.lo for w in windows] + [w.hi for w in windows],
-                    np.ldexp(1.0, scales))
-    k_lo = np.ceil(ends[:n_w]).astype(np.int64)
-    k_hi = np.maximum(k_lo, np.floor(ends[n_w:]).astype(np.int64))
     for i, j in enumerate(scales.tolist()):
         values, valid = family.values_at(j), family.valid_at(j)
         cuts, inverse = np.unique(np.concatenate(
@@ -349,7 +350,7 @@ def structure_function(family: DyadicFamily, window: Window | None, p: float,
     stay available through :func:`scaling_function` (``log2_S``).
     """
     w = _clip_window(family, window)
-    log2_S, excluded, _ = _window_sums(family, [w], family.scales, [p])
+    log2_S, excluded, _ = _window_sums(family, [w.lo, w.hi], family.scales, [p])
     log2_S = log2_S[0, 0]
     too_big = log2_S >= 1024.0
     if np.any(too_big):
@@ -401,6 +402,32 @@ class ScalingFunction:
         return _max_convexity(self.p_grid, self.tau)
 
 
+@dataclass(frozen=True)
+class _Fits:
+    """The scaling functions of n windows over one p grid, stacked."""
+
+    p_grid: np.ndarray
+    ends: np.ndarray            # (n, 2): [lo, hi) of each window
+    fit_ranges: np.ndarray      # (n, 2)
+    scales: np.ndarray          # the union of the fit ranges
+    use: np.ndarray             # (n, n_scales): the scales each window fits
+    log2_S: np.ndarray          # (n, n_p, n_scales): NaN off use or at S = 0
+    n_excluded: np.ndarray      # (n, n_scales): zero cubes left out at p <= 0
+    tau: np.ndarray             # (n, n_p)
+    tau_tailmin: np.ndarray     # (n, n_p)
+    residuals: np.ndarray       # (n, n_p)
+
+    def scaling_function(self, i: int) -> ScalingFunction:
+        """Window i's fit, its per-scale arrays cut to the scales it uses."""
+        u = self.use[i]
+        excluded = np.where((self.p_grid <= 0)[:, None], self.n_excluded[i, u], 0)
+        return ScalingFunction(
+            self.p_grid, self.tau[i], self.tau_tailmin[i], self.tau[i] - 1.0,
+            tuple(self.fit_ranges[i].tolist()), self.residuals[i],
+            Window(*self.ends[i].tolist()), self.scales[u],
+            self.log2_S[i][:, u], excluded)
+
+
 def scaling_function(family: DyadicFamily, window: Window | None,
                      p_grid, fit_range: tuple[int, int] | None = None,
                      min_cubes: int = 1) -> ScalingFunction:
@@ -410,49 +437,41 @@ def scaling_function(family: DyadicFamily, window: Window | None,
     holding at least ``min_cubes`` cubes, at least one of them nonzero; p
     values whose sums vanish at every usable scale get the +inf marker.
     """
-    return _scaling_functions(family, [window], p_grid, [fit_range],
-                              min_cubes)[0]
+    w = _clip_window(family, window)
+    return _scaling_functions(family, [w.lo, w.hi], p_grid, [fit_range],
+                              min_cubes).scaling_function(0)
 
 
-def _scaling_functions(family: DyadicFamily, windows, p_grid, fit_ranges,
-                       min_cubes: int = 1) -> list[ScalingFunction]:
-    """:func:`scaling_function` on every window of a list (None: the
-    whole domain), ``windows[i]`` fitted over ``fit_ranges[i]``. One
+def _scaling_functions(family: DyadicFamily, ends, p_grid, fit_ranges,
+                       min_cubes: int = 1) -> _Fits:
+    """:func:`scaling_function` on every window [lo, hi) of ``ends`` (n x
+    2), window i fitted over ``fit_ranges[i]``, as stacked arrays. One
     kernel call takes the sums of all windows over the union of their
     scales; a scale a window does not use (outside its fit range, short of
     ``min_cubes`` valid cubes, or without a nonzero cube) is NaN in its
-    row, and :func:`_chords` fits ``_FIT_WORK`` entries at a time, each
-    row over its finite entries."""
-    if not windows:
-        return []
+    row, and :func:`_chords` fits each row over its finite entries."""
     p_grid = np.ascontiguousarray(p_grid, dtype=float)
-    clipped = [_clip_window(family, w) for w in windows]
+    ends = np.asarray(ends, dtype=float).reshape(-1, 2)
     ranges = np.array([_fit_scales(family, fr, family.j_max - 1, 4)
-                       for fr in fit_ranges])
-    scales = np.arange(ranges[:, 0].min(), ranges[:, 1].max() + 1)
-    log2_S, excluded, n_valid = _window_sums(family, clipped, scales, p_grid)
+                       for fr in fit_ranges], dtype=int).reshape(-1, 2)
+    # the union of the fit ranges; none without a window
+    scales = (np.arange(ranges[:, 0].min(), ranges[:, 1].max() + 1)
+              if ranges.size else np.arange(0))
+    log2_S, excluded, n_valid = _window_sums(family, ends, scales, p_grid)
     use = ((scales >= ranges[:, :1]) & (scales <= ranges[:, 1:])
            & (n_valid >= max(1, min_cubes)))
     few = use.sum(axis=1) < 2
     if few.any():
         i = int(np.argmax(few))
         raise EmptyWindowError(
-            f"window [{clipped[i].lo}, {clipped[i].hi}) keeps fewer than 2 "
+            f"window [{ends[i, 0]}, {ends[i, 1]}) keeps fewer than 2 "
             f"usable scales in ({ranges[i, 0]}, {ranges[i, 1]})")
     log2_S[~use[:, None, :] | np.isneginf(log2_S)] = np.nan
-    js = scales.astype(float)
-    step = max(1, _FIT_WORK // (p_grid.size * scales.size))
-    spans = [tuple(r) for r in ranges.tolist()]
-    out = []
-    for a in range(0, len(windows), step):
-        _, tau, resid, tail, _ = _chords(js, log2_S[a:a + step])
-        rows = zip(tau, tail, tau - 1.0, resid)
-        for i, (t, t_min, eta, res) in enumerate(rows, a):
-            u = use[i]
-            out.append(ScalingFunction(
-                p_grid, t, t_min, eta, spans[i], res, clipped[i], scales[u],
-                log2_S[i][:, u], excluded[i][:, u]))
-    return out
+    _, tau, resid, tail, _ = _chords(scales.astype(float), log2_S)
+    # every p <= 0 leaves out the same zero cubes, and the smallest p is
+    # one of them if any p is
+    return _Fits(p_grid, ends, ranges, scales, use, log2_S,
+                 excluded[:, np.argmin(p_grid)].copy(), tau, tail, resid)
 
 
 def uniform_exponent(family: DyadicFamily, window: Window | None = None,
@@ -472,7 +491,7 @@ def uniform_exponent(family: DyadicFamily, window: Window | None = None,
     w = _clip_window(family, window)
     j1, j2 = _fit_scales(family, fit_range, family.j_max, 2)
     sups = _scale_sups(family, range(j1, j2 + 1), w.cube_range)
-    return _sup_exponents(sups[None], (j1, j2), method, False)[0]
+    return _sup_exponents(sups[None], (j1, j2), method, False).row(0)
 
 
 # ---------------------------------------------------------------------------
@@ -542,14 +561,19 @@ def legendre(sf: ScalingFunction, H_grid) -> LegendreSpectrum:
     value at the grid point closest to its slope instead of flagging every
     H. :func:`discrete_legendre` takes another floor or tolerance.
     """
-    fin = np.isfinite(sf.tau)
+    return _legendre(sf.p_grid, sf.tau, H_grid)
+
+
+def _legendre(p_grid, tau, H_grid) -> LegendreSpectrum:
+    """:func:`legendre` of the samples tau(p) on the grid."""
+    fin = np.isfinite(tau)
     if fin.sum() < 2:
         raise DomainError("Legendre transform needs tau finite on >= 2 grid points")
     H = np.ascontiguousarray(H_grid, dtype=float)
     spacing = np.median(np.diff(np.sort(H))) if H.size > 1 else 0.0
-    L = discrete_legendre(sf.p_grid, sf.tau, H,
+    L = discrete_legendre(p_grid, tau, H,
                           endpoint_slope_tol=max(1e-6, 0.5 * float(spacing)))
-    return LegendreSpectrum(H, L, sf.p_grid)
+    return LegendreSpectrum(H, L, p_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -568,16 +592,28 @@ class FitPolicy:
 
 @dataclass
 class LocalProfile:
-    """Per-base-point, per-radius scaling functions plus the extrapolated
-    local values (taken at the smallest admissible radius)."""
+    """Scaling functions on the balls B(x, r) of every base point x and
+    radius r, as arrays of regression (``tau``) and tail-min
+    (``tau_tailmin``) estimates, plus the local values (taken at the
+    smallest admissible radius). ``profiles`` gives each ball's
+    :class:`ScalingFunction`, [ix][ir], built on first access."""
 
     x_grid: np.ndarray
     radii: np.ndarray
     p_grid: np.ndarray
-    profiles: list[list[ScalingFunction]]       # [ix][ir]
-    tau_local: np.ndarray                       # (n_x, n_p)
+    tau: np.ndarray                             # (n_x, n_r, n_p)
+    tau_tailmin: np.ndarray                     # (n_x, n_r, n_p)
+    tau_local: np.ndarray                       # (n_x, n_p): tau[:, -1]
+    _fits: _Fits = field(repr=False, compare=False)
     H_grid: np.ndarray | None = None
     legendre_local: list[LegendreSpectrum] | None = None
+
+    @cached_property
+    def profiles(self) -> tuple[tuple[ScalingFunction, ...], ...]:
+        n_r = self.radii.size
+        return tuple(
+            tuple(self._fits.scaling_function(i) for i in range(k, k + n_r))
+            for k in range(0, self.x_grid.size * n_r, n_r))
 
     def radius_monotone_violation(self) -> float:
         """Max over x, p, and consecutive radii of tau(larger r) - tau(smaller
@@ -587,9 +623,7 @@ class LocalProfile:
         regression estimate can exceed it transiently on windows where the
         structure sums are strongly curved in log-log. Pairs with a
         non-finite estimate are left out, and 0.0 is the floor."""
-        taus = np.reshape([[sf.tau_tailmin for sf in per_x]
-                           for per_x in self.profiles],
-                          (len(self.profiles), self.radii.size, self.p_grid.size))
+        taus = self.tau_tailmin
         fin = np.isfinite(taus[:, :-1]) & np.isfinite(taus[:, 1:])
         diffs = np.subtract(taus[:, :-1], taus[:, 1:], where=fin,
                             out=np.zeros(fin.shape))
@@ -623,29 +657,27 @@ def local_profile(family: DyadicFamily, x_grid, radii, p_grid,
     j2 = policy.j2 if policy.j2 is not None else family.j_max - 1
     p_grid = np.ascontiguousarray(p_grid, dtype=float)
 
-    windows, fit_ranges = [], []
-    for x in x_grid:
-        # anchor the fit range at the smallest radius so the per-radius
-        # sequence is fitted over one common scale set (otherwise radius
-        # monotonicity is confounded by fit-range changes)
-        w_min = Window.ball(float(x), float(radii[-1]))
-        j1_eff = policy.j1
-        while j1_eff < j2 and w_min.n_cubes(j1_eff) < policy.min_cubes:
-            j1_eff += 1
-        for r in radii:
-            windows.append(Window.ball(float(x), float(r)))
-            fit_ranges.append((j1_eff, j2))
-    sfs = _scaling_functions(family, windows, p_grid, fit_ranges,
-                             policy.min_cubes)
-    profiles = [sfs[i:i + radii.size] for i in range(0, len(sfs), radii.size)]
-    tau_local = np.reshape([per_x[-1].tau for per_x in profiles],
-                           (x_grid.size, p_grid.size))
-
+    # Window.ball(x, r) of every base point x and radius r
+    balls = np.stack([np.maximum(x_grid[:, None] - radii, 0.0),
+                      np.minimum(x_grid[:, None] + radii, 1.0)], axis=-1)
+    # anchor the fit range at the smallest radius so the per-radius
+    # sequence is fitted over one common scale set (otherwise radius
+    # monotonicity is confounded by fit-range changes): j1 passes the
+    # scales where that ball holds fewer than min_cubes cubes, which come
+    # first since a window's cube count grows with j
+    e = np.multiply.outer(balls[:, -1], np.ldexp(1.0, np.arange(policy.j1, j2)))
+    n_cubes = np.maximum(np.floor(e[:, 1]) - np.ceil(e[:, 0]), 0.0)
+    j1 = policy.j1 + (n_cubes < policy.min_cubes).sum(axis=1)
+    ranges = [(j, j2) for j in np.repeat(j1, radii.size).tolist()]
+    fits = _scaling_functions(family, balls, p_grid, ranges, policy.min_cubes)
+    shape = (x_grid.size, radii.size, p_grid.size)
+    tau = fits.tau.reshape(shape)
     spectra = None
     if H_grid is not None:
         H_grid = np.ascontiguousarray(H_grid, dtype=float)
-        spectra = [legendre(per_x[-1], H_grid) for per_x in profiles]
-    return LocalProfile(x_grid, radii, p_grid, profiles, tau_local,
+        spectra = [_legendre(p_grid, t, H_grid) for t in tau[:, -1]]
+    return LocalProfile(x_grid, radii, p_grid, tau,
+                        fits.tau_tailmin.reshape(shape), tau[:, -1], fits,
                         H_grid, spectra)
 
 
@@ -780,7 +812,7 @@ def besov_membership(family: DyadicFamily, s: float, p: float,
         with np.errstate(divide="ignore"):
             log2_c = s * js + np.log2(sups)
     else:
-        log2_S = _window_sums(family, [w], range(j1, j2 + 1), [p])[0]
+        log2_S = _window_sums(family, [w.lo, w.hi], range(j1, j2 + 1), [p])[0]
         log2_c = (s * p - 1.0) * js + log2_S[0, 0]
     if not np.any(np.isfinite(log2_c)):
         # vacuous bound: the family vanishes on the window

@@ -340,6 +340,32 @@ class TestCheckOracle:
             est = lower_exponent(family, t / T, "regression", (5, min(13, J - 2)))
             assert row.split(",")[:2] == [f"{t:.12g}", f"{est.value:.12g}"]
 
+    @pytest.mark.parametrize("N, fit", [(64, (3, 4)), (128, (4, 5))])
+    def test_markov_default_fit_keeps_two_scales(self, tmp_path, N, fit):
+        # order-1 oscillations up to scale log2 N - 1: the default (5, 13)
+        # is cut to the scales below the finest, and j1 lowered to keep 2
+        payload = {**MARKOV_SPEC, "params": {**MARKOV_SPEC["params"], "N": N}}
+        spec = write_spec(tmp_path, "markov.json", payload)
+        out = tmp_path / "out"
+        assert main(["check-oracle", "--spec", spec, "--out", str(out)]) == 0
+        path = synthesize(ModelSpec.from_json(json.dumps(payload)))["path"]
+        family = oscillation_family(path.grid_M, 1, N.bit_length() - 2)
+        ts = np.sort(np.random.default_rng(0).uniform(0.0, 1.0, 100))
+        rows = (out / "oracle_vs_estimate.csv").read_text().splitlines()[1:]
+        for t, row in zip(ts, rows, strict=True):
+            est = lower_exponent(family, t, "regression", fit)
+            assert row.split(",")[:2] == [f"{t:.12g}", f"{est.value:.12g}"]
+
+    def test_markov_path_too_short_for_a_fit(self, tmp_path, capsys):
+        # N = 8 samples give oscillation scales 0 to 2: no 2 scales below 2
+        payload = {**MARKOV_SPEC, "params": {**MARKOV_SPEC["params"], "N": 8}}
+        spec = write_spec(tmp_path, "markov.json", payload)
+        assert main(["check-oracle", "--spec", spec,
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: runtime:")
+        assert "N = 8" in err and "scales 0 to 2" in err
+
 
 class TestSynthCommand:
     def test_measure_artifacts(self, tmp_path):
@@ -902,10 +928,13 @@ class TestProcess:
         (["analyze", "--spec", "UNDERFLOW"], 3),
         (["synth", "--spec", "FRACTIONAL_J"], 3),
         (["synth", "--spec", "MBM_N_NOT_2_TO_J"], 3),
+        (["check-oracle", "--spec", "MARKOV_N_64"], 0),
+        (["check-oracle", "--spec", "MARKOV_N_128"], 0),
     ], ids=["non-finite-p-grid", "help", "synth-input", "leaders-j-max",
             "report-x-grid", "empty-p-grid", "repeated-p-grid",
             "increasing-radii", "repeated-radii", "huge-p",
-            "underflowing-cascade", "fractional-J", "mbm-N-not-2-to-J"])
+            "underflowing-cascade", "fractional-J", "mbm-N-not-2-to-J",
+            "markov-N-64", "markov-N-128"])
     def test_exit_code_and_at_most_one_stderr_line(self, tmp_path, argv, code):
         files = {"BINOM": write_spec(tmp_path, "binom.json", {
             "kind": "binomial", "params": {"p": 0.4, "J": 10}})}
@@ -915,6 +944,9 @@ class TestProcess:
             "kind": "binomial", "params": {"p": 0.4, "J": 12.5}})
         files["MBM_N_NOT_2_TO_J"] = write_spec(tmp_path, "mbm.json", {
             "kind": "mbm", "N": 4096, "params": {"H": 0.6, "J": 10}})
+        for n in (64, 128):
+            files[f"MARKOV_N_{n}"] = write_spec(tmp_path, f"markov{n}.json", {
+                **MARKOV_SPEC, "params": {**MARKOV_SPEC["params"], "N": n}})
         files["SIGNAL"] = str(tmp_path / "sig.txt")
         Path(files["SIGNAL"]).write_text("0.0\n" * 1024)
         src = str(Path(__file__).resolve().parents[1] / "src")

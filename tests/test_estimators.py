@@ -35,6 +35,7 @@ from localmf import (
 from localmf.estimators import (
     _BLOCK,
     FitPolicy,
+    ScalingFunction,
     _p_walks,
     _scaling_functions,
     _walk_log2_sums,
@@ -316,11 +317,10 @@ class TestLocalProfile:
         assert np.isfinite(taus).any()
         # the radii reversed turn every finite pair into a violation
         rev = dataclasses.replace(lp, radii=lp.radii[::-1],
-                                  profiles=[per_x[::-1] for per_x in lp.profiles])
-        for prof in (lp, rev):
+                                  tau_tailmin=lp.tau_tailmin[:, ::-1])
+        for prof, per_point in ((lp, taus), (rev, taus[:, ::-1])):
             worst = 0.0
-            for per_x in prof.profiles:
-                t = np.array([sf.tau_tailmin for sf in per_x])
+            for t in per_point:
                 fin = np.isfinite(t[:-1]) & np.isfinite(t[1:])
                 if np.any(fin):
                     worst = max(worst, float((t[:-1] - t[1:])[fin].max()))
@@ -348,6 +348,89 @@ class TestLocalProfile:
         for ix, x in enumerate((0.125, 0.625)):
             target = H_fn(np.array(x)) * ps - 1.0
             assert np.abs(lp.tau_local[ix] - target).max() <= 0.25
+
+
+class TestStackedProfile:
+    """A local profile holds its fits as stacked arrays and builds one
+    ScalingFunction per ball only when ``profiles`` is read."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        made = []
+        init = ScalingFunction.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(ScalingFunction, "__init__", counting_init)
+        return made
+
+    def test_profiles_are_built_on_first_access(self, counted):
+        # balls in gaps of the Cantor support (+inf) and clipped at both
+        # ends (their own fit ranges), and zero cubes left out at p <= 0
+        F = plain_measure_family(gen_cantor_pair(12), 12)
+        xs = [0.0, 0.02, 0.25, 0.4, 0.51, 0.75, 0.99]
+        radii = np.array([0.25, 0.125, 0.0625])
+        qs = np.arange(-3.0, 3.5, 0.5)
+        lp = local_profile(F, xs, radii, qs, FitPolicy(3, 11, 8))
+        assert not counted
+        assert lp.tau.shape == lp.tau_tailmin.shape == (7, 3, qs.size)
+        np.testing.assert_array_equal(lp.tau_local, lp.tau[:, -1])
+        profiles = lp.profiles
+        assert len(counted) == 7 * 3 and lp.profiles is profiles
+        fits = lp._fits
+        assert len({tuple(r) for r in fits.fit_ranges.tolist()}) > 1
+        assert fits.n_excluded.any()
+        for ix, per_x in enumerate(profiles):
+            assert len(per_x) == radii.size
+            for ir, sf in enumerate(per_x):
+                i = ix * radii.size + ir
+                u = fits.use[i]
+                np.testing.assert_array_equal(sf.tau, lp.tau[ix, ir])
+                np.testing.assert_array_equal(sf.tau_tailmin,
+                                              lp.tau_tailmin[ix, ir])
+                # the fit range starts where the smallest ball first holds
+                # min_cubes cubes, as a loop over scales finds it
+                j1, ball = 3, Window.ball(xs[ix], radii[-1])
+                while j1 < 11 and ball.n_cubes(j1) < 8:
+                    j1 += 1
+                assert sf.fit_range == tuple(fits.fit_ranges[i].tolist())
+                assert sf.fit_range == (j1, 11)
+                assert sf.window == Window.ball(xs[ix], radii[ir])
+                np.testing.assert_array_equal(sf.scales, fits.scales[u])
+                np.testing.assert_array_equal(sf.log2_S, fits.log2_S[i][:, u])
+                np.testing.assert_array_equal(
+                    sf.excluded_counts,
+                    np.where((qs <= 0)[:, None], fits.n_excluded[i, u], 0))
+
+    def test_cli_local_run_builds_no_scaling_function(self, counted, tmp_path):
+        from localmf.cli import main
+        spec = tmp_path / "spec.json"
+        spec.write_text(ModelSpec("localized_bernoulli", {
+            "p": [[0.0, 0.2], [1.0, 0.45]], "J": 12}).to_json())
+        assert main(["local", "--spec", str(spec), "--x-grid", "auto:4",
+                     "--radii", "0.125,0.0625", "--windows", "0,0.5;0.25,1",
+                     "--deterministic", "--out", str(tmp_path / "out")]) == 0
+        assert not counted
+
+    def test_profile_keeps_only_its_stacked_arrays(self):
+        # the arrays of the fits are all it keeps: no per-ball copies
+        import tracemalloc
+        spec = ModelSpec("localized_bernoulli",
+                         {"p": [[0.0, 0.2], [1.0, 0.45]], "J": 14})
+        F = plain_measure_family(synthesize(spec)["measure"], 14)
+        xs = (np.arange(256) + 0.5) / 256
+        radii = np.array([2.0 ** -5, 2.0 ** -6, 2.0 ** -7])
+        qs = np.linspace(-3.0, 3.0, 25)
+        local_profile(F, xs[:4], radii, qs)               # warm numpy up
+        tracemalloc.start()
+        try:
+            lp = local_profile(F, xs, radii, qs)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        stacked = sum(a.nbytes for a in vars(lp._fits).values())
+        assert kept <= 1.1 * stacked
 
 
 class TestGlobalFromLocal:
@@ -631,6 +714,11 @@ def masked_to(F, w):
                         valid)
 
 
+def window_ends(windows):
+    """The (lo, hi) rows the kernel and the batched fit take."""
+    return [[w.lo, w.hi] for w in windows]
+
+
 def sample_windows(J):
     cube = 2.0 ** -J
     return [
@@ -658,7 +746,8 @@ class TestWindowSums:
             assert n > 2 * _BLOCK and n % _BLOCK
         ref, ref_excl, ref_valid = direct_sums(F, windows, P_EXTREME)
         assert np.all(np.isfinite(ref) | np.isneginf(ref))
-        log2_S, excl, n_valid = _window_sums(F, windows, F.scales, P_EXTREME)
+        log2_S, excl, n_valid = _window_sums(F, window_ends(windows),
+                                             F.scales, P_EXTREME)
         np.testing.assert_array_equal(np.isneginf(log2_S), np.isneginf(ref))
         fin = np.isfinite(ref)
         assert np.all(np.abs(log2_S[fin] - ref[fin])
@@ -710,7 +799,8 @@ class TestWindowSums:
         windows = sample_windows(J)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            log2_S, _, _ = _window_sums(F, windows, F.scales, P_EXTREME)
+            log2_S, _, _ = _window_sums(F, window_ends(windows), F.scales,
+                                        P_EXTREME)
             sfs = [scaling_function(F, w, P_EXTREME, fit_range=(3, 9))
                    for w in windows[:8]]
             lp = local_profile(F, [0.1, 0.5, 0.9], np.array([0.25, 0.125]),
@@ -755,7 +845,7 @@ class TestWindowSums:
         windows = sample_windows(J)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            log2_S, _, _ = _window_sums(F, windows, F.scales, ps)
+            log2_S, _, _ = _window_sums(F, window_ends(windows), F.scales, ps)
         for iw, w in enumerate(windows):
             for i, j in enumerate(F.scales):
                 k_lo, k_hi = w.cube_range(j)
@@ -881,10 +971,10 @@ class TestPWalks:
         windows = [Window.ball(x, r) for x in (np.arange(64) + 0.5) / 64
                    for r in (1 / 8, 1 / 16, 1 / 32)]
         ps = np.linspace(-3.0, 3.0, 41)
-        _window_sums(F, windows[:2], [F.j_max], ps)             # warm numpy up
+        _window_sums(F, window_ends(windows[:2]), [F.j_max], ps)  # warm numpy up
         tracemalloc.start()
         try:
-            _window_sums(F, windows, [F.j_max], ps)
+            _window_sums(F, window_ends(windows), [F.j_max], ps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -900,10 +990,10 @@ class TestPWalks:
         J = _BLOCK.bit_length() + 3
         F = one_scale_family(J, masked, seed=9)
         ps = np.linspace(-3.0, 3.0, 41)
-        _window_sums(F, [Window(0.0, 2.0 ** -10)], [J], ps)     # warm numpy up
+        _window_sums(F, [0.0, 2.0 ** -10], [J], ps)     # warm numpy up
         tracemalloc.start()
         try:
-            _window_sums(F, [Window(0.0, 1.0)], [J], ps)
+            _window_sums(F, [0.0, 1.0], [J], ps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -973,7 +1063,8 @@ class TestLeafCuts:
         if whole or not windows:
             windows.append(Window(0.0, 1.0))
         ref, ref_excl, ref_valid = direct_sums(F, windows, ps)
-        log2_S, excl, n_valid = _window_sums(F, windows, F.scales, ps)
+        log2_S, excl, n_valid = _window_sums(F, window_ends(windows),
+                                             F.scales, ps)
         np.testing.assert_array_equal(np.isneginf(log2_S), np.isneginf(ref))
         fin = np.isfinite(ref)
         assert np.all(np.abs(log2_S[fin] - ref[fin])
@@ -988,9 +1079,10 @@ class TestBatchedEqualsOneByOne:
     @settings(max_examples=60, deadline=None)
     def test_window_sums_of_a_list(self, J, masked, seed, windows, ps):
         F = rough_family(J, masked, seed)
-        log2_S, excl, n_valid = _window_sums(F, windows, F.scales, ps)
+        log2_S, excl, n_valid = _window_sums(F, window_ends(windows),
+                                             F.scales, ps)
         for iw, w in enumerate(windows):
-            ref, ref_excl, ref_valid = _window_sums(F, [w], F.scales, ps)
+            ref, ref_excl, ref_valid = _window_sums(F, [w.lo, w.hi], F.scales, ps)
             np.testing.assert_array_equal(np.isneginf(log2_S[iw]),
                                           np.isneginf(ref[0]))
             fin = np.isfinite(ref[0])
@@ -1023,12 +1115,15 @@ class TestBatchedEqualsOneByOne:
         if errors:
             # the list raises on its first window left with < 2 scales
             with pytest.raises(EmptyWindowError) as info:
-                _scaling_functions(F, windows, ps, fit_ranges, min_cubes)
+                _scaling_functions(F, window_ends(windows), ps, fit_ranges,
+                                   min_cubes)
             assert str(info.value) == errors[0]
             return
-        batched = _scaling_functions(F, windows, ps, fit_ranges, min_cubes)
-        assert len(batched) == len(singles)
-        for got, want in zip(batched, singles):
+        batched = _scaling_functions(F, window_ends(windows), ps, fit_ranges,
+                                     min_cubes)
+        assert len(batched.tau) == len(singles)
+        for i, want in enumerate(singles):
+            got = batched.scaling_function(i)
             assert got.fit_range == want.fit_range and got.window == want.window
             np.testing.assert_array_equal(got.scales, want.scales)
             np.testing.assert_array_equal(got.excluded_counts,
