@@ -77,6 +77,15 @@ def _neighbor3(a: np.ndarray, op, pad) -> np.ndarray:
     return op(op(left, a), right)
 
 
+def _popcount(k: np.ndarray) -> np.ndarray:
+    x = k.astype(np.uint64)
+    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    x = (x & np.uint64(0x3333333333333333)) + \
+        ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
+
+
 def _cube_masses(measure: BinnedMeasure, j_max: int) -> list[np.ndarray]:
     """mu(lambda) per scale 0..j_max."""
     return _pairwise_pyramid(measure.masses, np.add)[: j_max + 1]
@@ -107,6 +116,10 @@ def plain_measure_family(measure: BinnedMeasure, j_max: int) -> DyadicFamily:
 # oscillations
 
 
+_WORK = 1 << 19     # float64 entries of one block of lags: its max pyramid and reads
+_FLOAT_MAX = np.finfo(float).max
+
+
 def oscillation_family(signal, order: int = 1, j_max: int | None = None) -> DyadicFamily:
     """Oscillations of a sampled function over the enlarged cubes 3 lambda.
 
@@ -119,6 +132,16 @@ def oscillation_family(signal, order: int = 1, j_max: int | None = None) -> Dyad
     max over lags 1 <= h <= (3m - 1)/2 of |x[i+2h] - 2 x[i+h] + x[i]| over
     max((k-1)m, 0) <= i < min((k+2)m, n) - 2h (0 where nothing fits); the
     clipped boundary cubes follow the same rule.
+
+    Order 2 runs over blocks of consecutive lags (see
+    :func:`_second_order`); a block's scratch is at most ``_WORK`` float64
+    entries plus one lag's 2^(J+1), so a call stays under 16 MB up to J =
+    14 and the values equal the one-lag-at-a-time reading bit for bit. A
+    signal whose largest magnitude exceeds a quarter of the largest double
+    is differenced as the copy x / 4 and the values scaled back by 4, so
+    no difference overflows (the copy is exact unless a nonzero sample is
+    below 2^-1020 in magnitude); an oscillation beyond the largest double
+    raises :class:`RangeError`.
     """
     x = np.ascontiguousarray(signal, dtype=float)
     if x.ndim != 1:
@@ -133,6 +156,12 @@ def oscillation_family(signal, order: int = 1, j_max: int | None = None) -> Dyad
     if j_max > J:
         raise ScaleError(f"j_max={j_max} exceeds the sample scale {J}")
 
+    # |x[i+2h] - 2 x[i+h] + x[i]| <= 4 max|x|, so below a quarter of the
+    # largest double nothing overflows; above it, x / 4 is exact (barring
+    # samples below 2^-1020) and so is scaling the values back by 4
+    big = np.abs(x).max() > _FLOAT_MAX / 4
+    if big:
+        x = x / 4.0
     if order == 1:
         maxs = _pairwise_pyramid(x, np.maximum)
         mins = _pairwise_pyramid(x, np.minimum)
@@ -141,32 +170,97 @@ def oscillation_family(signal, order: int = 1, j_max: int | None = None) -> Dyad
             hi = _neighbor3(maxs[j], np.maximum, -np.inf)
             lo = _neighbor3(mins[j], np.minimum, np.inf)
             values.append(hi - lo)
-        return DyadicFamily(0, j_max, values)
+    else:
+        values = _second_order(x, J, j_max)
+    if big:
+        for j, v in enumerate(values):
+            if v.max() > _FLOAT_MAX / 4:
+                raise RangeError(
+                    f"order-{order} oscillation at scale {j} exceeds the "
+                    f"largest double {_FLOAT_MAX:.6g}")
+            v *= 4.0
+    return DyadicFamily(0, j_max, values)
 
-    # Order 2, one lag at a time: d_h = |x[i+2h] - 2 x[i+h] + x[i]| sits at
-    # pad[n:2n-2h] and, as lags run downward, -inf fills the rest. So
-    # pad[n-m:2n+m] is d_h padded with m entries in front and m + 2h behind,
-    # 2^j + 2 rows of m, and cube k takes the first 3m - 2h entries from row
-    # k on: q whole rows and r entries of the next. The padding stands in
-    # for the samples that clipped cubes lack.
+
+def _second_order(x: np.ndarray, J: int, j_max: int) -> list[np.ndarray]:
+    """Order-2 oscillations of the 2^J samples x at scales 0..j_max.
+
+    At lag h, d_h[i] = |x[i+2h] - 2 x[i+h] + x[i]| for i < n - 2h and -inf
+    up to n. The window [(k-1)m, (k+2)m - 2h) of cube k is q whole rows of
+    m samples from row k - 1 on and the first r samples of the next, (q, r)
+    = divmod(3m - 2h, m), and a row outside [0, 2^j) reads -inf. The lags
+    run in blocks: a block forms d_h of its lags as one array, builds one
+    pairwise max pyramid over positions, and reads every cube of every
+    scale in one gather, the whole rows from level J - j and the r-sample
+    prefix from the nodes of r's binary expansion. A lag costs its pyramid
+    (2n entries) plus its reads, and :func:`_runs` cuts the lags into
+    blocks of at most ``_WORK`` entries plus the block's first lag.
+    """
     n = x.size
-    best = [np.zeros(1 << j) for j in range(j_max + 1)]
-    pad = np.full(3 * n, -np.inf)
-    for h in range((n - 1) // 2, 0, -1):
-        np.abs(x[2 * h:] - 2.0 * x[h:n - h] + x[:n - 2 * h], out=pad[n:2 * n - 2 * h])
-        for j in range(j_max + 1):
-            m = 1 << (J - j)
-            if 2 * h > 3 * m - 1:
-                break
-            rows = pad[n - m:2 * n + m].reshape(-1, m)
-            q, r = divmod(3 * m - 2 * h, m)
-            row_max = rows.max(axis=1)
-            nk = 1 << j
-            for s in range(q):
-                np.maximum(best[j], row_max[s:s + nk], out=best[j])
-            if r:
-                np.maximum(best[j], rows[q:q + nk, :r].max(axis=1), out=best[j])
-    return DyadicFamily(0, j_max, best)
+    best = np.zeros((2 << j_max) - 1)       # scale j at [2^j - 1, 2^(j+1) - 1)
+    hs = np.arange(1, (n - 1) // 2 + 1)
+    js = np.arange(j_max + 1)
+    m = n >> js
+
+    def pieces(h):
+        """q, r and the pieces lags h read at every scale: bit L < J is the
+        prefix node of level L, bit J + s the whole row s."""
+        q, r = np.divmod(np.maximum(3 * m - 2 * h[:, None], 0), m)
+        return q, r, r + (((1 << q) - 1) << J)
+
+    bounds = _runs(2 * n + _popcount(pieces(hs)[2]) @ (1 << js), _WORK)
+    # level L of the pyramid holds n / 2^L nodes from off[L]; node 2n - 1 is -inf
+    W = 2 * n
+    off = W - (W >> np.arange(J + 2))
+    nodes = np.empty((max(np.diff(bounds), default=0), W))
+    nodes[:, -1] = -np.inf
+    xp = np.concatenate([x, np.zeros(n)])
+    # row h of these is x[h:h+n] (2x[h:h+n]), all inside the padded copy
+    x_at = np.lib.stride_tricks.sliding_window_view(xp, n)
+    twice_at = np.lib.stride_tricks.sliding_window_view(2.0 * xp, n)
+    for b0, b1 in zip(bounds[:-1], bounds[1:]):
+        h0, nh = b0 + 1, b1 - b0
+        c0 = n - 2 * h0                     # d_h of the block's first lag ends here
+        d = nodes[:nh, :c0]
+        np.subtract(x_at[2 * h0:2 * (h0 + nh):2, :c0], twice_at[h0:h0 + nh, :c0], out=d)
+        np.add(d, x[:c0], out=d)
+        np.abs(d, out=d)
+        nodes[:nh, c0:n] = -np.inf
+        lo = c0 - 2 * (nh - 1)              # each later lag ends 2 samples earlier
+        np.copyto(d[:, lo:], -np.inf, where=np.arange(lo, c0) >= c0 - 2 * np.arange(nh)[:, None])
+        for L in range(1, J + 1):
+            # nodes past the first ceil(c0 / 2^L) of a level cover only -inf
+            live = -(-c0 >> L)
+            below = nodes[:nh, off[L - 1]:off[L - 1] + 2 * live]
+            np.maximum(below[:, 0::2], below[:, 1::2], out=nodes[:nh, off[L]:off[L] + live])
+            nodes[:nh, off[L] + live:off[L + 1]] = -np.inf
+        q, r, read = pieces(hs[b0:b1])
+        t, j, p = np.nonzero(read[..., None] >> np.arange(J + 2) & 1)
+        whole = p >= J
+        level = np.where(whole, J - j, p)
+        row = np.where(whole, p - J, q[t, j])         # cube k reads row k - 1 + row
+        step = m[j] >> level
+        higher = r[t, j] >> level >> 1 << 1           # bits of r above the piece
+        first = t * W + off[level] + (row - 1) * step + higher
+        # cube k of the piece reads node first + k step of the block
+        count = 1 << j
+        start = np.cumsum(count) - count
+        e = np.arange(start[-1] + count[-1])
+        idx = np.repeat(first - start * step, count) + e * np.repeat(step, count)
+        idx[start[row == 0]] = W - 1                  # row -1
+        idx[(start + count - 1)[row == 2]] = W - 1    # row 2^j
+        np.maximum.at(best, np.repeat(count - 1 - start, count) + e,
+                      nodes[:nh].reshape(-1)[idx])
+    return np.split(best, (2 << js[:-1]) - 1)
+
+
+def _runs(cost: np.ndarray, budget: int) -> list[int]:
+    """Bounds of runs of consecutive items of the given costs, cut where
+    the running cost passes a multiple of budget: a run costs at most
+    budget plus its first item."""
+    cuts = np.searchsorted(np.cumsum(cost), np.arange(budget, cost.sum(), budget),
+                           side="right")
+    return np.unique(np.concatenate([[0], cuts, [cost.size]])).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +286,6 @@ class DigitPotential:
         if self.theta_fn is None:
             return np.zeros_like(x)
         return np.asarray(self.theta_fn(x), dtype=float)
-
-
-def _popcount(k: np.ndarray) -> np.ndarray:
-    x = k.astype(np.uint64)
-    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = (x & np.uint64(0x3333333333333333)) + \
-        ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
 
 
 def birkhoff_family(pot: DigitPotential, j_max: int) -> DyadicFamily:

@@ -256,9 +256,9 @@ def _window_sums(family: DyadicFamily, ends, scales, p_grid):
     (n_windows x 2) at once.
 
     Returns log2 S_j(w, p) (n_windows x n_p x n_scales; -inf where the
-    window holds no nonzero valid cube), the count of zero cubes left out
-    of each sum (same shape, nonzero only for p <= 0) and the count of
-    valid cubes of each window at each scale (n_windows x n_scales).
+    window holds no nonzero valid cube), the count of valid zero cubes of
+    each window at each scale, which every sum at p <= 0 leaves out
+    (n_windows x n_scales), and the count of valid cubes (same shape).
 
     The windows' cube ranges at every scale are array arithmetic on their
     ends. At each scale the cubes are cut into leaves at the edges of
@@ -335,8 +335,7 @@ def _window_sums(family: DyadicFamily, ends, scales, p_grid):
             c = np.cumsum(counts)
             out[:, i] = c[runs[:, 1]] - c[runs[:, 0]]
         log2_S[:, :, i] = _log2_pyramid_sums(leaf_S, runs)
-    excluded = np.where((p_grid <= 0)[:, None], (n_valid - n_pos)[:, None, :], 0)
-    return log2_S, excluded, n_valid
+    return log2_S, n_valid - n_pos, n_valid
 
 
 def structure_function(family: DyadicFamily, window: Window | None, p: float,
@@ -350,7 +349,7 @@ def structure_function(family: DyadicFamily, window: Window | None, p: float,
     stay available through :func:`scaling_function` (``log2_S``).
     """
     w = _clip_window(family, window)
-    log2_S, excluded, _ = _window_sums(family, [w.lo, w.hi], family.scales, [p])
+    log2_S, n_zero, _ = _window_sums(family, [w.lo, w.hi], family.scales, [p])
     log2_S = log2_S[0, 0]
     too_big = log2_S >= 1024.0
     if np.any(too_big):
@@ -359,7 +358,7 @@ def structure_function(family: DyadicFamily, window: Window | None, p: float,
                          f"beyond double precision (p = {p})")
     S = np.exp2(log2_S)
     if return_excluded:
-        return S, excluded[0, 0]
+        return S, n_zero[0] if p <= 0 else np.zeros_like(n_zero[0])
     return S
 
 
@@ -457,7 +456,7 @@ def _scaling_functions(family: DyadicFamily, ends, p_grid, fit_ranges,
     # the union of the fit ranges; none without a window
     scales = (np.arange(ranges[:, 0].min(), ranges[:, 1].max() + 1)
               if ranges.size else np.arange(0))
-    log2_S, excluded, n_valid = _window_sums(family, ends, scales, p_grid)
+    log2_S, n_zero, n_valid = _window_sums(family, ends, scales, p_grid)
     use = ((scales >= ranges[:, :1]) & (scales <= ranges[:, 1:])
            & (n_valid >= max(1, min_cubes)))
     few = use.sum(axis=1) < 2
@@ -468,10 +467,7 @@ def _scaling_functions(family: DyadicFamily, ends, p_grid, fit_ranges,
             f"usable scales in ({ranges[i, 0]}, {ranges[i, 1]})")
     log2_S[~use[:, None, :] | np.isneginf(log2_S)] = np.nan
     _, tau, resid, tail, _ = _chords(scales.astype(float), log2_S)
-    # every p <= 0 leaves out the same zero cubes, and the smallest p is
-    # one of them if any p is
-    return _Fits(p_grid, ends, ranges, scales, use, log2_S,
-                 excluded[:, np.argmin(p_grid)].copy(), tau, tail, resid)
+    return _Fits(p_grid, ends, ranges, scales, use, log2_S, n_zero, tau, tail, resid)
 
 
 def uniform_exponent(family: DyadicFamily, window: Window | None = None,

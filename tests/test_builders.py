@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from localmf import builders
 from localmf import (
     BinnedMeasure,
     DigitPotential,
@@ -25,6 +27,42 @@ def binomial_bins(p, J):
     for _ in range(J):
         masses = np.column_stack([masses * p, masses * (1 - p)]).ravel()
     return BinnedMeasure(masses)
+
+
+def per_lag_second_order(x, j_max):
+    """Order-2 oscillations one lag at a time, the reading the blocked
+    builder replaced: d_h = |x[i+2h] - 2 x[i+h] + x[i]| sits at
+    pad[n:2n-2h] and, as lags run downward, -inf fills the rest, so
+    pad[n-m:2n+m] is 2^j + 2 rows of m and cube k takes q whole rows and r
+    entries of the next from row k on, (q, r) = divmod(3m - 2h, m)."""
+    n = x.size
+    J = n.bit_length() - 1
+    best = [np.zeros(1 << j) for j in range(j_max + 1)]
+    pad = np.full(3 * n, -np.inf)
+    for h in range((n - 1) // 2, 0, -1):
+        np.abs(x[2 * h:] - 2.0 * x[h:n - h] + x[:n - 2 * h], out=pad[n:2 * n - 2 * h])
+        for j in range(j_max + 1):
+            m = 1 << (J - j)
+            if 2 * h > 3 * m - 1:
+                break
+            rows = pad[n - m:2 * n + m].reshape(-1, m)
+            q, r = divmod(3 * m - 2 * h, m)
+            row_max = rows.max(axis=1)
+            nk = 1 << j
+            for s in range(q):
+                np.maximum(best[j], row_max[s:s + nk], out=best[j])
+            if r:
+                np.maximum(best[j], rows[q:q + nk, :r].max(axis=1), out=best[j])
+    return best
+
+
+def order2_signal(kind, J):
+    rng = np.random.default_rng(J + 100)
+    n = 1 << J
+    return {"walk": lambda: np.cumsum(rng.standard_normal(n)),
+            "noise": lambda: rng.standard_normal(n),
+            "square": lambda: np.arange(n, dtype=float) ** 2,
+            "constant": lambda: np.full(n, 3.7)}[kind]()
 
 
 class TestMeasureFamilies:
@@ -165,6 +203,74 @@ class TestOscillation:
         F = oscillation_family(2.0 * x + 1.0, 2, 5)
         for j in F.scales:
             assert np.all(F.values_at(j) < 1e-12)
+
+    @pytest.mark.parametrize("J", range(12))
+    @pytest.mark.parametrize("budget", ["default", "few-blocks", "one-lag"])
+    def test_second_order_blocks_equal_the_per_lag_loop(self, monkeypatch, J, budget):
+        # "few-blocks" cuts every J >= 5 into at least 3 blocks of several
+        # lags, "one-lag" gives each lag its own block (a lag costs at least
+        # 2n entries), so the seams between blocks are read at every scale
+        n = 1 << J
+        if budget == "few-blocks":
+            monkeypatch.setattr(builders, "_WORK", max(n, n * n // 4))
+        elif budget == "one-lag":
+            monkeypatch.setattr(builders, "_WORK", n)
+        sizes = []
+        runs = builders._runs
+
+        def spy(cost, budget):
+            bounds = runs(cost, budget)
+            sizes.append(np.diff(bounds))
+            return bounds
+
+        monkeypatch.setattr(builders, "_runs", spy)
+        for j_max in sorted({0, max(0, J - 3), J}):
+            for kind in ("walk", "noise", "square", "constant"):
+                x = order2_signal(kind, J)
+                F = oscillation_family(x, 2, j_max)
+                want = per_lag_second_order(x, j_max)
+                for j in F.scales:
+                    assert np.array_equal(F.values_at(j), want[j]), (j_max, kind, j)
+        if budget == "few-blocks" and J >= 5:
+            assert all(s.size >= 3 and s.max() >= 2 for s in sizes)
+        if budget == "one-lag":
+            assert all(np.all(s == 1) for s in sizes)
+
+    def test_second_order_scratch_stays_under_16_mb(self):
+        x = order2_signal("walk", 12)
+        oscillation_family(x, 2, 9)         # warm numpy up
+        tracemalloc.start()
+        try:
+            oscillation_family(x, 2, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("x", [np.full(64, 1e308), np.linspace(1e308, 1.7e308, 64)],
+                             ids=["constant", "ramp"])
+    def test_near_the_largest_double(self, order, x):
+        # 2 x[i+h] overflows here; the values are those of x / 4 (an exact
+        # copy) scaled back by 4, and 0 on the constant
+        F = oscillation_family(x, order, 6)
+        if order == 2:
+            want = [4.0 * v for v in per_lag_second_order(x / 4.0, 6)]
+        else:
+            quarter = oscillation_family(x / 4.0, 1, 6)
+            want = [4.0 * quarter.values_at(j) for j in quarter.scales]
+        for j in F.scales:
+            assert np.array_equal(F.values_at(j), want[j]), j
+            assert np.all(np.isfinite(F.values_at(j)))
+            if x[0] == x[-1]:
+                assert np.all(F.values_at(j) == 0.0)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_oscillation_beyond_the_largest_double_is_range_error(self, order):
+        x = np.tile([1e308, -1e308], 32)
+        with pytest.raises(RangeError, match="at scale 0 "):
+            oscillation_family(x, order, 6)
 
 
 class TestBirkhoff:

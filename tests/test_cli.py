@@ -930,11 +930,15 @@ class TestProcess:
         (["synth", "--spec", "MBM_N_NOT_2_TO_J"], 3),
         (["check-oracle", "--spec", "MARKOV_N_64"], 0),
         (["check-oracle", "--spec", "MARKOV_N_128"], 0),
+        (["analyze", "--family", "oscillation", "--input", "HUGE"], 3),
+        (["analyze", "--family", "oscillation", "--osc-order", "2", "--input",
+          "HUGE"], 3),
     ], ids=["non-finite-p-grid", "help", "synth-input", "leaders-j-max",
             "report-x-grid", "empty-p-grid", "repeated-p-grid",
             "increasing-radii", "repeated-radii", "huge-p",
             "underflowing-cascade", "fractional-J", "mbm-N-not-2-to-J",
-            "markov-N-64", "markov-N-128"])
+            "markov-N-64", "markov-N-128", "oscillation-overflow",
+            "order-2-oscillation-overflow"])
     def test_exit_code_and_at_most_one_stderr_line(self, tmp_path, argv, code):
         files = {"BINOM": write_spec(tmp_path, "binom.json", {
             "kind": "binomial", "params": {"p": 0.4, "J": 10}})}
@@ -949,6 +953,9 @@ class TestProcess:
                 **MARKOV_SPEC, "params": {**MARKOV_SPEC["params"], "N": n}})
         files["SIGNAL"] = str(tmp_path / "sig.txt")
         Path(files["SIGNAL"]).write_text("0.0\n" * 1024)
+        # +-1e308: every oscillation of 2e308 or 4e308 is beyond doubles
+        files["HUGE"] = str(tmp_path / "huge.txt")
+        Path(files["HUGE"]).write_text("1e308\n-1e308\n" * 32)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run(

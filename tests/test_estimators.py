@@ -671,7 +671,7 @@ def direct_sums(family, windows, p_grid):
     reads, with the zero and valid cube counts."""
     n_w, n_s = len(windows), family.n_scales()
     log2_S = np.full((n_w, p_grid.size, n_s), -np.inf)
-    excluded = np.zeros(log2_S.shape, dtype=int)
+    excluded = np.zeros((n_w, n_s), dtype=int)
     n_valid = np.zeros((n_w, n_s), dtype=int)
     for iw, w in enumerate(windows):
         for i, j in enumerate(family.scales):
@@ -680,7 +680,7 @@ def direct_sums(family, windows, p_grid):
             m = family.valid_at(j)
             v = v if m is None else v[m[sl]]
             n_valid[iw, i] = v.size
-            excluded[iw, p_grid <= 0, i] = int(np.sum(v == 0))
+            excluded[iw, i] = int(np.sum(v == 0))
             if np.any(v > 0):
                 for ip, p in enumerate(p_grid):
                     log2_S[iw, ip, i] = math.log2(np.sum(v[v > 0] ** p))
