@@ -10,7 +10,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._textio import format_rows, parse_rows
+from ._textio import (MEASURE_MAGIC, format_rows, parse_rows, read_container,
+                      write_container)
 from .dyadic import DyadicFamily
 from .errors import DomainError, RangeError, ScaleError, SignalError
 
@@ -136,12 +137,11 @@ def oscillation_family(signal, order: int = 1, j_max: int | None = None) -> Dyad
     Order 2 runs over blocks of consecutive lags (see
     :func:`_second_order`); a block's scratch is at most ``_WORK`` float64
     entries plus one lag's 2^(J+1), so a call stays under 16 MB up to J =
-    14 and the values equal the one-lag-at-a-time reading bit for bit. A
-    signal whose largest magnitude exceeds a quarter of the largest double
-    is differenced as the copy x / 4 and the values scaled back by 4, so
-    no difference overflows (the copy is exact unless a nonzero sample is
-    below 2^-1020 in magnitude); an oscillation beyond the largest double
-    raises :class:`RangeError`.
+    14 and the values equal the one-lag-at-a-time reading bit for bit. On a
+    signal whose largest magnitude exceeds a quarter of the largest double,
+    a cube where a difference overflows takes 4 times its value on the
+    copy x / 4 and every other cube keeps its exact value; an oscillation
+    beyond the largest double raises :class:`RangeError`.
     """
     x = np.ascontiguousarray(signal, dtype=float)
     if x.ndim != 1:
@@ -156,30 +156,34 @@ def oscillation_family(signal, order: int = 1, j_max: int | None = None) -> Dyad
     if j_max > J:
         raise ScaleError(f"j_max={j_max} exceeds the sample scale {J}")
 
+    oscillations = _first_order if order == 1 else _second_order
     # |x[i+2h] - 2 x[i+h] + x[i]| <= 4 max|x|, so below a quarter of the
-    # largest double nothing overflows; above it, x / 4 is exact (barring
-    # samples below 2^-1020) and so is scaling the values back by 4
-    big = np.abs(x).max() > _FLOAT_MAX / 4
-    if big:
-        x = x / 4.0
-    if order == 1:
-        maxs = _pairwise_pyramid(x, np.maximum)
-        mins = _pairwise_pyramid(x, np.minimum)
-        values = []
-        for j in range(0, j_max + 1):
-            hi = _neighbor3(maxs[j], np.maximum, -np.inf)
-            lo = _neighbor3(mins[j], np.minimum, np.inf)
-            values.append(hi - lo)
-    else:
-        values = _second_order(x, J, j_max)
-    if big:
-        for j, v in enumerate(values):
-            if v.max() > _FLOAT_MAX / 4:
+    # largest double nothing overflows
+    if np.abs(x).max() <= _FLOAT_MAX / 4:
+        return DyadicFamily(0, j_max, oscillations(x, J, j_max))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = oscillations(x, J, j_max)
+    # a cube where a difference overflowed takes its value from the copy
+    # x / 4 (exact but for samples below 2^-1020), scaled back by 4
+    if not all(np.isfinite(v).all() for v in values):
+        for j, (v, quarter) in enumerate(zip(values, oscillations(x / 4.0, J, j_max))):
+            over = ~np.isfinite(v)
+            if over.any() and quarter[over].max() > _FLOAT_MAX / 4:
                 raise RangeError(
                     f"order-{order} oscillation at scale {j} exceeds the "
                     f"largest double {_FLOAT_MAX:.6g}")
-            v *= 4.0
+            v[over] = 4.0 * quarter[over]
     return DyadicFamily(0, j_max, values)
+
+
+def _first_order(x: np.ndarray, J: int, j_max: int) -> list[np.ndarray]:
+    """Order-1 oscillations (max - min over 3 lambda) of the 2^J samples x
+    at scales 0..j_max."""
+    maxs = _pairwise_pyramid(x, np.maximum)
+    mins = _pairwise_pyramid(x, np.minimum)
+    return [_neighbor3(maxs[j], np.maximum, -np.inf)
+            - _neighbor3(mins[j], np.minimum, np.inf)
+            for j in range(0, j_max + 1)]
 
 
 def _second_order(x: np.ndarray, J: int, j_max: int) -> list[np.ndarray]:
@@ -330,16 +334,25 @@ def birkhoff_family(pot: DigitPotential, j_max: int) -> DyadicFamily:
 
 
 # ---------------------------------------------------------------------------
-# measure file format: header "J,total_mass" then 2^J mass lines
+# measure files: text, a header "J,total_mass" then 2^J mass lines; or the
+# measure container of the 2^J masses (see _textio)
 
 
-def write_measure(path, measure: BinnedMeasure) -> None:
+def write_measure(path, measure: BinnedMeasure, binary: bool = False) -> None:
+    if binary:
+        write_container(path, MEASURE_MAGIC, measure.masses)
+        return
     with open(path, "w") as fh:
         fh.write(f"{measure.J},{float(measure.total_mass)!r}\n")
         fh.writelines(format_rows(measure.masses))
 
 
 def read_measure(path) -> BinnedMeasure:
+    """Either form of :func:`write_measure`, told apart by the magic bytes."""
+    masses = read_container(path, MEASURE_MAGIC, SignalError)
+    if masses is not None:
+        _check_power_of_two(masses.size, f"{path}: measure container length")
+        return BinnedMeasure(masses)
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if len(header) != 2:

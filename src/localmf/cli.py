@@ -457,12 +457,13 @@ def run(cfg: PipelineConfig) -> dict:
                               estimators._legendre(cfg.p_grid, tau, H_grid))
         if lp is not None:
             # each point under every window holding it, on that window's H grid
+            ixs = np.flatnonzero(inside[:, i])
+            L = estimators._legendre(lp.p_grid, lp.tau_local[ixs], H_grid).L
             entry["local"] = [
                 {"x": float(lp.x_grid[ix]), "tau": lp.tau[ix].tolist(),
-                 "legendre": {"L": estimators._legendre(
-                     lp.p_grid, lp.tau_local[ix], H_grid).L.tolist()},
+                 "legendre": {"L": L_row.tolist()},
                  "alpha": float(alphas[ix])}
-                for ix in np.flatnonzero(inside[:, i])]
+                for ix, L_row in zip(ixs, L)]
         results["windows"].append(entry)
 
     results["runtime_s"] = time.time() - t0 if not cfg.deterministic else None
@@ -642,7 +643,8 @@ def cmd_synth(cfg: PipelineConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     meta: dict = {"kind": cfg.model.kind, "seed": cfg.model.seed, "outputs": []}
     if "measure" in made:
-        builders.write_measure(out / "measure.txt", made["measure"])
+        builders.write_measure(out / "measure.txt", made["measure"],
+                               binary=True)
         meta["outputs"].append("measure.txt")
     if "signal" in made:
         wavelet.write_signal(out / "signal.bin", made["signal"], binary=True)

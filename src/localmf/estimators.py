@@ -507,25 +507,51 @@ def discrete_legendre(x_grid, f_values, y_grid, floor: float = LEGENDRE_FLOOR,
     x = np.ascontiguousarray(x_grid, dtype=float)
     fv = np.ascontiguousarray(f_values, dtype=float)
     fin = np.isfinite(fv)
-    x, fv = x[fin], fv[fin]
-    if x.size < 2:
+    return _legendre_rows(x[fin], fv[None, fin], y_grid, floor,
+                          endpoint_slope_tol)[0]
+
+
+def _legendre_rows(x_grid, f_rows, y_grid, floor: float,
+                   endpoint_slope_tol: float) -> np.ndarray:
+    """:func:`discrete_legendre` of every row of ``f_rows`` (n_rows x n_x)
+    on the distinct samples ``x_grid``, each row over its own finite
+    entries; one row of g per row of f."""
+    f = np.asarray(f_rows, dtype=float)
+    fin = np.isfinite(f)
+    if (fin.sum(axis=1) < 2).any():
         raise DomainError("discrete Legendre transform needs >= 2 finite samples")
+    x = np.ascontiguousarray(x_grid, dtype=float)
     order = np.argsort(x)
-    x, fv = x[order], fv[order]
+    x, f, fin = x[order], f[:, order], fin[:, order]
     if np.any(x[1:] == x[:-1]):
         raise DomainError(f"discrete Legendre transform needs distinct x, "
                           f"got {x.tolist()}")
     y = np.ascontiguousarray(y_grid, dtype=float)
     if not np.all(np.isfinite(y)):
         raise DomainError("discrete Legendre transform needs a finite y grid")
-    obj = np.outer(y, x) - fv[None, :]
-    idx = np.argmin(obj, axis=1)
-    out = obj[np.arange(y.size), idx]
-    slope_lo = (fv[1] - fv[0]) / (x[1] - x[0])
-    slope_hi = (fv[-1] - fv[-2]) / (x[-1] - x[-2])
-    unbounded = ((idx == x.size - 1) & (y < slope_hi - endpoint_slope_tol)) | \
-                ((idx == 0) & (y > slope_lo + endpoint_slope_tol))
-    out[unbounded | (out < floor)] = -math.inf
+    # columns of each row's first, second, second-to-last and last kept sample
+    kept = np.cumsum(fin, axis=1)
+    n = kept[:, -1:]
+    first, second, before_last, last = (
+        np.argmax(kept >= k, axis=1)[:, None] for k in (1, 2, n - 1, n))
+    i = np.arange(f.shape[0])[:, None]
+    slope_lo = (f[i, second] - f[i, first]) / (x[second] - x[first])
+    slope_hi = (f[i, last] - f[i, before_last]) / (x[last] - x[before_last])
+    yx = y[:, None] * x
+    f = np.where(fin, f, 0.0)
+    out = np.empty((f.shape[0], y.size))
+    step = max(1, _WORK // yx.size)
+    for r in range(0, f.shape[0], step):
+        rows = slice(r, r + step)
+        obj = yx - f[rows, None]
+        np.copyto(obj, np.inf, where=~fin[rows, None])
+        idx = np.argmin(obj, axis=2)
+        out[rows] = np.take_along_axis(obj, idx[..., None], axis=2)[..., 0]
+        # idx falls below first only where every kept objective is +inf,
+        # and then the first kept sample is the minimum
+        unbounded = ((idx == last[rows]) & (y < slope_hi[rows] - endpoint_slope_tol)) | \
+                    ((idx <= first[rows]) & (y > slope_lo[rows] + endpoint_slope_tol))
+        out[rows][unbounded | (out[rows] < floor)] = -math.inf
     return out
 
 
@@ -561,14 +587,18 @@ def legendre(sf: ScalingFunction, H_grid) -> LegendreSpectrum:
 
 
 def _legendre(p_grid, tau, H_grid) -> LegendreSpectrum:
-    """:func:`legendre` of the samples tau(p) on the grid."""
-    fin = np.isfinite(tau)
-    if fin.sum() < 2:
+    """:func:`legendre` of the samples tau(p) on the grid; a 2-D tau (one
+    row per point) gives one row of L per row, each over its finite tau."""
+    tau = np.asarray(tau, dtype=float)
+    if (np.isfinite(tau).sum(axis=-1) < 2).any():
         raise DomainError("Legendre transform needs tau finite on >= 2 grid points")
     H = np.ascontiguousarray(H_grid, dtype=float)
     spacing = np.median(np.diff(np.sort(H))) if H.size > 1 else 0.0
-    L = discrete_legendre(p_grid, tau, H,
-                          endpoint_slope_tol=max(1e-6, 0.5 * float(spacing)))
+    tol = max(1e-6, 0.5 * float(spacing))
+    if tau.ndim == 1:
+        L = discrete_legendre(p_grid, tau, H, endpoint_slope_tol=tol)
+    else:
+        L = _legendre_rows(p_grid, tau, H, LEGENDRE_FLOOR, tol)
     return LegendreSpectrum(H, L, p_grid)
 
 
@@ -671,7 +701,8 @@ def local_profile(family: DyadicFamily, x_grid, radii, p_grid,
     spectra = None
     if H_grid is not None:
         H_grid = np.ascontiguousarray(H_grid, dtype=float)
-        spectra = [_legendre(p_grid, t, H_grid) for t in tau[:, -1]]
+        spectra = [LegendreSpectrum(H_grid, L, p_grid)
+                   for L in _legendre(p_grid, tau[:, -1], H_grid).L]
     return LocalProfile(x_grid, radii, p_grid, tau,
                         fits.tau_tailmin.reshape(shape), tau[:, -1], fits,
                         H_grid, spectra)

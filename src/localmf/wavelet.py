@@ -17,12 +17,12 @@ that the uniform regularity exponent of the data is positive first.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._textio import format_rows, parse_rows
+from ._textio import (SIGNAL_MAGIC, format_rows, parse_rows, read_container,
+                      write_container)
 from .dyadic import DyadicFamily
 from .errors import DomainError, FilterError, ScaleError, SignalError
 
@@ -258,35 +258,26 @@ def frac_integrate(pyramid: WaveletPyramid, s: float) -> WaveletPyramid:
 # ---------------------------------------------------------------------------
 # signal files
 
-_MAGIC = b"LMFSIG01"
-
 
 def write_signal(path, signal, binary: bool = False) -> None:
-    """Text: one sample per line. Binary: 16-byte header (8-byte magic,
-    little-endian uint64 length) then little-endian float64 samples."""
+    """Text: one sample per line. Binary: the signal container (see
+    :mod:`localmf._textio`)."""
     x = np.ascontiguousarray(signal, dtype=float)
     if binary:
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(x.size.to_bytes(8, "little"))
-            fh.write(x.astype("<f8").tobytes())
+        write_container(path, SIGNAL_MAGIC, x)
     else:
         with open(path, "w") as fh:
             fh.writelines(format_rows(x))
 
 
 def read_signal(path) -> np.ndarray:
-    """Either form of :func:`write_signal`; a binary header must fit the file."""
-    with open(path, "rb") as fh:
-        if fh.read(8) == _MAGIC:
-            size = os.fstat(fh.fileno()).st_size
-            if 16 + 8 * int.from_bytes(fh.read(8), "little") != size:
-                raise SignalError(f"{path}: binary signal header does not "
-                                  f"match the file's {size} bytes")
-            return np.frombuffer(fh.read(), dtype="<f8").astype(float)
+    """Either form of :func:`write_signal`, told apart by the magic bytes;
+    a container header must fit the file."""
+    x = read_container(path, SIGNAL_MAGIC, SignalError)
+    if x is not None:
+        return x
     with open(path) as fh:
         x = parse_rows(fh, [("x", "f8")], SignalError, path)["x"]
     if x.size == 0:
         raise SignalError(f"{path}: text signal holds no samples")
     return x
-

@@ -388,3 +388,15 @@ class TestBirkhoffLocalPressure:
             pressure = np.logaddexp(a_, b_)
             target = (-pressure + theta(x) * ps) / math.log(2.0)
             assert np.abs(lp.tau_local[ix] - target).max() <= 0.1
+
+
+def test_big_signal_keeps_exact_values_where_nothing_overflows():
+    # x / 4 would round the subnormal samples; only cubes where a
+    # difference overflows take their value from it
+    x = np.zeros(64)
+    x[0] = 1e308
+    k = np.arange(32)
+    x[32 + k] = 1.5e-323 * k ** 2
+    v = oscillation_family(x, 2, 6).values_at(6)
+    assert np.all(v[38:46] == 3e-323)
+    assert v[1] == 1e308

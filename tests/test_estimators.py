@@ -36,6 +36,8 @@ from localmf.estimators import (
     _BLOCK,
     FitPolicy,
     ScalingFunction,
+    _legendre,
+    _legendre_rows,
     _p_walks,
     _scaling_functions,
     _walk_log2_sums,
@@ -1275,3 +1277,55 @@ class TestWindowReads:
                     lambda F: besov_membership(F, 0.5, math.inf, window=w)):
                 assert outcome(lambda: estimate(F)) == outcome(
                     lambda: estimate(G)), w
+
+
+def test_legendre_rows_equal_one_row_at_a_time():
+    # each row keeps its own finite entries, ties go to the first minimum,
+    # and the endpoint-slope test reads each row's own end samples
+    rng = np.random.default_rng(7)
+    p = np.arange(-3.0, 3.25, 0.25)
+    tau = rng.standard_normal((40, p.size)).cumsum(axis=1)
+    tau[:10] = 0.5 * p - 1.0                    # linear rows: ties
+    tau[rng.random(tau.shape) < 0.2] = np.nan
+    tau[rng.random(tau.shape) < 0.1] = np.inf
+    tau[:, 0][::3] = -np.inf
+    keep = np.isfinite(tau).sum(axis=1) >= 2
+    tau = tau[keep]
+    Hs = np.arange(-1.0, 2.0, 0.01)
+    rows = _legendre(p, tau, Hs).L
+    assert rows.shape == (tau.shape[0], Hs.size)
+    for t, L in zip(tau, rows):
+        want = _legendre(p, t, Hs).L
+        assert np.array_equal(L, want)
+    assert np.isfinite(rows).any() and np.isneginf(rows).any()
+
+
+def test_legendre_rows_where_every_objective_overflows():
+    # y x overflows on every kept sample: the first kept sample is the
+    # minimum, as in the one-row transform
+    x = np.array([1e299, 1e300, 2e300, 3e300])
+    f = np.array([[np.nan, 0.0, 0.0, 0.0], [0.0, 0.0, np.nan, 1.0]])
+    y = np.array([1e10, -1e10, 0.5])
+    with np.errstate(over="ignore"):
+        rows = _legendre_rows(x, f, y, -math.inf, 1e-6)
+        for fv, L in zip(f, rows):
+            assert np.array_equal(L, discrete_legendre(x, fv, y,
+                                                       floor=-math.inf))
+
+
+def test_legendre_rows_need_two_finite_samples_in_every_row():
+    from localmf import DomainError
+    tau = np.array([[0.0, 1.0, 2.0], [np.nan, 1.0, np.inf]])
+    with pytest.raises(DomainError):
+        _legendre([0.0, 1.0, 2.0], tau, [0.5])
+
+
+def test_local_profile_spectra_equal_one_point_at_a_time():
+    F = plain_measure_family(synthesize(ModelSpec(
+        "localized_bernoulli", {"p": [[0.0, 0.2], [1.0, 0.45]], "J": 12}))["measure"], 12)
+    p = np.arange(-3.0, 3.5, 0.5)
+    Hs = np.arange(0.2, 2.0, 0.05)
+    lp = local_profile(F, [0.1, 0.5, 0.9], [0.125, 0.0625], p, H_grid=Hs)
+    for t, spec in zip(lp.tau_local, lp.legendre_local):
+        assert np.array_equal(spec.L, _legendre(p, t, Hs).L)
+        assert spec.H_grid is lp.H_grid
