@@ -10,6 +10,7 @@ every failure prints a single machine-parsable line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -440,17 +441,26 @@ def run(cfg: PipelineConfig) -> dict:
         results["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     results["config"] = _config_echo(cfg)
 
-    fits = estimators._scaling_functions(
-        family, [[w.lo, w.hi] for w in windows], cfg.p_grid,
-        [cfg.fit_range] * len(windows))
-    lp = None
+    # one kernel call: the windows (1 cube per scale), then in local mode
+    # the balls of local_profile (--min-cubes)
+    n_w = len(windows)
+    ends = [[w.lo, w.hi] for w in windows]
+    ranges, min_cubes = [cfg.fit_range] * n_w, [1] * n_w
     if cfg.mode == "local":
         policy = FitPolicy(*(cfg.fit_range or ()), min_cubes=cfg.min_cubes)
-        lp = estimators.local_profile(family, _base_points(cfg, family, windows),
-                                      cfg.radii, cfg.p_grid, policy)
+        x_grid, radii, balls, ball_ranges = estimators._balls(
+            family, _base_points(cfg, family, windows), cfg.radii, policy)
+        ends += balls.tolist()
+        ranges += ball_ranges
+        min_cubes += [cfg.min_cubes] * len(ball_ranges)
+    fits = estimators._scaling_functions(family, ends, cfg.p_grid, ranges,
+                                         min_cubes)
+    lp = None
+    if cfg.mode == "local":
+        lp = estimators._profile(x_grid, radii, fits.rows(n_w))
         alphas = estimators.monohoelder_detect(lp).alpha
         inside = _inside(lp.x_grid, windows)
-    for i, tau in enumerate(fits.tau):
+    for i, tau in enumerate(fits.tau[:n_w]):
         H_grid = (cfg.H_grid if cfg.H_grid is not None
                   else _auto_H_grid(cfg.p_grid, tau))
         entry = _window_entry(fits, i,
@@ -685,7 +695,10 @@ def _options() -> list:
     return [f for f in fields(PipelineConfig) if f.metadata]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves no
+    state in it."""
     ap = _Parser(prog="localmf", description="local multifractal analysis")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("synth", "analyze", "local", "check-oracle", "report"):

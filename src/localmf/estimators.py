@@ -12,14 +12,22 @@ Conventions
   with the largest term factored out, so no sum overflows or underflows
   for any finite p. A scale enters a fit when it holds a nonzero cube.
 * One kernel (``_window_sums``) takes every partition sum, for a list of
-  windows at once. At each scale it cuts the cubes at every window edge
-  and at every multiple of ``_BLOCK`` cubes into shared leaves, and sums
-  all the leaves of a block of cubes in one pass per p. A pairwise
-  log-domain pyramid over the leaf sums then gives each window its sum
-  from the O(log) nodes that tile it. Each cube's term is thus computed
-  once per (scale, p) however many windows overlap it, a scale costs
-  O(n_p) numpy calls per block of cubes, and a window costs O(log) nodes
-  per p however many leaves it spans.
+  windows at once. At each scale it cuts the cubes at the edges of every
+  window summed there and at every multiple of ``_BLOCK`` cubes into
+  shared leaves, and sums all the leaves of a block of cubes in one pass
+  per p. A pairwise log-domain pyramid over the leaf sums then gives each
+  window its sum from the O(log) nodes that tile it. Each cube's term is
+  thus computed once per (scale, p) however many windows overlap it, a
+  scale costs O(n_p) numpy calls per block of cubes, and a window costs
+  O(log) nodes per p however many leaves it spans. A fit sums each
+  window at the scales of its fit range only.
+* Windows of every kind share that one call: ``_scaling_functions`` takes
+  a minimum cube count per window, and ``_balls`` sets up the balls of
+  :func:`local_profile` (validation, ends, fit ranges anchored at the
+  smallest radius), so a local CLI run fits its windows (1 cube) and its
+  balls (``--min-cubes``) from one kernel call and splits the stacked
+  fits with ``_Fits.rows``. A window's leaves are then also cut at the
+  balls' edges, which moves its sums by about 1e-16 relative.
 * A fit range defaults to [3, j_max - 1] for scaling functions and to
   [3, j_max] for uniform exponents, is clipped to the family's scales and
   never includes scale 0, where the anchored chord log2 S_j / (-j) is
@@ -32,8 +40,10 @@ Conventions
   alongside); eta(p) = tau(p) - 1. Scaling functions and pointwise and
   uniform exponents share one range rule and one slope/chord routine
   (``dyadic._fit_scales``; ``dyadic._chords``, which also takes the
-  smallest chord below 2 finite scales). A list of windows is fitted as
-  one padded array, NaN at the scales a window does not use.
+  smallest chord below 2 finite scales). The windows of one fit range
+  are fitted as one padded array over its scales, NaN at the scales a
+  window does not use, so a window's fit does not depend on the ranges
+  of the other windows of a call.
 * The partition sums read a block's values and valid flags in place.
   Every exponent is fitted from rows of per-scale sups of valid cubes
   (``dyadic._sup_exponents``): a window's sups (``dyadic._scale_sups``,
@@ -251,7 +261,7 @@ def _log2_pyramid_sums(leaf_S, runs) -> np.ndarray:
     return out
 
 
-def _window_sums(family: DyadicFamily, ends, scales, p_grid):
+def _window_sums(family: DyadicFamily, ends, scales, p_grid, spans=None):
     """Partition sums of the family on every window [lo, hi) of ``ends``
     (n_windows x 2) at once.
 
@@ -259,6 +269,10 @@ def _window_sums(family: DyadicFamily, ends, scales, p_grid):
     window holds no nonzero valid cube), the count of valid zero cubes of
     each window at each scale, which every sum at p <= 0 leaves out
     (n_windows x n_scales), and the count of valid cubes (same shape).
+    With ``spans`` (n_windows x 2), window i is summed only at the scales
+    spans[i, 0] <= j <= spans[i, 1], and reads -inf and counts of 0 at the
+    others: a scale's leaves are cut at the edges of the windows summed
+    there alone.
 
     The windows' cube ranges at every scale are array arithmetic on their
     ends. At each scale the cubes are cut into leaves at the edges of
@@ -290,15 +304,22 @@ def _window_sums(family: DyadicFamily, ends, scales, p_grid):
     log2_S = np.full((n_w, p_grid.size, scales.size), -np.inf)
     n_valid = np.zeros((n_w, scales.size), dtype=int)
     n_pos = np.zeros_like(n_valid)
+    summed = np.ones((n_w, scales.size), dtype=bool)
+    if spans is not None:
+        spans = np.reshape(spans, (-1, 2))
+        summed = (scales >= spans[:, :1]) & (scales <= spans[:, 1:])
     block = min(_BLOCK, max((family.n_cubes(j) for j in scales), default=0))
     d, t = np.empty(block), np.empty(block)
     walks = _p_walks(p_grid)
     for i, j in enumerate(scales.tolist()):
+        on = np.flatnonzero(summed[:, i])           # the windows summed at j
+        if not on.size:
+            continue
         values, valid = family.values_at(j), family.valid_at(j)
         cuts, inverse = np.unique(np.concatenate(
-            [k_lo[:, i], k_hi[:, i], np.arange(_BLOCK, values.size, _BLOCK)]),
+            [k_lo[on, i], k_hi[on, i], np.arange(_BLOCK, values.size, _BLOCK)]),
             return_inverse=True)
-        runs = inverse[:2 * n_w].reshape(2, n_w).T     # each window's leaves
+        runs = inverse[:2 * on.size].reshape(2, on.size).T  # each window's leaves
         # depth > 0 marks the leaves some window covers
         depth = np.zeros(cuts.size, dtype=int)
         np.add.at(depth, runs[:, 0], 1)
@@ -333,8 +354,8 @@ def _window_sums(family: DyadicFamily, ends, scales, p_grid):
                     log2e, p_grid, walks, d, t, (np.cumsum(npos) - npos)[some])
         for counts, out in ((leaf_valid, n_valid), (leaf_pos, n_pos)):
             c = np.cumsum(counts)
-            out[:, i] = c[runs[:, 1]] - c[runs[:, 0]]
-        log2_S[:, :, i] = _log2_pyramid_sums(leaf_S, runs)
+            out[on, i] = c[runs[:, 1]] - c[runs[:, 0]]
+        log2_S[on, :, i] = _log2_pyramid_sums(leaf_S, runs)
     return log2_S, n_valid - n_pos, n_valid
 
 
@@ -416,6 +437,13 @@ class _Fits:
     tau_tailmin: np.ndarray     # (n, n_p)
     residuals: np.ndarray       # (n, n_p)
 
+    def rows(self, start: int, stop: int | None = None) -> _Fits:
+        """The fits of windows start .. stop - 1, over the same scales."""
+        k = slice(start, stop)
+        return _Fits(self.p_grid, self.ends[k], self.fit_ranges[k], self.scales,
+                     self.use[k], self.log2_S[k], self.n_excluded[k],
+                     self.tau[k], self.tau_tailmin[k], self.residuals[k])
+
     def scaling_function(self, i: int) -> ScalingFunction:
         """Window i's fit, its per-scale arrays cut to the scales it uses."""
         u = self.use[i]
@@ -442,13 +470,16 @@ def scaling_function(family: DyadicFamily, window: Window | None,
 
 
 def _scaling_functions(family: DyadicFamily, ends, p_grid, fit_ranges,
-                       min_cubes: int = 1) -> _Fits:
+                       min_cubes=1) -> _Fits:
     """:func:`scaling_function` on every window [lo, hi) of ``ends`` (n x
-    2), window i fitted over ``fit_ranges[i]``, as stacked arrays. One
-    kernel call takes the sums of all windows over the union of their
-    scales; a scale a window does not use (outside its fit range, short of
-    ``min_cubes`` valid cubes, or without a nonzero cube) is NaN in its
-    row, and :func:`_chords` fits each row over its finite entries."""
+    2), window i fitted over ``fit_ranges[i]`` with ``min_cubes[i]`` (a
+    scalar applies to every window), as stacked arrays. One kernel call
+    takes the sums of every window at the scales of its fit range, and
+    the stacked rows span the union of those scales. A scale a window
+    does not use (outside its fit range, short of its ``min_cubes`` valid
+    cubes, or without a nonzero cube) is NaN in its row, and
+    :func:`_chords` fits the rows of each fit range over its scales, each
+    row over its finite entries."""
     p_grid = np.ascontiguousarray(p_grid, dtype=float)
     ends = np.asarray(ends, dtype=float).reshape(-1, 2)
     ranges = np.array([_fit_scales(family, fr, family.j_max - 1, 4)
@@ -456,9 +487,9 @@ def _scaling_functions(family: DyadicFamily, ends, p_grid, fit_ranges,
     # the union of the fit ranges; none without a window
     scales = (np.arange(ranges[:, 0].min(), ranges[:, 1].max() + 1)
               if ranges.size else np.arange(0))
-    log2_S, n_zero, n_valid = _window_sums(family, ends, scales, p_grid)
+    log2_S, n_zero, n_valid = _window_sums(family, ends, scales, p_grid, ranges)
     use = ((scales >= ranges[:, :1]) & (scales <= ranges[:, 1:])
-           & (n_valid >= max(1, min_cubes)))
+           & (n_valid >= np.maximum(1, np.reshape(min_cubes, (-1, 1)))))
     few = use.sum(axis=1) < 2
     if few.any():
         i = int(np.argmax(few))
@@ -466,7 +497,18 @@ def _scaling_functions(family: DyadicFamily, ends, p_grid, fit_ranges,
             f"window [{ends[i, 0]}, {ends[i, 1]}) keeps fewer than 2 "
             f"usable scales in ({ranges[i, 0]}, {ranges[i, 1]})")
     log2_S[~use[:, None, :] | np.isneginf(log2_S)] = np.nan
-    _, tau, resid, tail, _ = _chords(scales.astype(float), log2_S)
+    tau, tail, resid = (np.empty((ranges.shape[0], p_grid.size)) for _ in range(3))
+    # the windows of one fit range are fitted over its scales alone, so a
+    # window's fit is the same whatever other ranges the call holds; their
+    # rows are copied out a block of entries at a time
+    for j1, j2 in np.unique(ranges, axis=0).tolist():
+        rows = np.flatnonzero((ranges[:, 0] == j1) & (ranges[:, 1] == j2))
+        cols = slice(j1 - scales[0], j2 + 1 - scales[0])
+        js = scales[cols].astype(float)
+        step = max(1, _BLOCK // (p_grid.size * js.size))
+        for a in range(0, rows.size, step):
+            r = rows[a:a + step]
+            _, tau[r], resid[r], tail[r], _ = _chords(js, log2_S[r, :, cols])
     return _Fits(p_grid, ends, ranges, scales, use, log2_S, n_zero, tau, tail, resid)
 
 
@@ -664,6 +706,15 @@ def local_profile(family: DyadicFamily, x_grid, radii, p_grid,
     strictly decreasing, and the smallest one must keep at least 64 cubes
     at the finest analysis scale."""
     policy = fit_policy or FitPolicy()
+    x_grid, radii, ends, ranges = _balls(family, x_grid, radii, policy)
+    fits = _scaling_functions(family, ends, p_grid, ranges, policy.min_cubes)
+    return _profile(x_grid, radii, fits, H_grid)
+
+
+def _balls(family: DyadicFamily, x_grid, radii, policy: FitPolicy):
+    """The balls of :func:`local_profile`: its validated x grid and radii,
+    the ends of every ball B(x, r) (n_x n_r x 2, x-major), and each ball's
+    fit range."""
     x_grid = np.ascontiguousarray(x_grid, dtype=float)
     radii = np.ascontiguousarray(radii, dtype=float)
     if x_grid.ndim != 1 or radii.ndim != 1:
@@ -681,7 +732,6 @@ def local_profile(family: DyadicFamily, x_grid, radii, p_grid,
             f"radius {radii[-1]} keeps fewer than 64 cubes at scale "
             f"{family.j_max}")
     j2 = policy.j2 if policy.j2 is not None else family.j_max - 1
-    p_grid = np.ascontiguousarray(p_grid, dtype=float)
 
     # Window.ball(x, r) of every base point x and radius r
     balls = np.stack([np.maximum(x_grid[:, None] - radii, 0.0),
@@ -695,7 +745,13 @@ def local_profile(family: DyadicFamily, x_grid, radii, p_grid,
     n_cubes = np.maximum(np.floor(e[:, 1]) - np.ceil(e[:, 0]), 0.0)
     j1 = policy.j1 + (n_cubes < policy.min_cubes).sum(axis=1)
     ranges = [(j, j2) for j in np.repeat(j1, radii.size).tolist()]
-    fits = _scaling_functions(family, balls, p_grid, ranges, policy.min_cubes)
+    return x_grid, radii, balls.reshape(-1, 2), ranges
+
+
+def _profile(x_grid, radii, fits: _Fits, H_grid=None) -> LocalProfile:
+    """The :class:`LocalProfile` of the fits of the balls of :func:`_balls`,
+    with the local spectra on ``H_grid`` when one is given."""
+    p_grid = fits.p_grid
     shape = (x_grid.size, radii.size, p_grid.size)
     tau = fits.tau.reshape(shape)
     spectra = None

@@ -45,7 +45,7 @@ import numpy as np
 from ._textio import format_rows
 from .builders import BinnedMeasure
 from .errors import DomainError, ModelError, RangeError, ScaleError
-from .estimators import discrete_legendre
+from .estimators import _legendre_rows, discrete_legendre
 from .wavelet import DEFAULT_FILTER, WaveletPyramid, inverse_dwt
 
 __all__ = [
@@ -450,6 +450,13 @@ def _binomial_tau(p_mass: float):
 _FINE_Q = np.arange(-40.0, 40.0 + 1e-9, 0.05)
 
 
+def _spectrum_max(taus, H) -> np.ndarray:
+    """max over the rows tau(x, _FINE_Q) of their exact-floor Legendre
+    spectra on H, taken in one batched transform."""
+    return _legendre_rows(_FINE_Q, taus, np.atleast_1d(H), -math.inf,
+                          1e-12).max(axis=0)
+
+
 @dataclass(frozen=True)
 class OracleSpectrum:
     """Closed-form evaluators for a model's scaling function, Legendre-type
@@ -501,8 +508,7 @@ def oracle(spec: ModelSpec, realization=None) -> OracleSpectrum:
                                      floor=-math.inf, endpoint_slope_tol=1e-12)
 
         def spectrum_global(H, x_grid=np.linspace(0.0, 1.0, 129)):
-            per_x = np.stack([spectrum(x, H) for x in x_grid])
-            return per_x.max(axis=0)
+            return _spectrum_max([tau(x, _FINE_Q) for x in x_grid], H)
 
         return OracleSpectrum(kind, tau, spectrum, tau_global, spectrum_global,
                               pointwise)
@@ -578,7 +584,7 @@ def oracle(spec: ModelSpec, realization=None) -> OracleSpectrum:
                                      floor=-math.inf, endpoint_slope_tol=1e-12)
 
         def spectrum_global(H, x_grid=np.linspace(0.0, 1.0, 129)):
-            return np.stack([spectrum(x, H) for x in x_grid]).max(axis=0)
+            return _spectrum_max([tau(x, _FINE_Q) for x in x_grid], H)
 
         return OracleSpectrum(kind, tau, spectrum, tau_global, spectrum_global)
 

@@ -145,11 +145,13 @@ def dwt(signal, filter_id: str = DEFAULT_FILTER) -> WaveletPyramid:
     cur = x
     for j in range(J - 1, -1, -1):
         n = cur.size
-        ks = np.arange(n // 2)
+        # tap i reads cur[(2k + i) % n], the strided slice ext[i:i + n:2] of
+        # the level repeated periodically to the filter length past its end
+        ext = np.resize(cur, n + h.size)
         a = np.zeros(n // 2)
         d = np.zeros(n // 2)
         for i in range(h.size):
-            seg = cur[(2 * ks + i) % n]
+            seg = ext[i:i + n:2]
             a += h[i] * seg
             d += g[i] * seg
         details[j] = d * 2.0 ** ((j - J) / 2.0)  # orthonormal -> sup normalization
@@ -165,11 +167,18 @@ def inverse_dwt(pyramid: WaveletPyramid) -> np.ndarray:
     for j in range(J):
         d = pyramid.details[j] * 2.0 ** ((J - j) / 2.0)
         n = 2 * cur.size
-        ks = np.arange(cur.size)
         x = np.zeros(n)
         for i in range(h.size):
-            # indices are distinct for fixed i, so += accumulates correctly
-            x[(2 * ks + i) % n] += h[i] * cur + g[i] * d
+            # tap i adds into x[(2k + i) % n]: the run x[i::2], then the
+            # wrapped tail from x[i % 2]; each index once per tap, so every
+            # element takes its terms in tap order
+            t = h[i] * cur + g[i] * d
+            if i < n:
+                c = (n - i + 1) // 2
+                x[i::2] += t[:c]
+                x[i % 2:i % 2 + 2 * (t.size - c):2] += t[c:]
+            else:
+                x[(2 * np.arange(cur.size) + i) % n] += t
         cur = x
     return cur
 

@@ -8,9 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from localmf import (ModelSpec, gen_mbm, lower_exponent, oscillation_family,
-                     read_measure, read_signal, synthesize, write_measure)
-from localmf.cli import _table, main
+from localmf import (ModelSpec, Window, gen_mbm, lower_exponent,
+                     oscillation_family, read_measure, read_signal, synthesize,
+                     write_measure)
+from localmf import cli, estimators
+from localmf.cli import _jsonify, _table, main
+from localmf.estimators import FitPolicy, local_profile
 from localmf.synth import write_jumps
 
 
@@ -904,6 +907,121 @@ class TestLocalWindows:
         assert main(["report", "--input", str(old), "--out", str(rep)]) == 0
         for fname in ("tau_long.csv", "spectrum_long.csv"):
             assert (rep / fname).read_bytes() == (out / fname).read_bytes()
+
+
+def assert_same_fit(got, want):
+    """Equal windows, fit ranges, used scales and excluded counts; tau,
+    tau_tailmin and residuals within 1e-12 relative (absolute near 0),
+    with equal non-finite entries."""
+    assert got.window == want.window and got.fit_range == want.fit_range
+    np.testing.assert_array_equal(got.scales, want.scales)
+    np.testing.assert_array_equal(got.excluded_counts, want.excluded_counts)
+    for name in ("tau", "tau_tailmin", "residuals"):
+        a, b = getattr(got, name), getattr(want, name)
+        fin = np.isfinite(b)
+        np.testing.assert_array_equal(a[~fin], b[~fin])
+        assert np.all(np.abs(a[fin] - b[fin])
+                      <= 1e-12 * np.maximum(1.0, np.abs(b[fin]))), name
+
+
+class TestOneKernelCall:
+    """A local-mode run takes the sums of its windows and of its balls in
+    one kernel call; its rows equal the windows' and the balls' own fits."""
+
+    BERN = {"kind": "localized_bernoulli",
+            "params": {"p": [[0.0, 0.2], [1.0, 0.45]], "J": 12}}
+
+    def run_counted(self, monkeypatch, argv):
+        """main(argv) with every _window_sums call counted; returns the
+        count, the one _scaling_functions call's arguments and its fits."""
+        sums, fits = estimators._window_sums, estimators._scaling_functions
+        count, made = [0], []
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return sums(*args, **kwargs)
+
+        def recorded(*args, **kwargs):
+            made.append((args, fits(*args, **kwargs)))
+            return made[-1][1]
+
+        monkeypatch.setattr(estimators, "_window_sums", counted)
+        monkeypatch.setattr(estimators, "_scaling_functions", recorded)
+        try:
+            assert main([str(a) for a in argv]) == 0
+        finally:
+            monkeypatch.undo()
+        assert count[0] == 1 and len(made) == 1
+        return made[0]
+
+    def check_rows(self, out, call, windows, xs, radii, policy):
+        (family, ends, p_grid, ranges, min_cubes), fits = call
+        n_w = len(windows)
+        np.testing.assert_array_equal(
+            min_cubes, [1] * n_w + [policy.min_cubes] * (len(ends) - n_w))
+        alone = estimators._scaling_functions(
+            family, [[w.lo, w.hi] for w in windows], p_grid, ranges[:n_w])
+        for i in range(n_w):
+            assert_same_fit(fits.scaling_function(i), alone.scaling_function(i))
+        lp = local_profile(family, xs, radii, p_grid, policy)
+        balls = fits.rows(n_w)
+        assert balls.tau.shape == (xs.size * radii.size, p_grid.size)
+        for i in range(balls.tau.shape[0]):
+            assert_same_fit(balls.scaling_function(i),
+                            lp.profiles[i // radii.size][i % radii.size])
+        # results.json holds the first rows as windows, the rest as balls
+        results = json.loads((out / "results.json").read_text())
+        tau = balls.tau.reshape(xs.size, radii.size, -1)
+        for i, entry in enumerate(results["windows"]):
+            assert entry["tau"] == _jsonify(fits.tau[i])
+            for loc in entry["local"]:
+                ix = int(np.flatnonzero(xs == loc["x"])[0])
+                assert loc["tau"] == _jsonify(tau[ix])
+
+    def test_local_with_a_window_edge_between_ball_edges(self, tmp_path,
+                                                          monkeypatch):
+        # ball edges fall on multiples of 1/16; 0.3 lies between two
+        spec = write_spec(tmp_path, "bern.json", self.BERN)
+        out = tmp_path / "out"
+        call = self.run_counted(monkeypatch, [
+            "local", "--spec", spec, "--p-grid=-2:2:0.5", "--x-grid", "auto:3",
+            "--radii", "0.125,0.0625", "--windows", "0,0.3;0.25,1",
+            "--min-cubes", "16", "--fit", "3:11", "--deterministic",
+            "--out", out])
+        self.check_rows(out, call, [Window(0.0, 0.3), Window(0.25, 1.0)],
+                        (np.arange(8) + 0.5) / 8, np.array([0.125, 0.0625]),
+                        FitPolicy(3, 11, 16))
+
+    def test_local_oracle_check(self, tmp_path, monkeypatch):
+        spec = write_spec(tmp_path, "bern.json", self.BERN)
+        out = tmp_path / "out"
+        call = self.run_counted(monkeypatch, [
+            "check-oracle", "--spec", spec, "--mode", "local",
+            "--p-grid=-2:2:0.5", "--x-grid", "0.25,0.5,0.75",
+            "--radii", "0.25,0.125", "--min-cubes", "4", "--deterministic",
+            "--out", out])
+        self.check_rows(out, call, [Window(0.0, 1.0)],
+                        np.array([0.25, 0.5, 0.75]), np.array([0.25, 0.125]),
+                        FitPolicy(min_cubes=4))
+
+
+def test_parser_is_built_once_and_stays_usable(tmp_path, capsys):
+    spec = write_spec(tmp_path, "binom.json",
+                      {"kind": "binomial", "params": {"p": 0.4, "J": 8}})
+    parser = cli._build_parser()
+    assert main(["synth", "--spec", spec, "--out", str(tmp_path / "s")]) == 0
+    assert main(["analyze", "--input", str(tmp_path / "s" / "measure.txt"),
+                 "--deterministic", "--out", str(tmp_path / "a")]) == 0
+    assert cli._build_parser() is parser
+    capsys.readouterr()
+    # a usage error after good calls is still one line and exit code 2
+    assert main(["analyze", "--no-such-flag", "--spec", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation:") and err.count("\n") == 1
+    assert main(["report", "--input", str(tmp_path / "a" / "results.json"),
+                 "--out", str(tmp_path / "r")]) == 0
+    assert ((tmp_path / "r" / "tau_long.csv").read_bytes()
+            == (tmp_path / "a" / "tau_long.csv").read_bytes())
 
 
 class TestProcess:

@@ -1329,3 +1329,107 @@ def test_local_profile_spectra_equal_one_point_at_a_time():
     for t, spec in zip(lp.tau_local, lp.legendre_local):
         assert np.array_equal(spec.L, _legendre(p, t, Hs).L)
         assert spec.H_grid is lp.H_grid
+
+
+@given(st.integers(4, 10), st.booleans(), st.integers(0, 2 ** 32 - 1),
+       window_lists(), P_GRIDS, st.data())
+@settings(max_examples=60, deadline=None)
+def test_per_window_min_cubes_equal_separate_calls(J, masked, seed, windows,
+                                                   ps, data):
+    F = rough_family(J, masked, seed)
+    windows = [w for w in windows if w.n_cubes(J)] or [Window(0.0, 1.0)]
+    ranges = st.integers(1, J - 3).flatmap(
+        lambda j1: st.tuples(st.just(j1), st.integers(j1 + 3, J)))
+    fit_ranges = [data.draw(ranges) for _ in windows]
+    min_cubes = [data.draw(st.sampled_from([1, 4, 8])) for _ in windows]
+    ends = window_ends(windows)
+    singles = []
+    for w, fr, m in zip(windows, fit_ranges, min_cubes):
+        try:
+            singles.append(scaling_function(F, w, ps, fr, m))
+        except EmptyWindowError as exc:
+            singles.append(exc)
+    errors = [str(e) for e in singles if isinstance(e, EmptyWindowError)]
+    if errors:
+        with pytest.raises(EmptyWindowError) as info:
+            _scaling_functions(F, ends, ps, fit_ranges, min_cubes)
+        assert str(info.value) == errors[0]
+        return
+    batched = _scaling_functions(F, ends, ps, fit_ranges, min_cubes)
+    for i, want in enumerate(singles):
+        got = batched.scaling_function(i)
+        assert got.window == want.window
+        assert_same_fit(got, want)
+    # a scalar min_cubes is every window's: the rows that share it are
+    # those of the same windows fitted with that scalar, bit for bit
+    for m in set(min_cubes):
+        try:
+            same = _scaling_functions(F, ends, ps, fit_ranges, m)
+        except EmptyWindowError:
+            continue
+        rows = np.flatnonzero(np.array(min_cubes) == m)
+        for f in dataclasses.fields(batched):
+            a, b = getattr(batched, f.name), getattr(same, f.name)
+            if f.name not in ("p_grid", "scales"):
+                a, b = a[rows], b[rows]
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
+
+
+def test_fits_rows_are_the_fits_of_those_windows():
+    F = rough_family(9, True, 3)
+    ends = [[0.0, 1.0], [0.1, 0.6], [0.5, 0.9]]
+    fits = _scaling_functions(F, ends, np.array([-1.0, 0.0, 2.0]),
+                              [(2, 9), (3, 8), (2, 7)], [1, 4, 8])
+    tail = fits.rows(1)
+    assert tail.tau.shape == (2, 3)
+    np.testing.assert_array_equal(tail.scales, fits.scales)
+    for i in (0, 1):
+        a, b = tail.scaling_function(i), fits.scaling_function(i + 1)
+        assert repr(a) == repr(b)
+        for name in ("scales", "log2_S", "excluded_counts"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+@given(st.integers(1, 10), st.booleans(), st.integers(0, 2 ** 32 - 1),
+       window_lists(), P_GRIDS, st.data())
+@settings(max_examples=40, deadline=None)
+def test_window_sums_at_each_windows_own_scales(J, masked, seed, windows, ps,
+                                                data):
+    # a scale's sums are those of the windows summed there alone, bit for
+    # bit; a window reads -inf and counts of 0 outside its span
+    F = rough_family(J, masked, seed)
+    ends = np.array(window_ends(windows))
+    spans = np.sort(np.array([[data.draw(st.integers(0, J)) for _ in range(2)]
+                              for _ in windows]), axis=1)
+    log2_S, excl, n_valid = _window_sums(F, ends, F.scales, ps, spans)
+    for i, j in enumerate(F.scales):
+        on = (spans[:, 0] <= j) & (j <= spans[:, 1])
+        assert np.all(np.isneginf(log2_S[~on, :, i]))
+        assert not excl[~on, i].any() and not n_valid[~on, i].any()
+        if on.any():
+            want = _window_sums(F, ends[on], [j], ps)
+            np.testing.assert_array_equal(log2_S[on, :, i], want[0][..., 0])
+            np.testing.assert_array_equal(excl[on, i], want[1][:, 0])
+            np.testing.assert_array_equal(n_valid[on, i], want[2][:, 0])
+
+
+@given(st.integers(7, 10), st.booleans(), st.integers(0, 2 ** 32 - 1),
+       window_lists(), P_GRIDS, st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_a_windows_fit_ignores_the_other_windows_ranges(J, masked, seed,
+                                                        windows, ps, wider):
+    # window 0 fitted from scale 4 - wider instead of 4: the kernel cuts
+    # the same leaves at scales 4 to J, so every other window's fit is
+    # the same, bit for bit
+    F = rough_family(J, masked, seed)
+    windows = [Window(0.0, 1.0)] + windows
+    ends = window_ends(windows)
+    ranges = [(4, J)] * len(windows)
+    try:
+        same = _scaling_functions(F, ends, ps, ranges)
+    except EmptyWindowError:
+        return
+    mixed = _scaling_functions(F, ends, ps, [(4 - wider, J)] + ranges[1:])
+    for name in ("tau", "tau_tailmin", "residuals"):
+        np.testing.assert_array_equal(getattr(mixed, name)[1:],
+                                      getattr(same, name)[1:], err_msg=name)

@@ -510,3 +510,16 @@ def test_seed_range_validated():
         ModelSpec("binomial", {"p": 0.3, "J": 8}, seed=-1)
     with pytest.raises(ModelError):
         ModelSpec("binomial", {"p": 0.3, "J": 8}, seed=1 << 64)
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec("localized_bernoulli", {"p": [[0.0, 0.2], [1.0, 0.45]], "J": 10}),
+    ModelSpec("birkhoff", {"a": 0.3, "b": 0.8,
+                           "gamma": [[0.0, 1.0], [1.0, 1.5]]}),
+], ids=["localized_bernoulli", "birkhoff"])
+def test_global_spectrum_is_the_max_of_the_local_ones(spec):
+    # one batched transform over the 129 rows gives every local spectrum
+    orc = oracle(spec)
+    for H in (np.linspace(0.0, 3.0, 301), np.array([0.5]), 0.7):
+        per_x = [orc.spectrum(x, H) for x in np.linspace(0.0, 1.0, 129)]
+        assert np.array_equal(orc.spectrum_global(H), np.max(per_x, axis=0))

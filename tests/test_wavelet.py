@@ -331,3 +331,59 @@ class TestFracIntegrateExponentExample:
         for x in (0.1, 0.3, 0.5, 0.7, 0.9):
             est = lower_exponent(L, x)
             assert est.value == pytest.approx(0.8, abs=1e-12)
+
+
+def gather_dwt(x, filter_id):
+    """The transform with every tap read by an index array, x[(2k + i) %
+    n]: (details, approx), as dwt computes them."""
+    h, g = _filter_pair(filter_id)
+    J = x.size.bit_length() - 1
+    details = [None] * J
+    cur = x
+    for j in range(J - 1, -1, -1):
+        n = cur.size
+        ks = np.arange(n // 2)
+        a = np.zeros(n // 2)
+        d = np.zeros(n // 2)
+        for i in range(h.size):
+            seg = cur[(2 * ks + i) % n]
+            a += h[i] * seg
+            d += g[i] * seg
+        details[j] = d * 2.0 ** ((j - J) / 2.0)
+        cur = a
+    return details, cur
+
+
+def gather_inverse_dwt(pyramid):
+    """The inverse with every tap added through an index array."""
+    h, g = _filter_pair(pyramid.filter_id)
+    J = pyramid.J
+    cur = np.array(pyramid.approx, dtype=float)
+    for j in range(J):
+        d = pyramid.details[j] * 2.0 ** ((J - j) / 2.0)
+        n = 2 * cur.size
+        ks = np.arange(cur.size)
+        x = np.zeros(n)
+        for i in range(h.size):
+            x[(2 * ks + i) % n] += h[i] * cur + g[i] * d
+        cur = x
+    return cur
+
+
+@pytest.mark.parametrize("name", sorted(FILTERS))
+@pytest.mark.parametrize("J", range(4, 13))
+@pytest.mark.parametrize("signal", ["random", "constant"])
+def test_sliced_taps_equal_the_gather_formulas(name, J, signal):
+    rng = np.random.default_rng(J)
+    x = (rng.standard_normal(1 << J) if signal == "random"
+         else np.full(1 << J, 0.3))
+    P = dwt(x, name)
+    details, approx = gather_dwt(x, name)
+    for got, want in zip(P.details, details, strict=True):
+        assert np.array_equal(got, want)
+    assert np.array_equal(P.approx, approx)
+    assert np.array_equal(inverse_dwt(P), gather_inverse_dwt(P))
+    # a pyramid no signal produced: random details at every scale
+    Q = WaveletPyramid(1 << J, name, tuple(
+        rng.standard_normal(1 << j) for j in range(J)), rng.standard_normal(1))
+    assert np.array_equal(inverse_dwt(Q), gather_inverse_dwt(Q))
