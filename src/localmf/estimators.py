@@ -40,10 +40,8 @@ Conventions
   alongside); eta(p) = tau(p) - 1. Scaling functions and pointwise and
   uniform exponents share one range rule and one slope/chord routine
   (``dyadic._fit_scales``; ``dyadic._chords``, which also takes the
-  smallest chord below 2 finite scales). The windows of one fit range
-  are fitted as one padded array over its scales, NaN at the scales a
-  window does not use, so a window's fit does not depend on the ranges
-  of the other windows of a call.
+  smallest chord below 2 finite scales). A list of windows is fitted as
+  one padded array, NaN at the scales a window does not use.
 * The partition sums read a block's values and valid flags in place.
   Every exponent is fitted from rows of per-scale sups of valid cubes
   (``dyadic._sup_exponents``): a window's sups (``dyadic._scale_sups``,
@@ -437,9 +435,9 @@ class _Fits:
     tau_tailmin: np.ndarray     # (n, n_p)
     residuals: np.ndarray       # (n, n_p)
 
-    def rows(self, start: int, stop: int | None = None) -> _Fits:
-        """The fits of windows start .. stop - 1, over the same scales."""
-        k = slice(start, stop)
+    def rows(self, start: int) -> _Fits:
+        """The fits of windows start, start + 1, ..., over the same scales."""
+        k = slice(start, None)
         return _Fits(self.p_grid, self.ends[k], self.fit_ranges[k], self.scales,
                      self.use[k], self.log2_S[k], self.n_excluded[k],
                      self.tau[k], self.tau_tailmin[k], self.residuals[k])
@@ -478,8 +476,7 @@ def _scaling_functions(family: DyadicFamily, ends, p_grid, fit_ranges,
     the stacked rows span the union of those scales. A scale a window
     does not use (outside its fit range, short of its ``min_cubes`` valid
     cubes, or without a nonzero cube) is NaN in its row, and
-    :func:`_chords` fits the rows of each fit range over its scales, each
-    row over its finite entries."""
+    :func:`_chords` fits each row over its finite entries."""
     p_grid = np.ascontiguousarray(p_grid, dtype=float)
     ends = np.asarray(ends, dtype=float).reshape(-1, 2)
     ranges = np.array([_fit_scales(family, fr, family.j_max - 1, 4)
@@ -497,18 +494,7 @@ def _scaling_functions(family: DyadicFamily, ends, p_grid, fit_ranges,
             f"window [{ends[i, 0]}, {ends[i, 1]}) keeps fewer than 2 "
             f"usable scales in ({ranges[i, 0]}, {ranges[i, 1]})")
     log2_S[~use[:, None, :] | np.isneginf(log2_S)] = np.nan
-    tau, tail, resid = (np.empty((ranges.shape[0], p_grid.size)) for _ in range(3))
-    # the windows of one fit range are fitted over its scales alone, so a
-    # window's fit is the same whatever other ranges the call holds; their
-    # rows are copied out a block of entries at a time
-    for j1, j2 in np.unique(ranges, axis=0).tolist():
-        rows = np.flatnonzero((ranges[:, 0] == j1) & (ranges[:, 1] == j2))
-        cols = slice(j1 - scales[0], j2 + 1 - scales[0])
-        js = scales[cols].astype(float)
-        step = max(1, _BLOCK // (p_grid.size * js.size))
-        for a in range(0, rows.size, step):
-            r = rows[a:a + step]
-            _, tau[r], resid[r], tail[r], _ = _chords(js, log2_S[r, :, cols])
+    _, tau, resid, tail, _ = _chords(scales.astype(float), log2_S)
     return _Fits(p_grid, ends, ranges, scales, use, log2_S, n_zero, tau, tail, resid)
 
 

@@ -169,16 +169,14 @@ def inverse_dwt(pyramid: WaveletPyramid) -> np.ndarray:
         n = 2 * cur.size
         x = np.zeros(n)
         for i in range(h.size):
-            # tap i adds into x[(2k + i) % n]: the run x[i::2], then the
-            # wrapped tail from x[i % 2]; each index once per tap, so every
-            # element takes its terms in tap order
+            # tap i adds into x[(2k + s) % n], s = i % n: the run x[s::2],
+            # then the wrapped tail from x[s % 2]; each index once per tap,
+            # so every element takes its terms in tap order
             t = h[i] * cur + g[i] * d
-            if i < n:
-                c = (n - i + 1) // 2
-                x[i::2] += t[:c]
-                x[i % 2:i % 2 + 2 * (t.size - c):2] += t[c:]
-            else:
-                x[(2 * np.arange(cur.size) + i) % n] += t
+            s = i % n
+            c = (n - s + 1) // 2
+            x[s::2] += t[:c]
+            x[s % 2:s % 2 + 2 * (t.size - c):2] += t[c:]
         cur = x
     return cur
 

@@ -1412,24 +1412,3 @@ def test_window_sums_at_each_windows_own_scales(J, masked, seed, windows, ps,
             np.testing.assert_array_equal(excl[on, i], want[1][:, 0])
             np.testing.assert_array_equal(n_valid[on, i], want[2][:, 0])
 
-
-@given(st.integers(7, 10), st.booleans(), st.integers(0, 2 ** 32 - 1),
-       window_lists(), P_GRIDS, st.integers(1, 3))
-@settings(max_examples=40, deadline=None)
-def test_a_windows_fit_ignores_the_other_windows_ranges(J, masked, seed,
-                                                        windows, ps, wider):
-    # window 0 fitted from scale 4 - wider instead of 4: the kernel cuts
-    # the same leaves at scales 4 to J, so every other window's fit is
-    # the same, bit for bit
-    F = rough_family(J, masked, seed)
-    windows = [Window(0.0, 1.0)] + windows
-    ends = window_ends(windows)
-    ranges = [(4, J)] * len(windows)
-    try:
-        same = _scaling_functions(F, ends, ps, ranges)
-    except EmptyWindowError:
-        return
-    mixed = _scaling_functions(F, ends, ps, [(4 - wider, J)] + ranges[1:])
-    for name in ("tau", "tau_tailmin", "residuals"):
-        np.testing.assert_array_equal(getattr(mixed, name)[1:],
-                                      getattr(same, name)[1:], err_msg=name)
