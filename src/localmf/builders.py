@@ -43,7 +43,7 @@ class BinnedMeasure:
     def __post_init__(self):
         m = np.ascontiguousarray(self.masses, dtype=float)
         _check_power_of_two(m.size, "bin count")
-        if not np.all(np.isfinite(m)) or m.min() < 0:
+        if not (m.min() >= 0 and m.max() < np.inf):      # NaN fails both
             raise DomainError("bin masses must be finite and >= 0")
         total = float(m.sum())
         if total <= 0:
@@ -72,10 +72,15 @@ def _pairwise_pyramid(x: np.ndarray, op) -> list[np.ndarray]:
 
 
 def _neighbor3(a: np.ndarray, op, pad) -> np.ndarray:
-    """op over {k-1, k, k+1} with boundary clipping."""
-    left = np.concatenate(([pad], a[:-1]))
-    right = np.concatenate((a[1:], [pad]))
-    return op(op(left, a), right)
+    """op over {k-1, k, k+1} with boundary clipping: (left op a) op right,
+    with pad beyond either end, written into one output from shifted
+    slices."""
+    out = np.empty_like(a)
+    op(pad, a[:1], out=out[:1])
+    op(a[:-1], a[1:], out=out[1:])
+    op(out[:-1], a[1:], out=out[:-1])
+    op(out[-1:], pad, out=out[-1:])
+    return out
 
 
 def _popcount(k: np.ndarray) -> np.ndarray:

@@ -94,7 +94,7 @@ class DyadicFamily:
         self.j_min, self.j_max = j_min, j_max
         self._values = self._per_scale(values, float, "values")
         for j, a in zip(self.scales, self._values):
-            if not np.all(np.isfinite(a)) or a.min() < 0:
+            if not (a.min() >= 0 and a.max() < np.inf):   # NaN fails both
                 raise DomainError(f"scale {j}: values must be finite and >= 0")
         self._valid = None if valid is None else self._per_scale(
             valid, bool, "valid flags")

@@ -157,40 +157,65 @@ def _substream(seed: int, stream: int) -> np.random.Generator:
 # cascades
 
 
+_SPLIT = 1 << 14     # parents split per chunk of a cascade generation
+
+
 def gen_localized_bernoulli(spec: ModelSpec) -> BinnedMeasure:
     """Deterministic localized Bernoulli cascade at bin scale J.
 
     Generation n splits each interval I of generation n-1 with ratio
     p(midpoint of I): the left child receives mass(I) * p, the right child
-    the rest. A constant p recovers the usual binomial measure. A mass
-    below 2^-1022, whose bits the doubles lose (to 0 when it underflows,
-    which reads as outside the support), raises :class:`RangeError`.
+    mass(I) * (1 - p). A constant p recovers the usual binomial measure.
+    A callable p is called on arrays of midpoints and must act elementwise.
+    A p outside (0, 1/2) raises :class:`DomainError`; a mass below
+    2^-1022, whose bits the doubles lose (to 0 when it underflows, which
+    reads as outside the support), raises :class:`RangeError` naming the
+    generation and its smallest mass.
+
+    The 2^J masses grow inside their one output buffer. Generation n turns
+    the 2^(n-1) parents at the front of the buffer into the 2^n children,
+    ``_SPLIT`` parents at a time from the top chunk down, so a chunk's
+    children overwrite only parents already split; the lowest chunk, whose
+    children cover its own parents, reads a copy of them. Peak memory is
+    the finest scale plus a few chunks.
     """
     J = _param(spec.params, "J", spec.kind, _as_int)
     if not 4 <= J <= 24:
         raise ScaleError(f"localized Bernoulli needs 4 <= J <= 24, got {J}")
     p_fn = _param(spec.params, "p", spec.kind, _as_function)
-    masses = np.array([1.0])
+    buf = np.empty(1 << J)
+    buf[0] = 1.0
+    halves = np.arange(min(_SPLIT, 1 << (J - 1))) + 0.5
+    mids, rest = np.empty_like(halves), np.empty_like(halves)
     bound = 1.0
     for n in range(1, J + 1):
+        n_parents = 1 << (n - 1)
+        size = min(_SPLIT, n_parents)
         width = 2.0 ** -(n - 1)
-        mids = (np.arange(masses.size) + 0.5) * width
-        ratios = p_fn(mids)
-        r_min = ratios.min()
-        if not (r_min > 0 and ratios.max() < 0.5):     # NaN fails too
-            raise DomainError("the splitting map p(.) must take values in (0, 1/2)")
-        children = np.empty(2 * masses.size)
-        np.multiply(masses, ratios, out=children[0::2])
-        np.multiply(masses, 1.0 - ratios, out=children[1::2])
-        # no mass is below the product of the smallest ratios, so only a
-        # bound near 2^-1022 (2^-1000 covers its rounding) reads the left
-        # children, the smaller of each pair as m p(.) < m (1 - p(.))
+        r_min, low = math.inf, math.inf
+        for a in range(n_parents - size, -1, -size):
+            masses = buf[a:a + size] if a else buf[:size].copy()
+            np.multiply(np.add(halves[:size], a, out=mids[:size]), width,
+                        out=mids[:size])
+            ratios = p_fn(mids[:size])
+            r_low = ratios.min()
+            if not (r_low > 0 and ratios.max() < 0.5):     # NaN fails too
+                raise DomainError("the splitting map p(.) must take values in (0, 1/2)")
+            r_min = min(r_min, r_low)
+            left = buf[2 * a:2 * (a + size):2]
+            np.multiply(masses, ratios, out=left)
+            np.multiply(masses, np.subtract(1.0, ratios, out=rest[:size]),
+                        out=buf[2 * a + 1:2 * (a + size):2])
+            # no mass is below the product of the smallest ratios, so only
+            # a bound near 2^-1022 (2^-1000 covers its rounding) reads the
+            # left children, the smaller of each pair as m p(.) < m (1 - p(.))
+            if bound * r_low < 2.0 ** -1000:
+                low = min(low, left.min())
         bound *= r_min
-        if bound < 2.0 ** -1000 and (low := children[0::2].min()) < 2.0 ** -1022:
+        if bound < 2.0 ** -1000 and low < 2.0 ** -1022:
             raise RangeError(f"localized Bernoulli generation {n} has a mass of "
                              f"{low:.6g}, below the smallest normal double 2^-1022")
-        masses = children
-    return BinnedMeasure(masses)
+    return BinnedMeasure(buf)
 
 
 def _cantor_component(bins: np.ndarray, start: int, n_bins: int, mass: float,

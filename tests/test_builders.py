@@ -125,6 +125,50 @@ class TestMeasureFamilies:
         assert est.value == pytest.approx(-math.log2(p), abs=1e-9)
 
 
+def concatenated_neighbor3(a, op, pad):
+    """op over {k-1, k, k+1} from two padded copies, the formula the
+    slice-based builder replaced."""
+    left = np.concatenate(([pad], a[:-1]))
+    right = np.concatenate((a[1:], [pad]))
+    return op(op(left, a), right)
+
+
+class TestNeighbor3:
+    @pytest.mark.parametrize("op, pad", [(np.add, 0.0), (np.maximum, -np.inf),
+                                         (np.minimum, np.inf)],
+                             ids=["add", "max", "min"])
+    def test_bit_identical_to_the_concatenated_formula(self, op, pad):
+        rng = np.random.default_rng(7)
+        sizes = [1, 2, *rng.integers(3, 5000, size=8)]
+        for n in sizes:
+            # signed zeros and ties too, where max and min pick an operand
+            for a in (rng.standard_normal(n), rng.choice([-0.0, 0.0, 1.5], n)):
+                got = builders._neighbor3(a, op, pad)
+                want = concatenated_neighbor3(a, op, pad)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestMeasureValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+    def test_rejects_non_finite_or_negative_masses(self, bad):
+        for k in (0, 9, 15):
+            masses = np.full(16, 1.0 / 16)
+            masses[k] = bad
+            with pytest.raises(DomainError,
+                               match=r"^bin masses must be finite and >= 0$"):
+                BinnedMeasure(masses)
+
+    def test_validation_allocates_no_copy(self):
+        masses = np.full(1 << 20, 2.0 ** -20)
+        tracemalloc.start()
+        try:
+            BinnedMeasure(masses)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < masses.nbytes / 64
+
+
 class TestOscillation:
     def test_linear_ramp(self):
         J = 12

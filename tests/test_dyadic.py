@@ -292,6 +292,15 @@ class TestFamilyValidation:
         with pytest.raises(DomainError):
             DyadicFamily(0, 0, [np.array([-1.0])])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+    def test_rejects_non_finite_or_negative_values_at_any_offset(self, bad):
+        for k in (0, 5, 7):
+            values = [np.ones(1), np.ones(2), np.ones(4), np.ones(8)]
+            values[3][k] = bad
+            with pytest.raises(DomainError,
+                               match=r"^scale 3: values must be finite and >= 0$"):
+                DyadicFamily(0, 3, values)
+
     def test_rejects_wrong_length(self):
         with pytest.raises(ScaleError):
             DyadicFamily(0, 1, [np.ones(1), np.ones(3)])

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from localmf import (
     scaling_function,
     synthesize,
 )
-from localmf.synth import _CHUNK, _as_function, _substream, neglected_mass_rate, write_jumps
+from localmf.synth import (_CHUNK, _SPLIT, _as_function, _substream, neglected_mass_rate,
+                           write_jumps)
 
 
 class TestModelSpec:
@@ -180,6 +183,131 @@ class TestLocalizedBernoulli:
             -math.log2(p_x))
         assert orc.pointwise(x, zero_digit_freq=0.0) == pytest.approx(
             -math.log2(1 - p_x))
+
+
+
+def whole_generation_cascade(spec):
+    """Reference cascade: each generation built whole in fresh arrays, as
+    the generator did before it grew the masses in place."""
+    J = int(spec.params["J"])
+    p_fn = _as_function(spec.params["p"])
+    masses = np.array([1.0])
+    bound = 1.0
+    for n in range(1, J + 1):
+        width = 2.0 ** -(n - 1)
+        mids = (np.arange(masses.size) + 0.5) * width
+        ratios = p_fn(mids)
+        r_min = ratios.min()
+        if not (r_min > 0 and ratios.max() < 0.5):
+            raise DomainError("the splitting map p(.) must take values in (0, 1/2)")
+        children = np.empty(2 * masses.size)
+        np.multiply(masses, ratios, out=children[0::2])
+        np.multiply(masses, 1.0 - ratios, out=children[1::2])
+        bound *= r_min
+        if bound < 2.0 ** -1000 and (low := children[0::2].min()) < 2.0 ** -1022:
+            raise RangeError(f"localized Bernoulli generation {n} has a mass of "
+                             f"{low:.6g}, below the smallest normal double 2^-1022")
+        masses = children
+    return masses
+
+
+# the p tables the local_dense and cli_files benchmark workloads draw at seed 1
+_LOCAL_DENSE = [[0.0, 0.19816716604504578], [1.0, 0.42242075716661365]]
+_CLI_FILES = [[0.0, 0.21674234351357782], [1.0, 0.44590009586385704]]
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestInPlaceCascade:
+    """The cascade grown chunk by chunk in one buffer against the reference
+    that builds each generation whole."""
+
+    @pytest.mark.parametrize("kind, p", [
+        ("binomial", 0.2), ("binomial", 0.3), ("binomial", 0.45),
+        ("localized_bernoulli", _LOCAL_DENSE), ("localized_bernoulli", _CLI_FILES),
+        ("localized_bernoulli", lambda x: 0.25 + 0.2 * np.sin(7.0 * x) ** 2),
+    ], ids=["p0.2", "p0.3", "p0.45", "local_dense", "cli_files", "callable"])
+    def test_bit_identical_at_J20(self, kind, p):
+        spec = ModelSpec(kind, {"p": p, "J": 20})
+        # generation 20 splits its 2^19 parents in several chunks
+        assert 1 << 19 >= 4 * _SPLIT
+        assert np.array_equal(gen_localized_bernoulli(spec).masses,
+                              whole_generation_cascade(spec))
+
+    @pytest.mark.parametrize("J", [*range(4, 21), 22])
+    def test_bit_identical_at_every_J(self, J):
+        for kind, p in (("binomial", 0.45), ("localized_bernoulli", _LOCAL_DENSE)):
+            spec = ModelSpec(kind, {"p": p, "J": J})
+            assert np.array_equal(gen_localized_bernoulli(spec).masses,
+                                  whole_generation_cascade(spec))
+
+    @pytest.mark.parametrize("kind, p, digest", [
+        ("binomial", 0.3,
+         "5f0a5962c97b5b212620617f0088bd7c6e214b14e2358a3f4484b6a0f41a3e1c"),
+        ("localized_bernoulli", [[0.0, 0.2], [1.0, 0.45]],
+         "9b0fbb4a87f94dd0965637c0782ebfc70c62ba51ef68fa2882d478a058fd78ed"),
+    ], ids=["binomial", "bernoulli"])
+    def test_J20_masses_keep_their_digest(self, kind, p, digest):
+        # sha256 of the little-endian float64 masses of the whole-generation
+        # generator
+        masses = synthesize(ModelSpec(kind, {"p": p, "J": 20}))["measure"].masses
+        assert hashlib.sha256(masses.astype("<f8").tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("p, J", [
+        (1e-30, 14), (1e-20, 18), (0.6, 8),
+        # p is 0.3 up to x = 1/2, so every mass below 2^-1022 (from
+        # generation 18 on) has a parent offset >= 2^16, outside the lowest
+        # chunk
+        (lambda x: np.where(x > 0.5, 1e-19, 0.3), 20),
+    ], ids=["underflow", "subnormal", "p-above-half", "outside-lowest-chunk"])
+    def test_errors_match_the_reference(self, p, J):
+        assert 1 << 16 >= _SPLIT
+        spec = ModelSpec("localized_bernoulli", {"p": p, "J": J})
+        with pytest.raises((DomainError, RangeError)) as ref:
+            whole_generation_cascade(spec)
+        with pytest.raises(ref.type) as got:
+            gen_localized_bernoulli(spec)
+        assert str(got.value) == str(ref.value)
+
+    def test_range_error_outside_the_lowest_chunk_names_generation_18(self):
+        spec = ModelSpec("localized_bernoulli",
+                         {"p": lambda x: np.where(x > 0.5, 1e-19, 0.3), "J": 20})
+        with pytest.raises(RangeError, match="generation 18 has a mass of 4.94066e-324"):
+            gen_localized_bernoulli(spec)
+
+    def test_domain_error_at_the_same_generation(self):
+        # p leaves (0, 1/2) only above x = 0.999, first reached by the
+        # midpoint 1 - 2^-10 of generation 10; the midpoints (2k + 1) 2^-n
+        # of generation n tell the generation the call reached
+        def run(generator):
+            seen = []
+
+            def p(x):
+                ticks = (np.asarray(x) * 2.0 ** 40).astype(np.int64)
+                seen.append(40 - int(np.log2(ticks & -ticks).max()))
+                return np.where(x > 0.999, 0.6, 0.3)
+
+            with pytest.raises(DomainError) as err:
+                generator(ModelSpec("localized_bernoulli", {"p": p, "J": 16}))
+            return max(seen), str(err.value)
+
+        assert run(gen_localized_bernoulli) == run(whole_generation_cascade)
+        assert run(gen_localized_bernoulli)[0] == 10
+
+    @pytest.mark.parametrize("p", [0.3, _LOCAL_DENSE], ids=["binomial", "table"])
+    def test_traced_peak_at_J20(self, p):
+        spec = ModelSpec("localized_bernoulli", {"p": p, "J": 20})
+        finest = 8 << 20
+        assert _traced_peak(lambda: synthesize(spec)) <= 1.25 * finest
+        assert _traced_peak(lambda: plain_measure_family(
+            synthesize(spec)["measure"], 20)) <= 2.2 * finest
 
 
 class TestCantorPair:
