@@ -578,15 +578,15 @@ def check_oracle(cfg: PipelineConfig) -> dict:
     rows = []
 
     if cfg.mode == "local":
-        devs, alpha_rows = [], []
-        for loc in entry["local"]:
+        xs = np.array([loc["x"] for loc in entry["local"]])
+        devs = []
+        for loc, tau_o in zip(entry["local"], orc.tau(xs, p_grid)):
             x, tau_hat = loc["x"], np.array(loc["tau"][-1])
-            tau_o = np.atleast_1d(orc.tau(x, p_grid))
             rows += [(x, p, th, to) for p, th, to in zip(p_grid, tau_hat, tau_o)]
             fin = np.isfinite(tau_hat) & np.isfinite(tau_o)
             devs.append(float(np.abs(tau_hat[fin] - tau_o[fin]).max()))
-            if orc.pointwise is not None:
-                alpha_rows.append((x, loc["alpha"], float(orc.pointwise(x))))
+        alpha_rows = [] if orc.pointwise is None else list(zip(
+            xs, [loc["alpha"] for loc in entry["local"]], orc.pointwise(xs)))
         summary["max_abs_tau_deviation"] = max(devs)
         summary["per_x_tau_deviation"] = devs
         if alpha_rows:
@@ -624,7 +624,7 @@ def _check_oracle_markov(cfg: PipelineConfig) -> dict:
     ts = np.sort(rng.uniform(0.0, path.T, 100))
     h_hat = dyadic._chain_exponents(family, ts / path.T, "regression", fit,
                                     False).value
-    h_or = np.array([float(orc.pointwise(float(t))) for t in ts])
+    h_or = orc.pointwise(ts)
     rows = list(zip(ts, h_hat, h_or))
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

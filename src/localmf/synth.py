@@ -45,7 +45,7 @@ import numpy as np
 from ._textio import format_rows
 from .builders import BinnedMeasure
 from .errors import DomainError, ModelError, RangeError, ScaleError
-from .estimators import _legendre_rows, discrete_legendre
+from .estimators import _legendre_rows
 from .wavelet import DEFAULT_FILTER, WaveletPyramid, inverse_dwt
 
 __all__ = [
@@ -462,24 +462,10 @@ def write_jumps(path, markov: MarkovPath) -> None:
 # oracles
 
 
-def _binomial_tau(p_mass: float):
-    lp, lq = math.log(p_mass), math.log(1.0 - p_mass)
-
-    def tau(q):
-        q = np.asarray(q, dtype=float)
-        return -np.logaddexp(q * lp, q * lq) / _LN2
-
-    return tau
-
-
 _FINE_Q = np.arange(-40.0, 40.0 + 1e-9, 0.05)
-
-
-def _spectrum_max(taus, H) -> np.ndarray:
-    """max over the rows tau(x, _FINE_Q) of their exact-floor Legendre
-    spectra on H, taken in one batched transform."""
-    return _legendre_rows(_FINE_Q, taus, np.atleast_1d(H), -math.inf,
-                          1e-12).max(axis=0)
+_X_GRIDS = (np.linspace(0.0, 1.0, 513), np.linspace(0.0, 1.0, 129))
+# math.log per x: np.log differs from it in the last bit on some ratios
+_log, _log2 = (np.vectorize(f, otypes=[float]) for f in (math.log, math.log2))
 
 
 @dataclass(frozen=True)
@@ -491,7 +477,8 @@ class OracleSpectrum:
     (x-independent for homogeneous models); global variants take the
     x-infimum/supremum. ``pointwise`` is the exponent where the model
     prescribes one (Lebesgue-a.e. value for cascades and the jump process,
-    exact for mbm) or None.
+    exact for mbm) or None. The local callables broadcast over x: x of
+    shape s gives values of shape s + the grid's shape.
     """
 
     kind: str
@@ -502,62 +489,80 @@ class OracleSpectrum:
     pointwise: Callable | None = None
 
 
+def _at(fn, x) -> np.ndarray:
+    """fn at each point of x, as an array of x's shape."""
+    x = np.asarray(x, dtype=float)
+    return np.array(np.broadcast_to(fn(x), x.shape))
+
+
+def _build(kind, at, tau, grids, pointwise=None, spectrum=None,
+           spectrum_global=None) -> OracleSpectrum:
+    """The oracle of formulas tau(v, p), pointwise(v) and spectrum(v, H) in
+    a kind's parameters v = at(x): tau_global is tau's minimum over
+    grids[0], a missing spectrum the exact-floor transform of tau over
+    _FINE_Q, and a missing spectrum_global its maximum over grids[1]."""
+    def rows(x, grid):                # one value per x, against the grid
+        v = at(np.asarray(x, dtype=float))
+        return v.reshape(v.shape + (1,) * np.ndim(grid))
+
+    def local_tau(x, p):
+        p = np.asarray(p, dtype=float)
+        return tau(rows(x, p), p)
+
+    def local_spectrum(x, H):
+        H = np.atleast_1d(np.asarray(H, dtype=float))
+        if spectrum is not None:
+            return spectrum(rows(x, H), H)
+        x = np.asarray(x, dtype=float)
+        L = _legendre_rows(_FINE_Q, local_tau(x.reshape(-1), _FINE_Q), H,
+                           -math.inf, 1e-12)
+        return L.reshape(x.shape + L.shape[1:])
+
+    return OracleSpectrum(
+        kind, local_tau, local_spectrum,
+        lambda p: local_tau(grids[0], p).min(axis=0),
+        spectrum_global or (lambda H: local_spectrum(grids[1], H).max(axis=0)),
+        pointwise and (lambda x, *a, **kw: pointwise(rows(x, None), *a, **kw)[()]))
+
+
+def _check_binomial_p(spec: ModelSpec) -> None:
+    if spec.kind == "binomial" and not np.isscalar(spec.params.get("p")):
+        raise ModelError("binomial needs a scalar splitting ratio p")
+
+
 def oracle(spec: ModelSpec, realization=None) -> OracleSpectrum:
     """Oracle bundle for a model spec; every theoretical value used by the
     acceptance suite flows through here.
 
-    The ``markov_jump`` oracle is conditional on a realization (the
-    generated :class:`MarkovPath`), which must be passed explicitly.
+    A cascade p(x) outside (0, 1) raises DomainError, and a binomial p
+    that is not a scalar ModelError. The ``markov_jump`` oracle is
+    conditional on a realization (the generated :class:`MarkovPath`),
+    which must be passed explicitly.
     """
-    kind = spec.kind
-    params = spec.params
+    kind, params = spec.kind, spec.params
 
     if kind in ("binomial", "localized_bernoulli"):
+        _check_binomial_p(spec)
         p_fn = _param(params, "p", kind, _as_function)
 
-        def tau(x, q):
-            px = float(p_fn(np.asarray(x, dtype=float)))
-            return _binomial_tau(px)(q)
+        def ratio(x):
+            px = _at(p_fn, x)
+            if not np.all((px > 0) & (px < 1)):      # NaN fails too
+                raise DomainError("the oracle's p(.) must take values in (0, 1)")
+            return px
 
-        def pointwise(x, zero_digit_freq=0.5):
-            px = float(p_fn(np.asarray(x, dtype=float)))
-            return (-zero_digit_freq * math.log2(px)
-                    - (1.0 - zero_digit_freq) * math.log2(1.0 - px))
+        def pointwise(px, zero_digit_freq=0.5):
+            return (-zero_digit_freq * _log2(px)
+                    - (1.0 - zero_digit_freq) * _log2(1.0 - px))
 
-        def tau_global(q, x_grid=np.linspace(0.0, 1.0, 513)):
-            taus = np.array([tau(x, q) for x in x_grid])
-            return taus.min(axis=0)
-
-        def spectrum(x, H):
-            return discrete_legendre(_FINE_Q, tau(x, _FINE_Q), np.atleast_1d(H),
-                                     floor=-math.inf, endpoint_slope_tol=1e-12)
-
-        def spectrum_global(H, x_grid=np.linspace(0.0, 1.0, 129)):
-            return _spectrum_max([tau(x, _FINE_Q) for x in x_grid], H)
-
-        return OracleSpectrum(kind, tau, spectrum, tau_global, spectrum_global,
-                              pointwise)
+        return _build(kind, ratio, lambda px, q: -np.logaddexp(
+            q * _log(px), q * _log(1.0 - px)) / _LN2, _X_GRIDS, pointwise)
 
     if kind == "cantor_pair":
-        dims = (0.5, 0.25)
-
-        def tau(x, q):
-            d = dims[0] if x < 0.5 else dims[1]
-            return (np.asarray(q, dtype=float) - 1.0) * d
-
-        def spectrum(x, H):
-            d = dims[0] if x < 0.5 else dims[1]
-            H = np.atleast_1d(np.asarray(H, dtype=float))
-            return np.where(np.abs(H - d) <= 1e-12, d, -math.inf)
-
-        def tau_global(q):
-            return np.minimum(tau(0.25, q), tau(0.75, q))
-
-        def spectrum_global(H):
-            return np.maximum(spectrum(0.25, H), spectrum(0.75, H))
-
-        return OracleSpectrum(kind, tau, spectrum, tau_global, spectrum_global,
-                              pointwise=lambda x: dims[0] if x < 0.5 else dims[1])
+        return _build(kind, lambda x: np.where(x < 0.5, 0.5, 0.25),
+                      lambda d, q: (q - 1.0) * d, (np.array([0.25, 0.75]),) * 2,
+                      pointwise=lambda d: d, spectrum=lambda d, H: np.where(
+                          np.abs(H - d) <= 1e-12, d, -math.inf))
 
     if kind in ("mbm", "fbm"):
         H_fn = _param(params, "H", kind, _as_function)
@@ -565,87 +570,38 @@ def oracle(spec: ModelSpec, realization=None) -> OracleSpectrum:
         fine_x = np.linspace(0.0, 1.0, 2049)
         H_vals = H_fn(fine_x)
 
-        def tau(x, p):
-            Hx = float(H_fn(np.asarray(x, dtype=float)))
-            return Hx * np.asarray(p, dtype=float) - 1.0
-
-        def spectrum(x, H):
-            Hx = float(H_fn(np.asarray(x, dtype=float)))
-            H = np.atleast_1d(np.asarray(H, dtype=float))
-            return np.where(np.abs(H - Hx) <= 1e-9, 1.0, -math.inf)
-
-        def tau_global(p):
-            p = np.asarray(p, dtype=float)
-            return np.where(p >= 0, H_vals.min() * p, H_vals.max() * p) - 1.0
-
         def spectrum_global(H):
             H = np.atleast_1d(np.asarray(H, dtype=float))
             inside = (H >= H_vals.min() - 1e-9) & (H <= H_vals.max() + 1e-9)
             return np.where(inside, 1.0, -math.inf)
 
-        return OracleSpectrum(kind, tau, spectrum, tau_global, spectrum_global,
-                              pointwise=lambda x: float(H_fn(np.asarray(x))))
+        return _build(kind, lambda x: _at(H_fn, x), lambda h, p: h * p - 1.0,
+                      (fine_x, None), pointwise=lambda h: h,
+                      spectrum=lambda h, H: np.where(np.abs(H - h) <= 1e-9,
+                                                     1.0, -math.inf),
+                      spectrum_global=spectrum_global)
 
     if kind == "birkhoff":
         a, b = (_param(params, key, kind, float) for key in ("a", "b"))
         gamma_fn = _param(params, "gamma", kind, _as_function, 1.0)
         theta_fn = _param(params, "theta", kind, _as_function, 0.0)
 
-        def pressure(q):
-            return np.logaddexp(np.asarray(q, dtype=float) * a,
-                                np.asarray(q, dtype=float) * b)
-
-        def tau(x, p):
-            p = np.asarray(p, dtype=float)
-            g = float(gamma_fn(np.asarray(x, dtype=float)))
-            th = float(theta_fn(np.asarray(x, dtype=float)))
-            return (-pressure(-g * p) + th * p) / _LN2
-
-        def tau_global(p, x_grid=np.linspace(0.0, 1.0, 513)):
-            return np.array([tau(x, p) for x in x_grid]).min(axis=0)
-
-        def spectrum(x, H):
-            return discrete_legendre(_FINE_Q, tau(x, _FINE_Q), np.atleast_1d(H),
-                                     floor=-math.inf, endpoint_slope_tol=1e-12)
-
-        def spectrum_global(H, x_grid=np.linspace(0.0, 1.0, 129)):
-            return _spectrum_max([tau(x, _FINE_Q) for x in x_grid], H)
-
-        return OracleSpectrum(kind, tau, spectrum, tau_global, spectrum_global)
+        return _build(kind, lambda x: np.stack([_at(gamma_fn, x), _at(theta_fn, x)]),
+                      lambda v, p: (-np.logaddexp(-v[0] * p * a, -v[0] * p * b)
+                                    + v[1] * p) / _LN2, _X_GRIDS)
 
     if kind == "markov_jump":
-        if realization is None or not isinstance(realization, MarkovPath):
+        if not isinstance(realization, MarkovPath):
             raise ModelError("the markov_jump oracle is conditional on a "
                              "generated MarkovPath; pass realization=path")
         gamma_fn = _param(params, "gamma", kind, _as_function)
-        path = realization
-
-        def gamma_at(t):
-            return float(gamma_fn(path.value_at(t)))
-
-        def spectrum(t, h):
-            g = gamma_at(t)
-            h = np.atleast_1d(np.asarray(h, dtype=float))
-            return np.where((h >= 0) & (h <= 1.0 / g), h * g, -math.inf)
-
-        def tau(t, p):
-            # Legendre dual of the local spectrum, valid for p >= 0
-            g = gamma_at(t)
-            p = np.asarray(p, dtype=float)
-            return np.minimum(p / g - 1.0, 0.0)
-
-        def spectrum_global(h, t_grid=None):
-            ts = t_grid if t_grid is not None else \
-                np.linspace(0.0, path.T, 257, endpoint=False)[1:]
-            return np.stack([spectrum(t, h) for t in ts]).max(axis=0)
-
-        def tau_global(p, t_grid=None):
-            ts = t_grid if t_grid is not None else \
-                np.linspace(0.0, path.T, 257, endpoint=False)[1:]
-            return np.stack([tau(t, p) for t in ts]).min(axis=0)
-
-        return OracleSpectrum(kind, tau, spectrum, tau_global, spectrum_global,
-                              pointwise=lambda t: 1.0 / gamma_at(t))
+        ts = np.linspace(0.0, realization.T, 257, endpoint=False)[1:]
+        # tau is the Legendre dual of the local spectrum, valid for p >= 0
+        return _build(kind, lambda t: _at(gamma_fn, realization.value_at(t)),
+                      lambda g, p: np.minimum(p / g - 1.0, 0.0), (ts, ts),
+                      pointwise=lambda g: 1.0 / g,
+                      spectrum=lambda g, h: np.where((h >= 0) & (h <= 1.0 / g),
+                                                     h * g, -math.inf))
 
     raise ModelError(f"no oracle for model kind {kind!r}")
 
@@ -658,8 +614,7 @@ def synthesize(spec: ModelSpec) -> dict:
     """Generate a model realization; returns a dict with kind-specific
     products ('measure', 'signal' + 'pyramid', or 'path')."""
     if spec.kind in ("binomial", "localized_bernoulli"):
-        if spec.kind == "binomial" and not np.isscalar(spec.params.get("p")):
-            raise ModelError("binomial needs a scalar splitting ratio p")
+        _check_binomial_p(spec)
         return {"measure": gen_localized_bernoulli(spec)}
     if spec.kind == "cantor_pair":
         return {"measure": gen_cantor_pair(

@@ -21,8 +21,9 @@ from localmf import (
     scaling_function,
     synthesize,
 )
-from localmf.synth import (_CHUNK, _SPLIT, _as_function, _substream, neglected_mass_rate,
-                           write_jumps)
+from localmf.estimators import _legendre_rows, discrete_legendre
+from localmf.synth import (_CHUNK, _SPLIT, OracleSpectrum, _as_function, _substream,
+                           neglected_mass_rate, write_jumps)
 
 
 class TestModelSpec:
@@ -651,3 +652,229 @@ def test_global_spectrum_is_the_max_of_the_local_ones(spec):
     for H in (np.linspace(0.0, 3.0, 301), np.array([0.5]), 0.7):
         per_x = [orc.spectrum(x, H) for x in np.linspace(0.0, 1.0, 129)]
         assert np.array_equal(orc.spectrum_global(H), np.max(per_x, axis=0))
+
+
+def parent_oracle(spec, realization=None):
+    """Reference oracle: one branch of scalar-x closures per model kind, the
+    global values taken by loops over x, as the oracle was before one
+    builder made every kind's global values and spectra."""
+    kind, params = spec.kind, spec.params
+    fine_q = np.arange(-40.0, 40.0 + 1e-9, 0.05)
+    ln2 = math.log(2.0)
+
+    def binomial_tau(p_mass):
+        lp, lq = math.log(p_mass), math.log(1.0 - p_mass)
+        return lambda q: -np.logaddexp(np.asarray(q, dtype=float) * lp,
+                                       np.asarray(q, dtype=float) * lq) / ln2
+
+    def spectrum_max(taus, H):
+        return _legendre_rows(fine_q, taus, np.atleast_1d(H), -math.inf,
+                              1e-12).max(axis=0)
+
+    def legendre_spectrum(tau):
+        return lambda x, H: discrete_legendre(fine_q, tau(x, fine_q), np.atleast_1d(H),
+                                              floor=-math.inf, endpoint_slope_tol=1e-12)
+
+    if kind in ("binomial", "localized_bernoulli"):
+        p_fn = _as_function(params["p"])
+
+        def tau(x, q):
+            return binomial_tau(float(p_fn(np.asarray(x, dtype=float))))(q)
+
+        def pointwise(x, zero_digit_freq=0.5):
+            px = float(p_fn(np.asarray(x, dtype=float)))
+            return (-zero_digit_freq * math.log2(px)
+                    - (1.0 - zero_digit_freq) * math.log2(1.0 - px))
+
+        return OracleSpectrum(
+            kind, tau, legendre_spectrum(tau),
+            lambda q: np.array([tau(x, q) for x in np.linspace(0.0, 1.0, 513)]).min(axis=0),
+            lambda H: spectrum_max([tau(x, fine_q) for x in np.linspace(0.0, 1.0, 129)], H),
+            pointwise)
+
+    if kind == "cantor_pair":
+        def dim(x):
+            return 0.5 if x < 0.5 else 0.25
+
+        def tau(x, q):
+            return (np.asarray(q, dtype=float) - 1.0) * dim(x)
+
+        def spectrum(x, H):
+            H = np.atleast_1d(np.asarray(H, dtype=float))
+            return np.where(np.abs(H - dim(x)) <= 1e-12, dim(x), -math.inf)
+
+        return OracleSpectrum(
+            kind, tau, spectrum, lambda q: np.minimum(tau(0.25, q), tau(0.75, q)),
+            lambda H: np.maximum(spectrum(0.25, H), spectrum(0.75, H)), dim)
+
+    if kind in ("mbm", "fbm"):
+        H_fn = _as_function(params["H"])
+        H_vals = H_fn(np.linspace(0.0, 1.0, 2049))
+
+        def Hx(x):
+            return float(H_fn(np.asarray(x, dtype=float)))
+
+        def spectrum(x, H):
+            H = np.atleast_1d(np.asarray(H, dtype=float))
+            return np.where(np.abs(H - Hx(x)) <= 1e-9, 1.0, -math.inf)
+
+        def tau_global(p):
+            p = np.asarray(p, dtype=float)
+            return np.where(p >= 0, H_vals.min() * p, H_vals.max() * p) - 1.0
+
+        def spectrum_global(H):
+            H = np.atleast_1d(np.asarray(H, dtype=float))
+            inside = (H >= H_vals.min() - 1e-9) & (H <= H_vals.max() + 1e-9)
+            return np.where(inside, 1.0, -math.inf)
+
+        return OracleSpectrum(
+            kind, lambda x, p: Hx(x) * np.asarray(p, dtype=float) - 1.0, spectrum,
+            tau_global, spectrum_global, Hx)
+
+    if kind == "birkhoff":
+        a, b = float(params["a"]), float(params["b"])
+        gamma_fn = _as_function(params.get("gamma", 1.0))
+        theta_fn = _as_function(params.get("theta", 0.0))
+
+        def tau(x, p):
+            p = np.asarray(p, dtype=float)
+            g = float(gamma_fn(np.asarray(x, dtype=float)))
+            th = float(theta_fn(np.asarray(x, dtype=float)))
+            return (-np.logaddexp(-g * p * a, -g * p * b) + th * p) / ln2
+
+        return OracleSpectrum(
+            kind, tau, legendre_spectrum(tau),
+            lambda p: np.array([tau(x, p) for x in np.linspace(0.0, 1.0, 513)]).min(axis=0),
+            lambda H: spectrum_max([tau(x, fine_q) for x in np.linspace(0.0, 1.0, 129)], H))
+
+    gamma_fn = _as_function(params["gamma"])
+    path = realization
+    ts = np.linspace(0.0, path.T, 257, endpoint=False)[1:]
+
+    def gamma_at(t):
+        return float(gamma_fn(path.value_at(t)))
+
+    def spectrum(t, h):
+        g = gamma_at(t)
+        h = np.atleast_1d(np.asarray(h, dtype=float))
+        return np.where((h >= 0) & (h <= 1.0 / g), h * g, -math.inf)
+
+    def tau(t, p):
+        return np.minimum(np.asarray(p, dtype=float) / gamma_at(t) - 1.0, 0.0)
+
+    return OracleSpectrum(
+        kind, tau, spectrum, lambda p: np.stack([tau(t, p) for t in ts]).min(axis=0),
+        lambda h: np.stack([spectrum(t, h) for t in ts]).max(axis=0),
+        lambda t: 1.0 / gamma_at(t))
+
+
+_MARKOV_CI = ModelSpec("markov_jump", {
+    "gamma": [[0.0, 0.5], [1.6, 0.9], [50.0, 0.9]], "T": 1.0, "N": 4096,
+    "eps_trunc": 6.103515625e-05}, seed=3)
+_ORACLE_SPECS = {
+    "binomial-0.4": ModelSpec("binomial", {"p": 0.4}),
+    "binomial-0.3": ModelSpec("binomial", {"p": 0.3}),
+    "bernoulli": ModelSpec("localized_bernoulli", {"p": [[0.0, 0.2], [1.0, 0.45]]}),
+    "local_dense": ModelSpec("localized_bernoulli", {"p": _LOCAL_DENSE}),
+    "cli_files": ModelSpec("localized_bernoulli", {"p": _CLI_FILES}),
+    "bernoulli-callable": ModelSpec("localized_bernoulli", {
+        "p": lambda x: 0.25 + 0.2 * np.sin(7.0 * x) ** 2}),
+    "cantor_pair": ModelSpec("cantor_pair", {"J": 18}),
+    "mbm-0.6": ModelSpec("mbm", {"H": 0.6}),
+    "fbm-0.5": ModelSpec("fbm", {"H": 0.5}),
+    "mbm-table": ModelSpec("mbm", {"H": [[0.0, 0.4], [0.5, 0.7], [1.0, 0.45]]}),
+    "mbm-callable": ModelSpec("mbm", {"H": lambda x: 0.5 + 0.2 * np.sin(2 * np.pi * x)}),
+    "birkhoff": ModelSpec("birkhoff", {"a": 0.4, "b": 1.1}),
+    "birkhoff-varying": ModelSpec("birkhoff", {
+        "a": 0.3, "b": 0.8, "gamma": [[0.0, 1.0], [1.0, 1.5]],
+        "theta": [[0.0, 0.1], [1.0, 0.3]]}),
+    "markov_jump": _MARKOV_CI,
+}
+# the p and H grids of the acceptance tests, of the CLI (its default and
+# -3:3:0.15) and of the perfbench gates, and x values of both
+_P_GRIDS = [np.arange(-5.0, 5.5, 0.5), np.arange(-4.0, 4.25, 0.25),
+            np.arange(-3.0, 3.5, 0.5), np.arange(-5.0, 5.5, 1.0),
+            -3.0 + 0.15 * np.arange(41), np.linspace(-3.0, 3.0, 41),
+            np.linspace(-10.0, 10.0, 41), np.arange(0.0, 3.25, 0.25)]
+_H_GRIDS = [np.arange(5, 250) / 100.0, np.arange(5, 121) / 100.0,
+            np.round(np.arange(301) * 0.01, 10)]
+_ORACLE_XS = np.concatenate([np.arange(32) / 32.0, np.linspace(0.0, 1.0, 21),
+                             [0.22, 0.3, 0.99]])
+
+
+def _oracle_pair(name):
+    spec = _ORACLE_SPECS[name]
+    path = gen_markov_jump(spec) if spec.kind == "markov_jump" else None
+    return oracle(spec, realization=path), parent_oracle(spec, path)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestOracleBuilder:
+    """One builder makes every kind's global values and Legendre spectra from
+    its broadcast tau(x, p); each output equals the parent's bit for bit."""
+
+    @pytest.mark.parametrize("name", _ORACLE_SPECS)
+    def test_bit_identical_to_the_parent(self, name):
+        new, old = _oracle_pair(name)
+        assert (new.pointwise is None) == (old.pointwise is None)
+        for p in _P_GRIDS:
+            assert _same_bits(new.tau_global(p), old.tau_global(p))
+            for x in _ORACLE_XS:
+                assert _same_bits(new.tau(float(x), p), old.tau(float(x), p))
+        for H in _H_GRIDS:
+            for x in _ORACLE_XS[::6]:
+                assert _same_bits(new.spectrum(float(x), H), old.spectrum(float(x), H))
+        H = _H_GRIDS[0]
+        assert _same_bits(new.spectrum_global(H), old.spectrum_global(H))
+        if new.pointwise is not None:
+            for x in _ORACLE_XS:
+                assert new.pointwise(float(x)) == old.pointwise(float(x))
+                assert math.copysign(1.0, new.pointwise(float(x))) == \
+                    math.copysign(1.0, old.pointwise(float(x)))
+        if _ORACLE_SPECS[name].kind in ("binomial", "localized_bernoulli"):
+            for x in _ORACLE_XS[::5]:
+                for freq in (0.0, 0.3, 1.0):
+                    assert new.pointwise(float(x), zero_digit_freq=freq) == \
+                        old.pointwise(float(x), zero_digit_freq=freq)
+                    assert new.pointwise(float(x), freq) == old.pointwise(float(x), freq)
+
+    @pytest.mark.parametrize("name", _ORACLE_SPECS)
+    def test_broadcast_rows_equal_the_scalar_calls(self, name):
+        orc, _ = _oracle_pair(name)
+        xs, p, H = _ORACLE_XS, _P_GRIDS[5], _H_GRIDS[2]
+        assert _same_bits(orc.tau(xs, p), np.stack([orc.tau(float(x), p) for x in xs]))
+        assert _same_bits(orc.spectrum(xs[::4], H),
+                          np.stack([orc.spectrum(float(x), H) for x in xs[::4]]))
+        grid = xs[:12].reshape(3, 4)
+        assert orc.tau(grid, p).shape == (3, 4, p.size)
+        assert orc.spectrum(grid, H).shape == (3, 4, H.size)
+        if orc.pointwise is not None:
+            assert _same_bits(orc.pointwise(xs),
+                              np.array([orc.pointwise(float(x)) for x in xs]))
+            assert orc.pointwise(grid).shape == (3, 4)
+
+    @pytest.mark.parametrize("p", [1.5, 0.0, 1.0, math.nan])
+    def test_cascade_ratio_outside_the_unit_interval_is_domain_error(self, p):
+        orc = oracle(ModelSpec("binomial", {"p": p}))
+        for call in (lambda: orc.tau(0.5, np.array([1.0, 2.0])), lambda: orc.pointwise(0.5),
+                     lambda: orc.tau_global(np.array([1.0]))):
+            with pytest.raises(DomainError, match=r"\(0, 1\)"):
+                call()
+
+    def test_localized_ratio_leaving_the_unit_interval_is_domain_error(self):
+        orc = oracle(ModelSpec("localized_bernoulli", {"p": [[0.0, 0.5], [1.0, 1.5]]}))
+        orc.tau(0.2, np.array([1.0, 2.0]))            # p(0.2) = 0.7: tau is symmetric
+        with pytest.raises(DomainError):
+            orc.tau(np.array([0.2, 0.9]), np.array([1.0, 2.0]))
+        with pytest.raises(DomainError):
+            orc.tau_global(np.array([1.0, 2.0]))
+
+    def test_binomial_oracle_needs_a_scalar_p(self):
+        spec = ModelSpec("binomial", {"p": [[0, 0.2], [1, 0.4]], "J": 10})
+        for build in (oracle, synthesize):
+            with pytest.raises(ModelError, match="binomial needs a scalar splitting ratio p"):
+                build(spec)
